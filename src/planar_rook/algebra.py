@@ -209,14 +209,6 @@ def to_x_coordinates(g: AlgebraElement) -> dict[Diagram, Fraction]:
     return {a: q for a, q in coords.items() if q}
 
 
-def from_x_coordinates(n: int, c: int, coords: Mapping[Diagram, Rational]) -> AlgebraElement:
-    """Assemble the element with the given x-basis coordinates."""
-    out = zero(n, c)
-    for a, q in coords.items():
-        out += x_of(a).scale(q)
-    return out
-
-
 def left_action_x(d: Diagram, a: Diagram) -> Optional[Diagram]:
     """Left action of a diagram on an x-basis vector, decided without expanding.
 

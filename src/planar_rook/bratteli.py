@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .representations import IrrepLabel, VerifyResult, all_labels
+from .representations import CheckResult, IrrepLabel, all_labels
 
 #: An edge joins (level, index) of a parent to (level - 1, index) of a child.
 IndexPath = tuple[int, int]
@@ -86,9 +86,9 @@ def down_degree_histogram(graph: BratteliGraph, n: int) -> dict[int, int]:
     return histogram
 
 
-def verify_multinomial_recursion(graph: BratteliGraph) -> VerifyResult:
+def verify_multinomial_recursion(graph: BratteliGraph) -> CheckResult:
     """Every non-root vertex dimension equals the sum over its children."""
-    failures: list[str] = []
+    witnesses: list[str] = []
     checked = 0
     for n in range(1, graph.n_max + 1):
         for idx, label in enumerate(graph.levels[n]):
@@ -98,11 +98,11 @@ def verify_multinomial_recursion(graph: BratteliGraph) -> VerifyResult:
                 for child_idx in graph.children_of(n, idx)
             )
             if label.dimension() != child_sum:
-                failures.append(
+                witnesses.append(
                     f"vertex {label.encode()} at level {n}: dimension {label.dimension()} "
                     f"but children sum to {child_sum}"
                 )
-    return VerifyResult.collect(checked, failures)
+    return CheckResult("bratteli.multinomial-recursion", checked, witnesses)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,19 @@
 """Finite verification suite for every structural claim the engine relies on.
 
-Each check sweeps an exhaustive range (clipped by the configured caps) or a
-seeded random sample, and reports an explicit witness for every failure.
-All arithmetic is exact, so a check either passes identically or names a
-counterexample.
+Each check sweeps the shapes of an exhaustive range (clipped by the
+configured caps) or a seeded random sample, calling the per-object
+verifiers of ``representations`` and ``bratteli`` where one exists, and
+reports an explicit witness for every failure.  Every claim has exactly one
+verifier, and all of them return :class:`CheckResult`.  All arithmetic is
+exact, so a check either passes identically or names a counterexample.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -35,6 +38,7 @@ from .diagrams import (
 )
 from .matrices import RationalMatrix
 from .representations import (
+    CheckResult,
     all_bottom_profiles,
     all_labels,
     action_matrix,
@@ -47,24 +51,11 @@ from .representations import (
     label_module,
     module_space,
     regular_decomposition,
-    restriction_adapted_space,
     restriction_decomposition,
     verify_irreducible,
     verify_matrix_algebra,
-    verify_regular_decomposition,
     verify_restriction,
 )
-
-
-@dataclass
-class CheckResult:
-    name: str
-    ok: bool
-    checked: int
-    witnesses: list[str] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {"name": self.name, "ok": self.ok, "checked": self.checked, "witnesses": self.witnesses}
 
 
 @dataclass(frozen=True)
@@ -79,10 +70,6 @@ class VerifyConfig:
 
 
 Scope = tuple[int, int]
-
-
-def _result(name: str, checked: int, witnesses: list[str]) -> CheckResult:
-    return CheckResult(name, not witnesses, checked, witnesses)
 
 
 @lru_cache(maxsize=None)
@@ -129,7 +116,7 @@ def check_enumeration_count(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> Che
             witnesses.append(
                 f"(n={n}, c={c}): enumerated {len(pool)} diagrams, formula gives {cardinality(n, c)}"
             )
-    return _result("diagram.enumeration-count", checked, witnesses)
+    return CheckResult("diagram.enumeration-count", checked, witnesses)
 
 
 def check_associativity(
@@ -158,7 +145,7 @@ def check_associativity(
             witnesses.append(
                 f"sampled ({format_diagram(a)}) * ({format_diagram(b)}) * ({format_diagram(d)})"
             )
-    return _result("diagram.associativity", checked, witnesses)
+    return CheckResult("diagram.associativity", checked, witnesses)
 
 
 def check_rook_closure(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> CheckResult:
@@ -175,7 +162,7 @@ def check_rook_closure(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> CheckRes
                 bottoms = [x for _, x, _ in product.edges]
                 if len(set(tops)) != len(tops) or len(set(bottoms)) != len(bottoms):
                     witnesses.append(f"({format_diagram(a)}) * ({format_diagram(b)})")
-    return _result("diagram.rook-closure", checked, witnesses)
+    return CheckResult("diagram.rook-closure", checked, witnesses)
 
 
 def check_planarity_closure(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> CheckResult:
@@ -188,7 +175,7 @@ def check_planarity_closure(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> Che
                 checked += 1
                 if not is_planar(multiply(a, b)):
                     witnesses.append(f"({format_diagram(a)}) * ({format_diagram(b)}) is not planar")
-    return _result("diagram.planarity-closure", checked, witnesses)
+    return CheckResult("diagram.planarity-closure", checked, witnesses)
 
 
 def check_size_monotonicity(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> CheckResult:
@@ -201,7 +188,7 @@ def check_size_monotonicity(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> Che
                 checked += 1
                 if multiply(a, b).size > min(a.size, b.size):
                     witnesses.append(f"({format_diagram(a)}) * ({format_diagram(b)}) grew")
-    return _result("diagram.size-monotonicity", checked, witnesses)
+    return CheckResult("diagram.size-monotonicity", checked, witnesses)
 
 
 def check_profile_roundtrip(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> CheckResult:
@@ -216,7 +203,7 @@ def check_profile_roundtrip(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> Che
                 witnesses.append(f"{format_diagram(d)}: row part sizes differ")
             if from_profiles(top, bottom) != d:
                 witnesses.append(f"{format_diagram(d)}: profile round trip failed")
-    return _result("diagram.profile-roundtrip", checked, witnesses)
+    return CheckResult("diagram.profile-roundtrip", checked, witnesses)
 
 
 def _bitmask_matrix(d: Diagram) -> list[list[int]]:
@@ -248,7 +235,7 @@ def check_matrix_semantics(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> Chec
                 checked += 1
                 if _bitmask_product(masks[a], masks[b]) != _bitmask_matrix(multiply(a, b)):
                     witnesses.append(f"({format_diagram(a)}) * ({format_diagram(b)})")
-    return _result("diagram.matrix-semantics", checked, witnesses)
+    return CheckResult("diagram.matrix-semantics", checked, witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +251,7 @@ def check_identity_unit(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> CheckRe
             as_elem = algebra.from_diagram(d)
             if unit * as_elem != as_elem or as_elem * unit != as_elem:
                 witnesses.append(f"unit fails on {format_diagram(d)}")
-    return _result("algebra.identity-unit", checked, witnesses)
+    return CheckResult("algebra.identity-unit", checked, witnesses)
 
 
 def check_x_inversion(scope: Scope, samples: int, seed: int, cap: int = DEFAULT_DIAGRAM_CAP) -> CheckResult:
@@ -301,7 +288,7 @@ def check_x_inversion(scope: Scope, samples: int, seed: int, cap: int = DEFAULT_
             right[d_key] = right.get(d_key, Fraction(0)) + q
         if left != {k: v for k, v in right.items() if v}:
             witnesses.append("x-coordinates are not linear on a sampled pair")
-    return _result("algebra.x-basis-inversion", checked, witnesses)
+    return CheckResult("algebra.x-basis-inversion", checked, witnesses)
 
 
 def _action_mismatch_left(d: Diagram, a: Diagram) -> bool:
@@ -339,7 +326,7 @@ def check_left_action(
         checked += 1
         if _action_mismatch_left(d, a):
             witnesses.append(f"sampled d={format_diagram(d)}, a={format_diagram(a)}")
-    return _result("algebra.x-action-left", checked, witnesses)
+    return CheckResult("algebra.x-action-left", checked, witnesses)
 
 
 def check_right_action(
@@ -362,7 +349,7 @@ def check_right_action(
         checked += 1
         if _action_mismatch_right(a, d):
             witnesses.append(f"sampled a={format_diagram(a)}, d={format_diagram(d)}")
-    return _result("algebra.x-action-right", checked, witnesses)
+    return CheckResult("algebra.x-action-right", checked, witnesses)
 
 
 def check_block_preservation(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> CheckResult:
@@ -379,7 +366,7 @@ def check_block_preservation(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> Ch
                     continue
                 if bottom_profile(image) != bottom_profile(a) or image.size != a.size:
                     witnesses.append(f"d={format_diagram(d)}, a={format_diagram(a)}")
-    return _result("algebra.block-preservation", checked, witnesses)
+    return CheckResult("algebra.block-preservation", checked, witnesses)
 
 
 def check_embed(scope: Scope, samples: int, seed: int, cap: int = DEFAULT_DIAGRAM_CAP) -> CheckResult:
@@ -400,7 +387,7 @@ def check_embed(scope: Scope, samples: int, seed: int, cap: int = DEFAULT_DIAGRA
                 witnesses.append(f"embedding is not multiplicative at (n={n}, c={c})")
             if algebra.embed(g1) != g1.tensor(algebra.identity(1, c)):
                 witnesses.append(f"embedding differs from tensoring the unit column at (n={n}, c={c})")
-    return _result("algebra.embed-homomorphism", checked, witnesses)
+    return CheckResult("algebra.embed-homomorphism", checked, witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +416,7 @@ def check_rho_homomorphism(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> Chec
                             f"action of product differs from composed actions: "
                             f"{format_diagram(d1)}, {format_diagram(d2)} on {label.encode()}"
                         )
-    return _result("modules.rho-homomorphism", checked, witnesses)
+    return CheckResult("modules.rho-homomorphism", checked, witnesses)
 
 
 def check_column_structure(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> CheckResult:
@@ -447,7 +434,7 @@ def check_column_structure(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> Chec
                     nonzero = [v for v in column if v]
                     if len(nonzero) > 1 or any(v != 1 for v in nonzero):
                         witnesses.append(f"{format_diagram(d)} on {label.encode()} column {j}")
-    return _result("modules.column-structure", checked, witnesses)
+    return CheckResult("modules.column-structure", checked, witnesses)
 
 
 def check_character(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> CheckResult:
@@ -471,7 +458,7 @@ def check_character(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> CheckResult
             key = vertical_color_counts(d)
             if by_verticals.setdefault(key, row) != row:
                 witnesses.append(f"trace of {format_diagram(d)} disagrees within vertical class {key}")
-    return _result("modules.character-trace", checked, witnesses)
+    return CheckResult("modules.character-trace", checked, witnesses)
 
 
 def check_multiplicity_count(scope: Scope) -> CheckResult:
@@ -484,7 +471,7 @@ def check_multiplicity_count(scope: Scope) -> CheckResult:
             count = sum(1 for _ in profiles_with_sizes(n, c, label.sizes))
             if count != multinomial(label.sizes):
                 witnesses.append(f"label {label.encode()}: {count} profiles")
-    return _result("modules.multiplicity-count", checked, witnesses)
+    return CheckResult("modules.multiplicity-count", checked, witnesses)
 
 
 def check_irreducibility(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> CheckResult:
@@ -496,7 +483,7 @@ def check_irreducibility(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> CheckR
             checked += 1
             outcome = verify_irreducible(module_space(n, c, profile), cap)
             if not outcome:
-                witnesses.append(f"module at bottom {profile.parts}: {outcome.failures[:1]}")
+                witnesses.append(f"module at bottom {profile.parts}: {outcome.witnesses[:1]}")
         if n >= 2:
             for k in range(1, n + 1):
                 span = fixed_size_span(n, c, k, cap)
@@ -509,7 +496,7 @@ def check_irreducibility(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> CheckR
                     witnesses.append(
                         f"span of all size-{k} vectors at (n={n}, c={c}) has the wrong reducibility"
                     )
-    return _result("modules.irreducibility", checked, witnesses)
+    return CheckResult("modules.irreducibility", checked, witnesses)
 
 
 def check_isomorphism_classification(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> CheckResult:
@@ -532,7 +519,11 @@ def check_isomorphism_classification(scope: Scope, cap: int = DEFAULT_DIAGRAM_CA
                     continue
                 if result.isomorphic:
                     d = result.intertwiner
-                    phi = [spaces[p2].index_of(multiply(a, d)) for a in spaces[p1].basis]
+                    try:
+                        phi = [spaces[p2].index_of(multiply(a, d)) for a in spaces[p1].basis]
+                    except KeyError:
+                        witnesses.append(f"intertwiner leaves the target basis: {p1.parts} vs {p2.parts}")
+                        continue
                     if sorted(phi) != list(range(len(phi))):
                         witnesses.append(f"intertwiner is not a bijection: {p1.parts} vs {p2.parts}")
                         continue
@@ -554,7 +545,7 @@ def check_isomorphism_classification(scope: Scope, cap: int = DEFAULT_DIAGRAM_CA
                         witnesses.append(f"distinguisher acts as zero on both: {p1.parts} vs {p2.parts}")
                     if any(i is not None for i in maps[dead][d]):
                         witnesses.append(f"distinguisher does not annihilate: {p1.parts} vs {p2.parts}")
-    return _result("modules.isomorphism-classification", checked, witnesses)
+    return CheckResult("modules.isomorphism-classification", checked, witnesses)
 
 
 def check_matrix_algebra(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> CheckResult:
@@ -565,8 +556,8 @@ def check_matrix_algebra(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> CheckR
             checked += 1
             outcome = verify_matrix_algebra(n, c, label, cap=cap)
             if not outcome:
-                witnesses.append(f"label {label.encode()} at (n={n}, c={c}): {outcome.failures[:1]}")
-    return _result("modules.matrix-algebra", checked, witnesses)
+                witnesses.append(f"label {label.encode()} at (n={n}, c={c}): {outcome.witnesses[:1]}")
+    return CheckResult("modules.matrix-algebra", checked, witnesses)
 
 
 def check_regular_decomposition(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> CheckResult:
@@ -579,35 +570,33 @@ def check_regular_decomposition(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) ->
         total = sum(mult * label.dimension() for label, mult in decomposition)
         if total != cardinality(n, c):
             witnesses.append(f"(n={n}, c={c}): multiplicities sum to {total}")
-        outcome = verify_regular_decomposition(n, c, cap)
-        if not outcome:
-            witnesses.append(f"(n={n}, c={c}): {outcome.failures[:1]}")
-    return _result("modules.regular-decomposition", checked, witnesses)
+        # The x-basis splits into bottom-profile blocks of multinomial size.
+        by_bottom = Counter(bottom_profile(d) for d in _pool(n, c, cap))
+        for profile in all_bottom_profiles(n, c):
+            got, expected = by_bottom.pop(profile, 0), multinomial(profile.sizes)
+            if got != expected:
+                witnesses.append(
+                    f"(n={n}, c={c}): bottom profile {profile.parts} spans {got} vectors, expected {expected}"
+                )
+        if by_bottom:
+            unexpected = sorted(p.parts for p in by_bottom)
+            witnesses.append(f"(n={n}, c={c}): unexpected bottom profiles {unexpected}")
+    return CheckResult("modules.regular-decomposition", checked, witnesses)
 
 
 def check_restriction(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> CheckResult:
-    """Column-drop restriction: invariance, intertwining, dimensions, block shape."""
+    """Column-drop restriction: invariance, intertwining, dimensions."""
     witnesses = []
     checked = 0
     for n, c in _shapes(scope):
         if n < 1:
             continue
-        smaller = _pool(n - 1, c, cap)
         for profile in all_bottom_profiles(n, c):
-            space = module_space(n, c, profile)
             checked += 1
-            outcome = verify_restriction(space, cap)
+            outcome = verify_restriction(module_space(n, c, profile), cap)
             if not outcome:
-                witnesses.append(f"bottom {profile.parts}: {outcome.failures[:1]}")
-            adapted, block_sizes = restriction_adapted_space(space)
-            for d in smaller:
-                embedded = algebra.embed(algebra.from_diagram(d))
-                if not action_matrix_elem(embedded, adapted).is_block_diagonal(block_sizes):
-                    witnesses.append(
-                        f"embedded {format_diagram(d)} is not block diagonal on bottom {profile.parts}"
-                    )
-                    break
-    return _result("modules.restriction-blocks", checked, witnesses)
+                witnesses.append(f"bottom {profile.parts}: {outcome.witnesses[:1]}")
+    return CheckResult("modules.restriction-blocks", checked, witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +612,7 @@ def check_tower_levels(scope: Scope) -> CheckResult:
             checked += 1
             if len(graph.level(n)) != bratteli.vertex_count(n, c):
                 witnesses.append(f"level {n} at c={c} has {len(graph.level(n))} vertices")
-    return _result("bratteli.level-sizes", checked, witnesses)
+    return CheckResult("bratteli.level-sizes", checked, witnesses)
 
 
 def check_tower_degrees(scope: Scope) -> CheckResult:
@@ -641,7 +630,7 @@ def check_tower_degrees(scope: Scope) -> CheckResult:
                     witnesses.append(f"c={c}, level {n}, degree {x}")
             if sum(histogram.values()) != bratteli.vertex_count(n, c):
                 witnesses.append(f"c={c}, level {n}: histogram does not cover the level")
-    return _result("bratteli.degree-histogram", checked, witnesses)
+    return CheckResult("bratteli.degree-histogram", checked, witnesses)
 
 
 def check_tower_recursion(scope: Scope) -> CheckResult:
@@ -652,8 +641,8 @@ def check_tower_recursion(scope: Scope) -> CheckResult:
         outcome = bratteli.verify_multinomial_recursion(bratteli.build(c, n_max))
         checked += outcome.checked
         if not outcome:
-            witnesses.append(f"c={c}: {outcome.failures[:1]}")
-    return _result("bratteli.recursion", checked, witnesses)
+            witnesses.append(f"c={c}: {outcome.witnesses[:1]}")
+    return CheckResult("bratteli.recursion", checked, witnesses)
 
 
 def check_tower_restriction_consistency(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> CheckResult:
@@ -671,7 +660,7 @@ def check_tower_restriction_consistency(scope: Scope, cap: int = DEFAULT_DIAGRAM
                 from_modules = set(restriction_decomposition(label_module(label)))
                 if from_graph != from_modules:
                     witnesses.append(f"c={c}, label {label.encode()}")
-    return _result("bratteli.restriction-consistency", checked, witnesses)
+    return CheckResult("bratteli.restriction-consistency", checked, witnesses)
 
 
 def check_pascal_triangle(n_max: int) -> CheckResult:
@@ -687,15 +676,10 @@ def check_pascal_triangle(n_max: int) -> CheckResult:
         expected = [math.comb(n, k) for k in range(n + 1)]
         if dims != expected:
             witnesses.append(f"level {n} dimensions are not binomials")
-        if n >= 1:
-            for idx, label in enumerate(graph.level(n)):
-                child_sum = sum(
-                    graph.level(n - 1)[i].dimension() for i in graph.children_of(n, idx)
-                )
-                checked += 1
-                if child_sum != label.dimension():
-                    witnesses.append(f"binomial recursion fails at level {n}, index {idx}")
-    return _result("bratteli.pascal-triangle", checked, witnesses)
+    outcome = bratteli.verify_multinomial_recursion(graph)
+    checked += outcome.checked
+    witnesses += outcome.witnesses
+    return CheckResult("bratteli.pascal-triangle", checked, witnesses)
 
 
 # ---------------------------------------------------------------------------

@@ -177,7 +177,7 @@ def _cmd_chartable(args) -> int:
         cap = args.cap if args.cap is not None else _env_int(ENV_DIAGRAM_CAP, DEFAULT_DIAGRAM_CAP)
         outcome = verify_character_table(args.n, args.c, cap)
         if not outcome:
-            for failure in outcome.failures:
+            for failure in outcome.witnesses:
                 print(failure, file=sys.stderr)
             return 1
     _write_bytes(args.out, payload)

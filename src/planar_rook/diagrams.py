@@ -279,6 +279,12 @@ def from_profiles(top: Profile, bottom: Profile) -> Diagram:
     For each color the r-th smallest top endpoint joins the r-th smallest
     bottom endpoint; this is the only same-color non-crossing matching.
     """
+    result = _matching(top, bottom)
+    assert is_planar(result), "increasing matchings cannot cross"
+    return result
+
+
+def _matching(top: Profile, bottom: Profile) -> Diagram:
     if top.n != bottom.n or top.c != bottom.c:
         raise MismatchError("profiles have different (n, c)")
     edges = []
@@ -288,9 +294,7 @@ def from_profiles(top: Profile, bottom: Profile) -> Diagram:
                 f"color {k}: {len(top.parts[k])} top endpoints vs {len(bottom.parts[k])} bottom endpoints"
             )
         edges.extend((t, b, k) for t, b in zip(top.parts[k], bottom.parts[k]))
-    result = Diagram(top.n, top.c, tuple(edges))
-    assert is_planar(result), "increasing matchings cannot cross"
-    return result
+    return Diagram(top.n, top.c, tuple(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +356,11 @@ def enumerate_planar(n: int, c: int) -> Iterator[Diagram]:
         tops = list(profiles_with_sizes(n, c, sizes))
         for top in tops:
             for bottom in profiles_with_sizes(n, c, sizes):
-                yield from_profiles(top, bottom)
+                # Checked without the cache: every diagram is new here, and
+                # caching them would keep the whole enumerated monoid alive.
+                d = _matching(top, bottom)
+                assert is_planar.__wrapped__(d), "increasing matchings cannot cross"
+                yield d
 
 
 def cardinality(n: int, c: int) -> int:

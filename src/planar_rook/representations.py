@@ -7,8 +7,9 @@ columns.  Isomorphism classes are labeled by the part-size composition
 (n_0, ..., n_c), and the dimension of a class is its multinomial
 coefficient.
 
-Every structural claim used downstream has a finite verifier here that
-returns explicit failure witnesses rather than a bare boolean.
+The per-object verifiers here check one module, block or table and return
+the same :class:`CheckResult` as the sweeps in ``checks``, with explicit
+failure witnesses rather than a bare boolean.
 """
 
 from __future__ import annotations
@@ -47,19 +48,22 @@ from .matrices import RationalMatrix
 
 
 @dataclass
-class VerifyResult:
-    """Outcome of a finite verification: truthiness plus failure witnesses."""
+class CheckResult:
+    """Outcome of a finite verification: passes exactly when no witness was found."""
 
-    ok: bool
+    name: str
     checked: int
-    failures: list[str] = field(default_factory=list)
+    witnesses: list[str]
+    ok: bool = field(init=False)
+
+    def __post_init__(self):
+        self.ok = not self.witnesses
 
     def __bool__(self) -> bool:
         return self.ok
 
-    @staticmethod
-    def collect(checked: int, failures: list[str]) -> "VerifyResult":
-        return VerifyResult(not failures, checked, failures)
+    def as_dict(self) -> dict:
+        return {"name": self.name, "ok": self.ok, "checked": self.checked, "witnesses": self.witnesses}
 
 
 @dataclass(frozen=True)
@@ -244,17 +248,19 @@ def action_trace(d: Diagram, space: ModuleSpace) -> int:
 # ---------------------------------------------------------------------------
 # Irreducibility and isomorphism classification.
 
-def verify_irreducible(space: ModuleSpace, cap: int = DEFAULT_DIAGRAM_CAP) -> VerifyResult:
+def verify_irreducible(space: ModuleSpace, cap: int = DEFAULT_DIAGRAM_CAP) -> CheckResult:
     """Check that the span has no proper nonzero invariant subspace.
 
     For a single-bottom-profile module this is constructive: the diagram
     that projects onto one basis vector and the diagram that transports any
     basis vector to any other are built from profiles and then verified
     through their action columns.  For inhomogeneous spans transitivity is
-    searched exhaustively; failure witnesses name an unreachable pair.
+    decided from the orbit of each basis vector under the whole monoid
+    (one set per vector, so |P| actions each); failure witnesses name an
+    unreachable pair.
     """
     ensure_within_cap(space.n, space.c, cap)
-    failures: list[str] = []
+    witnesses: list[str] = []
     checked = 0
     if space.bottom is not None:
         for a_idx, a in enumerate(space.basis):
@@ -264,28 +270,29 @@ def verify_irreducible(space: ModuleSpace, cap: int = DEFAULT_DIAGRAM_CAP) -> Ve
             expected = tuple(a_idx if j == a_idx else None for j in range(space.dimension))
             checked += 1
             if col != expected:
-                failures.append(
+                witnesses.append(
                     f"projector {format_diagram(projector)} is not the unit projection at {format_diagram(a)}"
                 )
             for b_idx, b in enumerate(space.basis):
                 transporter = from_profiles(top_profile(b), ta)
                 checked += 1
                 if diagram_action(transporter, space)[a_idx] != b_idx:
-                    failures.append(
+                    witnesses.append(
                         f"transport {format_diagram(transporter)} fails to map "
                         f"{format_diagram(a)} to {format_diagram(b)}"
                     )
-        return VerifyResult.collect(checked, failures)
+        return CheckResult("modules.irreducible", checked, witnesses)
 
     monoid = list(enumerate_planar(space.n, space.c))
     for a in space.basis:
+        orbit = {left_action_x(d, a) for d in monoid}
         for b in space.basis:
             checked += 1
-            if not any(left_action_x(d, a) == b for d in monoid):
-                failures.append(
+            if b not in orbit:
+                witnesses.append(
                     f"no diagram maps x at {format_diagram(a)} to x at {format_diagram(b)}"
                 )
-    return VerifyResult.collect(checked, failures)
+    return CheckResult("modules.irreducible", checked, witnesses)
 
 
 @dataclass(frozen=True)
@@ -329,52 +336,6 @@ def _first_smaller_part(t: Profile, s: Profile) -> bool:
     raise AssertionError("profiles with equal color part sizes are equal-sized everywhere")
 
 
-def verify_isomorphism_claim(
-    space1: ModuleSpace, space2: ModuleSpace, cap: int = DEFAULT_DIAGRAM_CAP
-) -> VerifyResult:
-    """Validate the witness returned by :func:`are_isomorphic` by acting.
-
-    Isomorphic case: right multiplication by the intertwiner is a basis
-    bijection commuting with every diagram action.  Non-isomorphic case:
-    the distinguisher acts nonzero on one module and as zero on the other.
-    """
-    result = are_isomorphic(space1, space2)
-    ensure_within_cap(space1.n, space1.c, cap)
-    monoid = list(enumerate_planar(space1.n, space1.c))
-    failures: list[str] = []
-    checked = 0
-
-    if result.isomorphic:
-        d = result.intertwiner
-        assert d is not None
-        phi = [space2.index_of(multiply(a, d)) for a in space1.basis]
-        if sorted(phi) != list(range(space2.dimension)):
-            failures.append(f"intertwiner {format_diagram(d)} is not a basis bijection")
-        for g in monoid:
-            act1 = diagram_action(g, space1)
-            act2 = diagram_action(g, space2)
-            for a_idx in range(space1.dimension):
-                checked += 1
-                lhs = None if act1[a_idx] is None else phi[act1[a_idx]]
-                rhs = act2[phi[a_idx]]
-                if lhs != rhs:
-                    failures.append(
-                        f"{format_diagram(g)} does not commute with the intertwiner at basis {a_idx}"
-                    )
-        return VerifyResult.collect(checked, failures)
-
-    d = result.distinguisher
-    assert d is not None
-    nonzero_space, zero_space = (space1, space2) if result.annihilated == 2 else (space2, space1)
-    checked += 1
-    if all(i is None for i in diagram_action(d, nonzero_space)):
-        failures.append(f"distinguisher {format_diagram(d)} acts as zero on both modules")
-    checked += 1
-    if any(i is not None for i in diagram_action(d, zero_space)):
-        failures.append(f"distinguisher {format_diagram(d)} fails to annihilate the other module")
-    return VerifyResult.collect(checked, failures)
-
-
 # ---------------------------------------------------------------------------
 # The regular representation and the matrix-algebra structure.
 
@@ -389,39 +350,16 @@ def regular_decomposition(n: int, c: int) -> list[tuple[IrrepLabel, int]]:
     return decomposition
 
 
-def verify_regular_decomposition(n: int, c: int, cap: int = DEFAULT_DIAGRAM_CAP) -> VerifyResult:
-    """Check the x-basis partitions into bottom-profile blocks of the right sizes."""
-    ensure_within_cap(n, c, cap)
-    by_bottom: dict[Profile, int] = {}
-    total = 0
-    for d in enumerate_planar(n, c):
-        by_bottom[bottom_profile(d)] = by_bottom.get(bottom_profile(d), 0) + 1
-        total += 1
-    failures: list[str] = []
-    checked = 0
-    for profile in all_bottom_profiles(n, c):
-        checked += 1
-        expected = multinomial(profile.sizes)
-        got = by_bottom.pop(profile, 0)
-        if got != expected:
-            failures.append(f"bottom profile {profile.parts} spans {got} vectors, expected {expected}")
-    if by_bottom:
-        failures.append(f"unexpected bottom profiles: {sorted(p.parts for p in by_bottom)}")
-    if total != cardinality(n, c):
-        failures.append(f"enumerated {total} diagrams, formula gives {cardinality(n, c)}")
-    return VerifyResult.collect(checked, failures)
-
-
 def verify_matrix_algebra(
     n: int, c: int, label: IrrepLabel, dim_cap: int = 12, cap: int = DEFAULT_DIAGRAM_CAP
-) -> VerifyResult:
+) -> CheckResult:
     """Check one block behaves as a full matrix algebra, by full expansion.
 
     Indexes the bottom profiles of the class, multiplies the profile-pair
     x-elements as fully expanded linear combinations, and compares with the
-    corresponding elementary-matrix products.  Also checks the block is a
-    two-sided ideal: multiplying by any diagram keeps x-supports inside the
-    class.
+    matrix-unit law x_(i,j) * x_(l,k) = delta_(j,l) x_(i,k).  Also checks the
+    block is a two-sided ideal: multiplying by any diagram keeps x-supports
+    inside the class.
     """
     if (label.n, label.c) != (n, c):
         raise MismatchError(f"label {label.sizes} does not match (n={n}, c={c})")
@@ -436,7 +374,7 @@ def verify_matrix_algebra(
         for i in range(m)
         for j in range(m)
     }
-    failures: list[str] = []
+    witnesses: list[str] = []
     checked = 0
 
     for i in range(m):
@@ -446,12 +384,8 @@ def verify_matrix_algebra(
                     checked += 1
                     product = x_elems[i, j] * x_elems[l, k]
                     expected = x_elems[i, k] if j == l else AlgebraElement.zero(n, c)
-                    matrix_side = RationalMatrix.unit(m, i, j) @ RationalMatrix.unit(m, l, k)
-                    matrix_expected = (
-                        RationalMatrix.unit(m, i, k) if j == l else RationalMatrix.zero(m, m)
-                    )
-                    if product != expected or matrix_side != matrix_expected:
-                        failures.append(f"x-pair product ({i},{j})*({l},{k}) deviates from the matrix law")
+                    if product != expected:
+                        witnesses.append(f"x-pair product ({i},{j})*({l},{k}) deviates from the matrix law")
 
     for g in enumerate_planar(n, c):
         g_elem = from_diagram(g)
@@ -461,11 +395,11 @@ def verify_matrix_algebra(
                 for side in (g_elem * x_elems[i, j], x_elems[i, j] * g_elem):
                     for d in to_x_coordinates(side):
                         if bottom_profile(d).sizes != label.sizes:
-                            failures.append(
+                            witnesses.append(
                                 f"ideal escape: {format_diagram(g)} times x-pair ({i},{j}) "
                                 f"reaches class {bottom_profile(d).sizes}"
                             )
-    return VerifyResult.collect(checked, failures)
+    return CheckResult("modules.matrix-units", checked, witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -514,20 +448,20 @@ def character_table_csv(n: int, c: int) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def verify_character_table(n: int, c: int, cap: int = DEFAULT_DIAGRAM_CAP) -> VerifyResult:
+def verify_character_table(n: int, c: int, cap: int = DEFAULT_DIAGRAM_CAP) -> CheckResult:
     """Recompute every table entry as a trace on a representative module."""
     ensure_within_cap(n, c, cap)
     rows, labels, values = character_table(n, c)
     spaces = [label_module(label) for label in labels]
-    failures: list[str] = []
+    witnesses: list[str] = []
     checked = 0
     for row, row_values in zip(rows, values):
         d = vertical_diagram(n, row)
         for label, space, value in zip(labels, spaces, row_values):
             checked += 1
             if action_trace(d, space) != value:
-                failures.append(f"entry ({row}, {label.encode()}) differs from the trace")
-    return VerifyResult.collect(checked, failures)
+                witnesses.append(f"entry ({row}, {label.encode()}) differs from the trace")
+    return CheckResult("modules.character-table", checked, witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +522,7 @@ def _strip_last_top_vertex(profile: Profile, part_index: int) -> Profile:
     return Profile(profile.n - 1, profile.c, tuple(parts))
 
 
-def verify_restriction(space: ModuleSpace, cap: int = DEFAULT_DIAGRAM_CAP) -> VerifyResult:
+def verify_restriction(space: ModuleSpace, cap: int = DEFAULT_DIAGRAM_CAP) -> CheckResult:
     """Check the three restriction claims on one module.
 
     (a) each group span is invariant under the embedded action of every
@@ -600,14 +534,14 @@ def verify_restriction(space: ModuleSpace, cap: int = DEFAULT_DIAGRAM_CAP) -> Ve
     n, c = space.n, space.c
     ensure_within_cap(n - 1, c, cap)
     groups = restriction_groups(space)
-    failures: list[str] = []
+    witnesses: list[str] = []
     checked = 0
 
     # (c) dimensions
     children = restriction_decomposition(space)
     checked += 1
     if space.dimension != sum(child.dimension() for child in children):
-        failures.append(f"dimension of {label.encode()} does not match the sum over summands")
+        witnesses.append(f"dimension of {label.encode()} does not match the sum over summands")
 
     # phi per group: strip the last top vertex, land in the canonical child module.
     targets: dict[int, ModuleSpace] = {}
@@ -632,7 +566,7 @@ def verify_restriction(space: ModuleSpace, cap: int = DEFAULT_DIAGRAM_CAP) -> Ve
                 checked += 1
                 col = cols[idx]
                 if any(i not in members[j] for i in col):
-                    failures.append(
+                    witnesses.append(
                         f"group {j} of {label.encode()} is not invariant under {format_diagram(d)}"
                     )
                     continue
@@ -640,8 +574,8 @@ def verify_restriction(space: ModuleSpace, cap: int = DEFAULT_DIAGRAM_CAP) -> Ve
                 image = left_action_x(d, phi[idx])
                 expected = {} if image is None else {child_space.index_of(image): Fraction(1)}
                 if mapped != expected:
-                    failures.append(
+                    witnesses.append(
                         f"column drop does not intertwine {format_diagram(d)} on "
                         f"{label.encode()} group {j} basis {idx}"
                     )
-    return VerifyResult.collect(checked, failures)
+    return CheckResult("modules.restriction", checked, witnesses)

@@ -82,7 +82,7 @@ def test_acceptance_05_matrix_units_and_dimension_count():
         for n in range(3):
             for label in all_labels(n, c):
                 outcome = verify_matrix_algebra(n, c, label)
-                assert outcome.ok, (label.sizes, outcome.failures)
+                assert outcome.ok, (label.sizes, outcome.witnesses)
     for c in range(1, 5):
         for n in range(9):
             by_factorials = sum(

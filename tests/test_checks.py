@@ -2,10 +2,42 @@ from fractions import Fraction
 
 import pytest
 
-from planar_rook import algebra, checks
-from planar_rook.algebra import AlgebraElement, subdiagrams
+from planar_rook import algebra, checks, representations
+from planar_rook.algebra import AlgebraElement, subdiagrams, unit_diagram
 from planar_rook.checks import VerifyConfig, run_verification
-from planar_rook.diagrams import CapExceededError, is_planar
+from planar_rook.diagrams import CapExceededError, from_profiles, is_planar
+from planar_rook.representations import IsoResult
+
+# Per-check case counts of the default caps with 200 samples.
+DEFAULT_CHECKED = {
+    "algebra.block-preservation": 9325,
+    "algebra.embed-homomorphism": 126,
+    "algebra.identity-unit": 141,
+    "algebra.x-action-left": 476,
+    "algebra.x-action-right": 476,
+    "algebra.x-basis-inversion": 341,
+    "bratteli.degree-histogram": 15,
+    "bratteli.level-sizes": 8,
+    "bratteli.pascal-triangle": 13,
+    "bratteli.recursion": 28,
+    "bratteli.restriction-consistency": 28,
+    "diagram.associativity": 3828,
+    "diagram.enumeration-count": 8,
+    "diagram.matrix-semantics": 9325,
+    "diagram.planarity-closure": 9325,
+    "diagram.profile-roundtrip": 141,
+    "diagram.rook-closure": 9325,
+    "diagram.size-monotonicity": 9325,
+    "modules.character-trace": 1133,
+    "modules.column-structure": 1133,
+    "modules.irreducibility": 65,
+    "modules.isomorphism-classification": 905,
+    "modules.matrix-algebra": 16,
+    "modules.multiplicity-count": 30,
+    "modules.regular-decomposition": 8,
+    "modules.restriction-blocks": 53,
+    "modules.rho-homomorphism": 89640,
+}
 
 
 def test_default_suite_passes():
@@ -13,7 +45,7 @@ def test_default_suite_passes():
     assert results == sorted(results, key=lambda r: r.name)
     failing = [r.name for r in results if not r.ok]
     assert failing == []
-    assert all(r.checked > 0 for r in results)
+    assert {r.name: r.checked for r in results} == DEFAULT_CHECKED
 
 
 def test_zero_cap_is_vacuously_green():
@@ -55,3 +87,42 @@ def test_report_dicts_are_json_ready():
     results = run_verification(VerifyConfig(n_cap=1, c_cap=1, samples=10))
     payload = json.dumps([r.as_dict() for r in results])
     assert "diagram.associativity" in payload
+
+
+def _patch_classification(monkeypatch, mutate):
+    real = checks.are_isomorphic
+    monkeypatch.setattr(checks, "are_isomorphic", lambda s1, s2: mutate(s1, real(s1, s2)))
+
+
+def test_classification_names_an_intertwiner_that_leaves_the_basis(monkeypatch):
+    # Mutant: the projector onto the source profile, whose right action keeps
+    # the source bottom profile instead of landing in the target module.
+    _patch_classification(
+        monkeypatch,
+        lambda s1, r: IsoResult(True, intertwiner=from_profiles(s1.bottom, s1.bottom)) if r else r,
+    )
+    outcome = checks.check_isomorphism_classification((2, 2))
+    assert not outcome.ok
+    assert outcome.witnesses
+    assert all("intertwiner leaves the target basis" in w for w in outcome.witnesses)
+
+
+def test_classification_catches_swapped_distinguisher(monkeypatch):
+    # Mutant: report the wrong module as the annihilated one.
+    def swap(s1, r):
+        return r if r else IsoResult(False, distinguisher=r.distinguisher, annihilated=3 - r.annihilated)
+
+    _patch_classification(monkeypatch, swap)
+    outcome = checks.check_isomorphism_classification((2, 2))
+    assert not outcome.ok
+    assert len(outcome.witnesses) == 168
+
+
+def test_restriction_catches_one_color_embedding(monkeypatch):
+    # Mutant: append only a color-1 vertical edge instead of the width-1 unit.
+    monkeypatch.setattr(
+        representations, "embed", lambda g: g.tensor(algebra.from_diagram(unit_diagram(g.c, 1)))
+    )
+    outcome = checks.check_restriction((2, 2))
+    assert not outcome.ok
+    assert outcome.witnesses

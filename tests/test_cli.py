@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from planar_rook.cli import main
@@ -167,6 +168,13 @@ def test_verify_json_report(tmp_path, capsys):
     assert file_report["ok"] is True
     names = [entry["name"] for entry in file_report["checks"]]
     assert names == sorted(names)
+
+
+def test_verify_json_report_is_byte_stable(capsys):
+    code, out, _ = run(capsys, "verify", "--n-cap", "2", "--c-cap", "1", "--json")
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == "d5bc669a2afcee5e6add4132415da4233ae2480dfeeed11ebde4a1c6a1b706bb"
 
 
 def test_verify_cap_exceeded_is_usage_error(capsys):

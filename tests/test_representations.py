@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from planar_rook.algebra import from_diagram, identity
+from planar_rook.algebra import from_diagram, identity, left_action_x
+from planar_rook.checks import check_isomorphism_classification, check_regular_decomposition
 from planar_rook.diagrams import (
     Diagram,
     NonPlanarError,
@@ -11,6 +12,8 @@ from planar_rook.diagrams import (
     bottom_profile,
     cardinality,
     compositions,
+    enumerate_planar,
+    format_diagram,
     multinomial,
     multiply,
     profiles_with_sizes,
@@ -37,9 +40,7 @@ from planar_rook.representations import (
     restriction_decomposition,
     verify_character_table,
     verify_irreducible,
-    verify_isomorphism_claim,
     verify_matrix_algebra,
-    verify_regular_decomposition,
     verify_restriction,
 )
 
@@ -125,9 +126,28 @@ def test_irreducibility_of_all_small_modules():
 
 
 def test_fixed_size_span_is_reducible():
-    outcome = verify_irreducible(fixed_size_span(2, 2, 1))
-    assert not outcome
-    assert outcome.failures
+    for n, expected_failures in ((2, 48), (3, 270)):
+        span = fixed_size_span(n, 2, 1)
+        outcome = verify_irreducible(span)
+        assert not outcome
+        assert outcome.checked == span.dimension ** 2
+        # Orbit sets must agree with the exhaustive search over the monoid,
+        # which fails exactly on pairs with different bottom profiles.
+        monoid = list(enumerate_planar(n, 2))
+        unreachable = [
+            (a, b)
+            for a in span.basis
+            for b in span.basis
+            if not any(left_action_x(d, a) == b for d in monoid)
+        ]
+        assert unreachable == [
+            (a, b) for a in span.basis for b in span.basis if bottom_profile(a) != bottom_profile(b)
+        ]
+        assert len(unreachable) == expected_failures
+        assert outcome.witnesses == [
+            f"no diagram maps x at {format_diagram(a)} to x at {format_diagram(b)}"
+            for a, b in unreachable
+        ]
 
 
 def test_lonely_full_matching_span_is_irreducible():
@@ -159,7 +179,7 @@ def test_isomorphism_iff_sizes_with_validated_witnesses():
         for p2 in profiles:
             m1, m2 = module_space(2, 2, p1), module_space(2, 2, p2)
             assert are_isomorphic(m1, m2).isomorphic == (p1.sizes == p2.sizes)
-            assert verify_isomorphism_claim(m1, m2)
+    assert check_isomorphism_classification((2, 2))
 
 
 def test_regular_decomposition_width_zero():
@@ -193,9 +213,7 @@ def test_squared_multinomials_sum_to_cardinality():
 
 
 def test_regular_blocks_partition_the_basis():
-    for c in (1, 2):
-        for n in range(4):
-            assert verify_regular_decomposition(n, c)
+    assert check_regular_decomposition((3, 2))
 
 
 def test_matrix_algebra_trivial_label():
