@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 from . import algebra, bratteli, representations
 from .diagrams import (
@@ -77,9 +78,23 @@ def _all_planar(n: int, c: int) -> tuple[Diagram, ...]:
     return tuple(enumerate_planar(n, c))
 
 
+@lru_cache(maxsize=None)
+def _products(n: int, c: int) -> dict[tuple[Diagram, Diagram], Diagram]:
+    """Every product ``a * b`` in the monoid, ``a`` outer and ``b`` inner, for the |P|^2 sweeps."""
+    pool = _all_planar(n, c)
+    return {(a, b): multiply(a, b) for a in pool for b in pool}
+
+
 def _pool(n: int, c: int, cap: int) -> tuple[Diagram, ...]:
     ensure_within_cap(n, c, cap)
     return _all_planar(n, c)
+
+
+def _draws(scope: Scope, samples: int, seed: int, k: int, cap: int) -> list[tuple[Diagram, ...]]:
+    """``samples`` seeded draws of ``k`` diagrams each from the monoid at ``scope``."""
+    rng = random.Random(seed)
+    pool = _pool(*scope, cap)
+    return [tuple(rng.choice(pool) for _ in range(k)) for _ in range(samples)]
 
 
 def _shapes(scope: Scope):
@@ -126,20 +141,15 @@ def check_associativity(
     checked = 0
     for n, c in _shapes(exhaustive):
         pool = _pool(n, c, cap)
-        for a in pool:
-            for b in pool:
-                ab = multiply(a, b)
-                for d in pool:
-                    checked += 1
-                    if multiply(ab, d) != multiply(a, multiply(b, d)):
-                        witnesses.append(
-                            f"({format_diagram(a)}) * ({format_diagram(b)}) * ({format_diagram(d)})"
-                        )
-    rng = random.Random(seed)
-    n, c = sampled
-    pool = _pool(n, c, cap)
-    for _ in range(samples):
-        a, b, d = (rng.choice(pool) for _ in range(3))
+        table = _products(n, c)
+        for (a, b), ab in table.items():
+            for d in pool:
+                checked += 1
+                if multiply(ab, d) != multiply(a, table[b, d]):
+                    witnesses.append(
+                        f"({format_diagram(a)}) * ({format_diagram(b)}) * ({format_diagram(d)})"
+                    )
+    for a, b, d in _draws(sampled, samples, seed, 3, cap):
         checked += 1
         if multiply(multiply(a, b), d) != multiply(a, multiply(b, d)):
             witnesses.append(
@@ -148,47 +158,37 @@ def check_associativity(
     return CheckResult("diagram.associativity", checked, witnesses)
 
 
-def check_rook_closure(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> CheckResult:
-    """Products never place two edges on one vertex."""
+def _product_sweep(name: str, scope: Scope, cap: int, fails, suffix: str = "") -> CheckResult:
+    """Test ``fails(a, b, a * b)`` on every product of the shapes in ``scope``."""
     witnesses = []
     checked = 0
     for n, c in _shapes(scope):
-        pool = _pool(n, c, cap)
-        for a in pool:
-            for b in pool:
-                checked += 1
-                product = multiply(a, b)
-                tops = [t for t, _, _ in product.edges]
-                bottoms = [x for _, x, _ in product.edges]
-                if len(set(tops)) != len(tops) or len(set(bottoms)) != len(bottoms):
-                    witnesses.append(f"({format_diagram(a)}) * ({format_diagram(b)})")
-    return CheckResult("diagram.rook-closure", checked, witnesses)
+        ensure_within_cap(n, c, cap)
+        for (a, b), ab in _products(n, c).items():
+            checked += 1
+            if fails(a, b, ab):
+                witnesses.append(f"({format_diagram(a)}) * ({format_diagram(b)}){suffix}")
+    return CheckResult(name, checked, witnesses)
+
+
+def check_rook_closure(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> CheckResult:
+    """Products never place two edges on one vertex."""
+    return _product_sweep(
+        "diagram.rook-closure", scope, cap,
+        lambda a, b, p: len({t for t, _, _ in p.edges}) != p.size or len({x for _, x, _ in p.edges}) != p.size,
+    )
 
 
 def check_planarity_closure(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> CheckResult:
-    witnesses = []
-    checked = 0
-    for n, c in _shapes(scope):
-        pool = _pool(n, c, cap)
-        for a in pool:
-            for b in pool:
-                checked += 1
-                if not is_planar(multiply(a, b)):
-                    witnesses.append(f"({format_diagram(a)}) * ({format_diagram(b)}) is not planar")
-    return CheckResult("diagram.planarity-closure", checked, witnesses)
+    return _product_sweep(
+        "diagram.planarity-closure", scope, cap, lambda a, b, p: not is_planar(p), " is not planar"
+    )
 
 
 def check_size_monotonicity(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> CheckResult:
-    witnesses = []
-    checked = 0
-    for n, c in _shapes(scope):
-        pool = _pool(n, c, cap)
-        for a in pool:
-            for b in pool:
-                checked += 1
-                if multiply(a, b).size > min(a.size, b.size):
-                    witnesses.append(f"({format_diagram(a)}) * ({format_diagram(b)}) grew")
-    return CheckResult("diagram.size-monotonicity", checked, witnesses)
+    return _product_sweep(
+        "diagram.size-monotonicity", scope, cap, lambda a, b, p: p.size > min(a.size, b.size), " grew"
+    )
 
 
 def check_profile_roundtrip(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> CheckResult:
@@ -225,17 +225,10 @@ def _bitmask_product(m1: list[list[int]], m2: list[list[int]]) -> list[list[int]
 
 def check_matrix_semantics(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> CheckResult:
     """Diagram composition agrees with matrix multiplication over the color ring."""
-    witnesses = []
-    checked = 0
-    for n, c in _shapes(scope):
-        pool = _pool(n, c, cap)
-        masks = {d: _bitmask_matrix(d) for d in pool}
-        for a in pool:
-            for b in pool:
-                checked += 1
-                if _bitmask_product(masks[a], masks[b]) != _bitmask_matrix(multiply(a, b)):
-                    witnesses.append(f"({format_diagram(a)}) * ({format_diagram(b)})")
-    return CheckResult("diagram.matrix-semantics", checked, witnesses)
+    mask = lru_cache(maxsize=None)(_bitmask_matrix)  # once per diagram, for this call only
+    return _product_sweep(
+        "diagram.matrix-semantics", scope, cap, lambda a, b, p: _bitmask_product(mask(a), mask(b)) != mask(p)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -291,65 +284,41 @@ def check_x_inversion(scope: Scope, samples: int, seed: int, cap: int = DEFAULT_
     return CheckResult("algebra.x-basis-inversion", checked, witnesses)
 
 
-def _action_mismatch_left(d: Diagram, a: Diagram) -> bool:
-    expansion = algebra.from_diagram(d) * algebra.x_of(a)
-    fast = algebra.left_action_x(d, a)
-    expected = algebra.zero(d.n, d.c) if fast is None else algebra.x_of(fast)
-    return expansion != expected
-
-
-def _action_mismatch_right(a: Diagram, d: Diagram) -> bool:
-    expansion = algebra.x_of(a) * algebra.from_diagram(d)
-    fast = algebra.right_action_x(a, d)
-    expected = algebra.zero(d.n, d.c) if fast is None else algebra.x_of(fast)
-    return expansion != expected
+def _action_check(
+    name: str, exhaustive: Scope, sampled: Scope, samples: int, seed: int, cap: int, act, witness: str
+) -> CheckResult:
+    """Compare ``act(d, a)``, an (expansion, fast image) pair, on exhaustive then sampled pairs."""
+    witnesses = []
+    checked = 0
+    pairs = [("", d, a) for n, c in _shapes(exhaustive) for d, a in product(_pool(n, c, cap), repeat=2)]
+    pairs += [("sampled ", d, a) for d, a in _draws(sampled, samples, seed, 2, cap)]
+    for prefix, d, a in pairs:
+        checked += 1
+        expansion, fast = act(d, a)
+        if expansion != (algebra.zero(d.n, d.c) if fast is None else algebra.x_of(fast)):
+            witnesses.append(prefix + witness.format(d=format_diagram(d), a=format_diagram(a)))
+    return CheckResult(name, checked, witnesses)
 
 
 def check_left_action(
     exhaustive: Scope, sampled: Scope, samples: int, seed: int, cap: int = DEFAULT_DIAGRAM_CAP
 ) -> CheckResult:
     """The containment fast path reproduces the full bilinear expansion."""
-    witnesses = []
-    checked = 0
-    for n, c in _shapes(exhaustive):
-        pool = _pool(n, c, cap)
-        for d in pool:
-            for a in pool:
-                checked += 1
-                if _action_mismatch_left(d, a):
-                    witnesses.append(f"d={format_diagram(d)}, a={format_diagram(a)}")
-    rng = random.Random(seed)
-    n, c = sampled
-    pool = _pool(n, c, cap)
-    for _ in range(samples):
-        d, a = rng.choice(pool), rng.choice(pool)
-        checked += 1
-        if _action_mismatch_left(d, a):
-            witnesses.append(f"sampled d={format_diagram(d)}, a={format_diagram(a)}")
-    return CheckResult("algebra.x-action-left", checked, witnesses)
+    return _action_check(
+        "algebra.x-action-left", exhaustive, sampled, samples, seed, cap,
+        lambda d, a: (algebra.from_diagram(d) * algebra.x_of(a), algebra.left_action_x(d, a)),
+        "d={d}, a={a}",
+    )
 
 
 def check_right_action(
     exhaustive: Scope, sampled: Scope, samples: int, seed: int, cap: int = DEFAULT_DIAGRAM_CAP
 ) -> CheckResult:
-    witnesses = []
-    checked = 0
-    for n, c in _shapes(exhaustive):
-        pool = _pool(n, c, cap)
-        for d in pool:
-            for a in pool:
-                checked += 1
-                if _action_mismatch_right(a, d):
-                    witnesses.append(f"a={format_diagram(a)}, d={format_diagram(d)}")
-    rng = random.Random(seed)
-    n, c = sampled
-    pool = _pool(n, c, cap)
-    for _ in range(samples):
-        d, a = rng.choice(pool), rng.choice(pool)
-        checked += 1
-        if _action_mismatch_right(a, d):
-            witnesses.append(f"sampled a={format_diagram(a)}, d={format_diagram(d)}")
-    return CheckResult("algebra.x-action-right", checked, witnesses)
+    return _action_check(
+        "algebra.x-action-right", exhaustive, sampled, samples, seed, cap,
+        lambda d, a: (algebra.x_of(a) * algebra.from_diagram(d), algebra.right_action_x(a, d)),
+        "a={a}, d={d}",
+    )
 
 
 def check_block_preservation(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> CheckResult:
@@ -399,6 +368,7 @@ def check_rho_homomorphism(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> Chec
     checked = 0
     for n, c in _shapes(scope):
         pool = _pool(n, c, cap)
+        table = _products(n, c)
         unit = algebra.identity(n, c)
         for profile in all_bottom_profiles(n, c):
             space = module_space(n, c, profile)
@@ -408,14 +378,13 @@ def check_rho_homomorphism(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> Chec
         for label in all_labels(n, c):
             space = label_module(label)
             maps = {d: diagram_action(d, space) for d in pool}
-            for d1 in pool:
-                for d2 in pool:
-                    checked += 1
-                    if compose_column_maps(maps[d1], maps[d2]) != maps[multiply(d1, d2)]:
-                        witnesses.append(
-                            f"action of product differs from composed actions: "
-                            f"{format_diagram(d1)}, {format_diagram(d2)} on {label.encode()}"
-                        )
+            for (d1, d2), d12 in table.items():
+                checked += 1
+                if compose_column_maps(maps[d1], maps[d2]) != maps[d12]:
+                    witnesses.append(
+                        f"action of product differs from composed actions: "
+                        f"{format_diagram(d1)}, {format_diagram(d2)} on {label.encode()}"
+                    )
     return CheckResult("modules.rho-homomorphism", checked, witnesses)
 
 
@@ -694,34 +663,38 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> list[CheckResult]
     cap = config.diagram_cap
     samples = config.samples
     seed = config.seed
-    results = [
-        check_enumeration_count(clip(5, 3), cap),
-        check_associativity(clip(2, 2), clip(4, 3), samples, seed, cap),
-        check_rook_closure(clip(3, 2), cap),
-        check_planarity_closure(clip(3, 2), cap),
-        check_size_monotonicity(clip(3, 2), cap),
-        check_profile_roundtrip(clip(4, 2), cap),
-        check_matrix_semantics(clip(3, 2), cap),
-        check_identity_unit(clip(4, 3), cap),
-        check_x_inversion(clip(3, 2), samples, seed, cap),
-        check_left_action(clip(2, 2), clip(3, 2), samples, seed, cap),
-        check_right_action(clip(2, 2), clip(3, 2), samples, seed, cap),
-        check_block_preservation(clip(3, 2), cap),
-        check_embed(clip(2, 2), samples, seed, cap),
-        check_rho_homomorphism(clip(3, 2), cap),
-        check_column_structure(clip(3, 2), cap),
-        check_character(clip(4, 2), cap),
-        check_multiplicity_count(clip(4, 2)),
-        check_irreducibility(clip(3, 2), cap),
-        check_isomorphism_classification(clip(3, 2), cap),
-        check_matrix_algebra(clip(2, 2), cap),
-        check_regular_decomposition(clip(3, 2), cap),
-        check_restriction(clip(3, 2), cap),
-        check_tower_levels(clip(6, 4)),
-        check_tower_degrees(clip(6, 4)),
-        check_tower_recursion(clip(12, 4)),
-        check_tower_restriction_consistency(clip(4, 2), cap),
-        check_pascal_triangle(config.n_cap),
-    ]
+    try:
+        results = [
+            check_enumeration_count(clip(5, 3), cap),
+            check_associativity(clip(2, 2), clip(4, 3), samples, seed, cap),
+            check_rook_closure(clip(3, 2), cap),
+            check_planarity_closure(clip(3, 2), cap),
+            check_size_monotonicity(clip(3, 2), cap),
+            check_profile_roundtrip(clip(4, 2), cap),
+            check_matrix_semantics(clip(3, 2), cap),
+            check_identity_unit(clip(4, 3), cap),
+            check_x_inversion(clip(3, 2), samples, seed, cap),
+            check_left_action(clip(2, 2), clip(3, 2), samples, seed, cap),
+            check_right_action(clip(2, 2), clip(3, 2), samples, seed, cap),
+            check_block_preservation(clip(3, 2), cap),
+            check_embed(clip(2, 2), samples, seed, cap),
+            check_rho_homomorphism(clip(3, 2), cap),
+            check_column_structure(clip(3, 2), cap),
+            check_character(clip(4, 2), cap),
+            check_multiplicity_count(clip(4, 2)),
+            check_irreducibility(clip(3, 2), cap),
+            check_isomorphism_classification(clip(3, 2), cap),
+            check_matrix_algebra(clip(2, 2), cap),
+            check_regular_decomposition(clip(3, 2), cap),
+            check_restriction(clip(3, 2), cap),
+            check_tower_levels(clip(6, 4)),
+            check_tower_degrees(clip(6, 4)),
+            check_tower_recursion(clip(12, 4)),
+            check_tower_restriction_consistency(clip(4, 2), cap),
+            check_pascal_triangle(config.n_cap),
+        ]
+    finally:  # the pools and the product table live for one run only
+        _products.cache_clear()
+        _all_planar.cache_clear()
     results.sort(key=lambda r: r.name)
     return results

@@ -63,10 +63,10 @@ def _canonical_edges(n: int, c: int, edges: Iterable[Edge]) -> tuple[Edge, ...]:
             top, bottom, color = edge
         except (TypeError, ValueError):
             raise InvalidDiagramError("edge-shape", f"edge {edge!r} is not a (top, bottom, color) triple")
-        if not (1 <= top <= n and 1 <= bottom <= n):
-            raise InvalidDiagramError("vertex-range", f"edge {edge!r}: vertex index out of range 1..{n}")
-        if not 1 <= color <= c:
-            raise InvalidDiagramError("color-range", f"edge {edge!r}: color out of range 1..{c}")
+        if not (type(top) is int and type(bottom) is int and 1 <= top <= n and 1 <= bottom <= n):
+            raise InvalidDiagramError("vertex-range", f"edge {edge!r}: vertex index is not an int in 1..{n}")
+        if not (type(color) is int and 1 <= color <= c):
+            raise InvalidDiagramError("color-range", f"edge {edge!r}: color is not an int in 1..{c}")
         if top in seen_top:
             raise InvalidDiagramError(
                 "duplicate-top", f"duplicate top index {top}: edges {seen_top[top]!r} and {edge!r}"
@@ -77,7 +77,7 @@ def _canonical_edges(n: int, c: int, edges: Iterable[Edge]) -> tuple[Edge, ...]:
             )
         seen_top[top] = edge
         seen_bottom[bottom] = edge
-        out.append((int(top), int(bottom), int(color)))
+        out.append((top, bottom, color))
     return tuple(sorted(out))
 
 
@@ -95,10 +95,10 @@ class Diagram:
     edges: tuple[Edge, ...] = ()
 
     def __post_init__(self):
-        if self.n < 0:
-            raise InvalidDiagramError("vertex-range", f"n must be non-negative, got {self.n}")
-        if self.c < 1:
-            raise InvalidDiagramError("color-range", f"c must be positive, got {self.c}")
+        if type(self.n) is not int or self.n < 0:
+            raise InvalidDiagramError("vertex-range", f"n must be a non-negative int, got {self.n!r}")
+        if type(self.c) is not int or self.c < 1:
+            raise InvalidDiagramError("color-range", f"c must be a positive int, got {self.c!r}")
         object.__setattr__(self, "edges", _canonical_edges(self.n, self.c, self.edges))
 
     @property
@@ -128,14 +128,16 @@ class Profile:
     parts: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if type(self.n) is not int or type(self.c) is not int:
+            raise ValueError(f"n and c must be ints, got {self.n!r} and {self.c!r}")
         parts = tuple(tuple(sorted(p)) for p in self.parts)
         if len(parts) != self.c + 1:
             raise ValueError(f"expected {self.c + 1} parts, got {len(parts)}")
         seen: set[int] = set()
         for part in parts:
             for v in part:
-                if not 1 <= v <= self.n:
-                    raise ValueError(f"vertex {v} out of range 1..{self.n}")
+                if type(v) is not int or not 1 <= v <= self.n:
+                    raise ValueError(f"vertex {v!r} is not an int in 1..{self.n}")
                 if v in seen:
                     raise ValueError(f"vertex {v} appears in two parts")
                 seen.add(v)
@@ -233,8 +235,8 @@ def multiply(d1: Diagram, d2: Diagram) -> Diagram:
         if hit is not None and hit[1] == k:
             edges.append((t, hit[0], k))
     product = Diagram(d1.n, d1.c, tuple(edges))
-    if is_planar(d1) and is_planar(d2):
-        assert is_planar(product), "product of planar diagrams must be planar"
+    if is_planar(d1) and is_planar(d2) and not is_planar(product):
+        raise AssertionError("product of planar diagrams must be planar")
     return product
 
 
@@ -280,7 +282,8 @@ def from_profiles(top: Profile, bottom: Profile) -> Diagram:
     bottom endpoint; this is the only same-color non-crossing matching.
     """
     result = _matching(top, bottom)
-    assert is_planar(result), "increasing matchings cannot cross"
+    if not is_planar(result):
+        raise AssertionError("increasing matchings cannot cross")
     return result
 
 
@@ -359,7 +362,8 @@ def enumerate_planar(n: int, c: int) -> Iterator[Diagram]:
                 # Checked without the cache: every diagram is new here, and
                 # caching them would keep the whole enumerated monoid alive.
                 d = _matching(top, bottom)
-                assert is_planar.__wrapped__(d), "increasing matchings cannot cross"
+                if not is_planar.__wrapped__(d):
+                    raise AssertionError("increasing matchings cannot cross")
                 yield d
 
 
@@ -414,7 +418,8 @@ class _Scanner:
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        # ASCII digits only: str.isdigit() also takes "²" and "٣".
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an integer", start)

@@ -73,9 +73,9 @@ class IrrepLabel:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.sizes) < 2 or any(s < 0 for s in self.sizes):
+        if len(self.sizes) < 2 or any(type(s) is not int or s < 0 for s in self.sizes):
             raise ValueError(f"invalid composition {self.sizes}")
-        object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
+        object.__setattr__(self, "sizes", tuple(self.sizes))
 
     @property
     def n(self) -> int:
@@ -157,7 +157,8 @@ def module_space(n: int, c: int, bottom: Profile) -> ModuleSpace:
     basis = tuple(
         from_profiles(top, bottom) for top in profiles_with_sizes(n, c, bottom.sizes)
     )
-    assert len(basis) == multinomial(bottom.sizes)
+    if len(basis) != multinomial(bottom.sizes):
+        raise AssertionError("a module basis has multinomially many vectors")
     return ModuleSpace(n, c, bottom, basis)
 
 
@@ -346,7 +347,8 @@ def regular_decomposition(n: int, c: int) -> list[tuple[IrrepLabel, int]]:
     squared dimensions add up to the number of diagrams.
     """
     decomposition = [(label, label.dimension()) for label in all_labels(n, c)]
-    assert sum(mult * label.dimension() for label, mult in decomposition) == cardinality(n, c)
+    if sum(mult * label.dimension() for label, mult in decomposition) != cardinality(n, c):
+        raise AssertionError("the regular decomposition must exhaust the algebra")
     return decomposition
 
 
@@ -501,7 +503,8 @@ def restriction_decomposition(space: ModuleSpace) -> list[IrrepLabel]:
         reduced = list(label.sizes)
         reduced[j] -= 1
         child = IrrepLabel(tuple(reduced))
-        assert len(indices) == child.dimension()
+        if len(indices) != child.dimension():
+            raise AssertionError("a restriction group must span its child class")
         out.append(child)
     return out
 

@@ -5,7 +5,7 @@ import pytest
 from planar_rook import algebra, checks, representations
 from planar_rook.algebra import AlgebraElement, subdiagrams, unit_diagram
 from planar_rook.checks import VerifyConfig, run_verification
-from planar_rook.diagrams import CapExceededError, from_profiles, is_planar
+from planar_rook.diagrams import CapExceededError, Diagram, from_profiles, is_planar
 from planar_rook.representations import IsoResult
 
 # Per-check case counts of the default caps with 200 samples.
@@ -126,3 +126,38 @@ def test_restriction_catches_one_color_embedding(monkeypatch):
     outcome = checks.check_restriction((2, 2))
     assert not outcome.ok
     assert outcome.witnesses
+
+
+def _stacked(a, b):
+    # Mutant product: keeps the edges of both operands, unvalidated, so it
+    # grows, crosses itself and can put two edges on one vertex.
+    d = object.__new__(Diagram)
+    for field, value in (("n", a.n), ("c", a.c), ("edges", tuple(sorted(a.edges + b.edges)))):
+        object.__setattr__(d, field, value)
+    return d
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        checks.check_rook_closure,
+        checks.check_planarity_closure,
+        checks.check_size_monotonicity,
+        checks.check_matrix_semantics,
+    ],
+)
+def test_product_sweeps_catch_stacking_mutant(monkeypatch, check):
+    checks._products.cache_clear()  # a table built by an earlier test holds the real products
+    monkeypatch.setattr(checks, "multiply", _stacked)
+    try:
+        outcome = check((2, 1))
+    finally:
+        checks._products.cache_clear()
+    assert not outcome.ok
+    assert outcome.witnesses
+
+
+def test_verification_drops_its_tables():
+    run_verification(VerifyConfig(n_cap=2, c_cap=1, samples=10))
+    assert checks._products.cache_info().currsize == 0
+    assert checks._all_planar.cache_info().currsize == 0

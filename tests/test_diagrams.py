@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
@@ -57,11 +62,26 @@ def test_constructor_empty_diagram():
         ([(1, 3, 1)], "vertex-range"),
         ([(1, 1, 3)], "color-range"),
         ([(1, 1, 0)], "color-range"),
+        ([(1.5, 1, 1)], "vertex-range"),
+        ([(True, 1, 1)], "vertex-range"),
+        ([(1, 1.0, 1)], "vertex-range"),
+        ([(1, 1, 1.0)], "color-range"),
+        ([(1, 1, True)], "color-range"),
     ],
 )
 def test_constructor_rejections(edges, reason):
     with pytest.raises(InvalidDiagramError) as excinfo:
         Diagram(2, 2, edges)
+    assert excinfo.value.reason == reason
+
+
+@pytest.mark.parametrize(
+    "n, c, reason",
+    [(2.0, 1, "vertex-range"), (True, 1, "vertex-range"), (2, 1.0, "color-range"), (2, True, "color-range")],
+)
+def test_constructor_rejects_non_int_shape(n, c, reason):
+    with pytest.raises(InvalidDiagramError) as excinfo:
+        Diagram(n, c, [])
     assert excinfo.value.reason == reason
 
 
@@ -177,6 +197,29 @@ def test_profile_validation():
         Profile(2, 1, ((1,), ()))  # misses vertex 2
     with pytest.raises(ValueError):
         Profile(2, 1, ((1, 2, 3), ()))  # out of range
+    with pytest.raises(ValueError):
+        Profile(2, 1, ((1.0,), (2,)))  # not an int
+    with pytest.raises(ValueError):
+        Profile(2, 1, ((True,), (2,)))
+    with pytest.raises(ValueError):
+        Profile(2.0, 1, ((1,), (2,)))
+
+
+def test_invariants_survive_optimized_mode():
+    # Mutant matching that crosses: from_profiles must still refuse it under -O.
+    script = (
+        "from planar_rook import diagrams\n"
+        "diagrams._matching = lambda top, bottom: diagrams.Diagram(2, 1, ((1, 2, 1), (2, 1, 1)))\n"
+        "p = diagrams.Profile(2, 1, ((), (1, 2)))\n"
+        "try:\n"
+        "    diagrams.from_profiles(p, p)\n"
+        "except AssertionError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    assert subprocess.run([sys.executable, "-O", "-c", script], env=env).returncode == 0
 
 
 @pytest.mark.parametrize("c", [1, 2, 3, 4])
@@ -293,6 +336,14 @@ def test_parse_errors_carry_position(text):
     with pytest.raises(ParseError) as excinfo:
         parse_diagram(text)
     assert 0 <= excinfo.value.position <= len(text)
+
+
+@pytest.mark.parametrize("text", ["n=\u00b22 c=1 []", "n=\u0663 c=1 []"])
+def test_parse_accepts_ascii_digits_only(text):
+    # A superscript two and an Arabic-Indic three: both are str.isdigit().
+    with pytest.raises(ParseError) as excinfo:
+        parse_diagram(text)
+    assert excinfo.value.position == 2
 
 
 def test_operator_sugar():

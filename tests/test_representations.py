@@ -57,6 +57,12 @@ def test_label_basics():
     assert [child.sizes for child in label.children()] == [(0, 2, 0), (1, 1, 0)]
 
 
+def test_label_rejects_non_int_sizes():
+    for sizes in ((1.5, 1), (True, 1), (1, 1.0)):
+        with pytest.raises(ValueError):
+            IrrepLabel(sizes)
+
+
 def test_label_children_drop_empty_parts():
     assert [child.sizes for child in IrrepLabel((1, 0, 0)).children()] == [(0, 0, 0)]
 
