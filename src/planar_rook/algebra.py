@@ -26,7 +26,6 @@ from .diagrams import (
     NonPlanarError,
     Profile,
     bottom_colors,
-    bottom_profile,
     diagram_sort_key,
     format_diagram,
     from_profiles,
@@ -34,7 +33,6 @@ from .diagrams import (
     multiply,
     tensor,
     top_colors,
-    top_profile,
 )
 
 Rational = Fraction | int

@@ -24,7 +24,6 @@ from .diagrams import (
     Diagram,
     bottom_profile,
     cardinality,
-    ensure_within_cap,
     enumerate_planar,
     format_diagram,
     from_profiles,
@@ -74,26 +73,21 @@ Scope = tuple[int, int]
 
 
 @lru_cache(maxsize=None)
-def _all_planar(n: int, c: int) -> tuple[Diagram, ...]:
-    return tuple(enumerate_planar(n, c))
+def _all_planar(n: int, c: int, cap: int) -> tuple[Diagram, ...]:
+    return tuple(enumerate_planar(n, c, cap))
 
 
 @lru_cache(maxsize=None)
-def _products(n: int, c: int) -> dict[tuple[Diagram, Diagram], Diagram]:
+def _products(n: int, c: int, cap: int) -> dict[tuple[Diagram, Diagram], Diagram]:
     """Every product ``a * b`` in the monoid, ``a`` outer and ``b`` inner, for the |P|^2 sweeps."""
-    pool = _all_planar(n, c)
+    pool = _all_planar(n, c, cap)
     return {(a, b): multiply(a, b) for a in pool for b in pool}
-
-
-def _pool(n: int, c: int, cap: int) -> tuple[Diagram, ...]:
-    ensure_within_cap(n, c, cap)
-    return _all_planar(n, c)
 
 
 def _draws(scope: Scope, samples: int, seed: int, k: int, cap: int) -> list[tuple[Diagram, ...]]:
     """``samples`` seeded draws of ``k`` diagrams each from the monoid at ``scope``."""
     rng = random.Random(seed)
-    pool = _pool(*scope, cap)
+    pool = _all_planar(*scope, cap)
     return [tuple(rng.choice(pool) for _ in range(k)) for _ in range(samples)]
 
 
@@ -121,7 +115,7 @@ def check_enumeration_count(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> Che
     witnesses = []
     checked = 0
     for n, c in _shapes(scope):
-        pool = _pool(n, c, cap)
+        pool = _all_planar(n, c, cap)
         checked += 1
         if any(not is_planar(d) for d in pool):
             witnesses.append(f"(n={n}, c={c}): enumeration produced a non-planar diagram")
@@ -140,8 +134,8 @@ def check_associativity(
     witnesses = []
     checked = 0
     for n, c in _shapes(exhaustive):
-        pool = _pool(n, c, cap)
-        table = _products(n, c)
+        pool = _all_planar(n, c, cap)
+        table = _products(n, c, cap)
         for (a, b), ab in table.items():
             for d in pool:
                 checked += 1
@@ -163,8 +157,7 @@ def _product_sweep(name: str, scope: Scope, cap: int, fails, suffix: str = "") -
     witnesses = []
     checked = 0
     for n, c in _shapes(scope):
-        ensure_within_cap(n, c, cap)
-        for (a, b), ab in _products(n, c).items():
+        for (a, b), ab in _products(n, c, cap).items():
             checked += 1
             if fails(a, b, ab):
                 witnesses.append(f"({format_diagram(a)}) * ({format_diagram(b)}){suffix}")
@@ -196,7 +189,7 @@ def check_profile_roundtrip(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> Che
     witnesses = []
     checked = 0
     for n, c in _shapes(scope):
-        for d in _pool(n, c, cap):
+        for d in _all_planar(n, c, cap):
             checked += 1
             top, bottom = top_profile(d), bottom_profile(d)
             if top.sizes != bottom.sizes:
@@ -239,7 +232,7 @@ def check_identity_unit(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> CheckRe
     checked = 0
     for n, c in _shapes(scope):
         unit = algebra.identity(n, c)
-        for d in _pool(n, c, cap):
+        for d in _all_planar(n, c, cap):
             checked += 1
             as_elem = algebra.from_diagram(d)
             if unit * as_elem != as_elem or as_elem * unit != as_elem:
@@ -252,7 +245,7 @@ def check_x_inversion(scope: Scope, samples: int, seed: int, cap: int = DEFAULT_
     witnesses = []
     checked = 0
     for n, c in _shapes(scope):
-        pool = _pool(n, c, cap)
+        pool = _all_planar(n, c, cap)
         for d in pool:
             checked += 1
             total = algebra.zero(n, c)
@@ -267,7 +260,7 @@ def check_x_inversion(scope: Scope, samples: int, seed: int, cap: int = DEFAULT_
                 witnesses.append(f"x-coordinates of {format_diagram(d)} are not its subdiagram indicators")
     rng = random.Random(seed)
     n, c = scope
-    pool = _pool(n, c, cap)
+    pool = _all_planar(n, c, cap)
     for _ in range(samples):
         g1 = _random_element(rng, pool, n, c)
         g2 = _random_element(rng, pool, n, c)
@@ -290,7 +283,7 @@ def _action_check(
     """Compare ``act(d, a)``, an (expansion, fast image) pair, on exhaustive then sampled pairs."""
     witnesses = []
     checked = 0
-    pairs = [("", d, a) for n, c in _shapes(exhaustive) for d, a in product(_pool(n, c, cap), repeat=2)]
+    pairs = [("", d, a) for n, c in _shapes(exhaustive) for d, a in product(_all_planar(n, c, cap), repeat=2)]
     pairs += [("sampled ", d, a) for d, a in _draws(sampled, samples, seed, 2, cap)]
     for prefix, d, a in pairs:
         checked += 1
@@ -326,7 +319,7 @@ def check_block_preservation(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> Ch
     witnesses = []
     checked = 0
     for n, c in _shapes(scope):
-        pool = _pool(n, c, cap)
+        pool = _all_planar(n, c, cap)
         for d in pool:
             for a in pool:
                 checked += 1
@@ -347,7 +340,7 @@ def check_embed(scope: Scope, samples: int, seed: int, cap: int = DEFAULT_DIAGRA
         checked += 1
         if algebra.embed(algebra.identity(n, c)) != algebra.identity(n + 1, c):
             witnesses.append(f"embedding does not preserve the unit at (n={n}, c={c})")
-        pool = _pool(n, c, cap)
+        pool = _all_planar(n, c, cap)
         for _ in range(max(1, samples // 10)):
             g1 = _random_element(rng, pool, n, c)
             g2 = _random_element(rng, pool, n, c)
@@ -367,8 +360,8 @@ def check_rho_homomorphism(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> Chec
     witnesses = []
     checked = 0
     for n, c in _shapes(scope):
-        pool = _pool(n, c, cap)
-        table = _products(n, c)
+        pool = _all_planar(n, c, cap)
+        table = _products(n, c, cap)
         unit = algebra.identity(n, c)
         for profile in all_bottom_profiles(n, c):
             space = module_space(n, c, profile)
@@ -395,7 +388,7 @@ def check_column_structure(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> Chec
     for n, c in _shapes(scope):
         for label in all_labels(n, c):
             space = label_module(label)
-            for d in _pool(n, c, cap):
+            for d in _all_planar(n, c, cap):
                 checked += 1
                 matrix = action_matrix(d, space)
                 for j in range(space.dimension):
@@ -411,7 +404,7 @@ def check_character(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> CheckResult
     witnesses = []
     checked = 0
     for n, c in _shapes(scope):
-        pool = _pool(n, c, cap)
+        pool = _all_planar(n, c, cap)
         labels = all_labels(n, c)
         spaces = [label_module(label) for label in labels]
         traces = {d: tuple(action_trace(d, space) for space in spaces) for d in pool}
@@ -473,7 +466,7 @@ def check_isomorphism_classification(scope: Scope, cap: int = DEFAULT_DIAGRAM_CA
     witnesses = []
     checked = 0
     for n, c in _shapes(scope):
-        pool = _pool(n, c, cap)
+        pool = _all_planar(n, c, cap)
         profiles = list(all_bottom_profiles(n, c))
         spaces = {p: module_space(n, c, p) for p in profiles}
         maps = {
@@ -540,7 +533,7 @@ def check_regular_decomposition(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) ->
         if total != cardinality(n, c):
             witnesses.append(f"(n={n}, c={c}): multiplicities sum to {total}")
         # The x-basis splits into bottom-profile blocks of multinomial size.
-        by_bottom = Counter(bottom_profile(d) for d in _pool(n, c, cap))
+        by_bottom = Counter(bottom_profile(d) for d in _all_planar(n, c, cap))
         for profile in all_bottom_profiles(n, c):
             got, expected = by_bottom.pop(profile, 0), multinomial(profile.sizes)
             if got != expected:
@@ -614,7 +607,7 @@ def check_tower_recursion(scope: Scope) -> CheckResult:
     return CheckResult("bratteli.recursion", checked, witnesses)
 
 
-def check_tower_restriction_consistency(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> CheckResult:
+def check_tower_restriction_consistency(scope: Scope) -> CheckResult:
     """Componentwise tower edges agree with the module-level restriction."""
     witnesses = []
     checked = 0
@@ -622,7 +615,6 @@ def check_tower_restriction_consistency(scope: Scope, cap: int = DEFAULT_DIAGRAM
     for c in range(1, c_max + 1):
         graph = bratteli.build(c, n_max)
         for n in range(1, n_max + 1):
-            ensure_within_cap(n - 1, c, cap)
             for idx, label in enumerate(graph.level(n)):
                 checked += 1
                 from_graph = {graph.level(n - 1)[i] for i in graph.children_of(n, idx)}
@@ -690,7 +682,7 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> list[CheckResult]
             check_tower_levels(clip(6, 4)),
             check_tower_degrees(clip(6, 4)),
             check_tower_recursion(clip(12, 4)),
-            check_tower_restriction_consistency(clip(4, 2), cap),
+            check_tower_restriction_consistency(clip(4, 2)),
             check_pascal_triangle(config.n_cap),
         ]
     finally:  # the pools and the product table live for one run only

@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 
 from . import bratteli
@@ -25,7 +26,6 @@ from .diagrams import (
     cardinality,
     compositions,
     diagram_sort_key,
-    ensure_within_cap,
     enumerate_planar,
     format_diagram,
     format_matrix,
@@ -40,12 +40,17 @@ ENV_N_CAP = "PLANAR_ROOK_N_CAP"
 ENV_C_CAP = "PLANAR_ROOK_C_CAP"
 
 
+def integer(text: str) -> int:
+    """An optional '-' and ASCII digits; ``int`` alone also takes "٣", "²", " 7", "+7" and "1_0"."""
+    if not re.fullmatch("-?[0-9]+", text):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
+
+
 def _env_int(name: str, fallback: int) -> int:
-    value = os.environ.get(name)
-    if value is None:
-        return fallback
+    value = os.environ.get(name, str(fallback))
     try:
-        return int(value)
+        return integer(value)
     except ValueError:
         raise ValueError(f"environment variable {name}={value!r} is not an integer")
 
@@ -58,22 +63,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="number of planar diagrams")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-c", type=int, required=True)
+    p.add_argument("-n", type=integer, required=True)
+    p.add_argument("-c", type=integer, required=True)
     p.add_argument("--breakdown", action="store_true", help="also print one line per composition")
 
     p = sub.add_parser("enumerate", help="list all planar diagrams in canonical order")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-c", type=int, required=True)
-    p.add_argument("--cap", type=int, default=None, help="refuse if the monoid is larger than this")
+    p.add_argument("-n", type=integer, required=True)
+    p.add_argument("-c", type=integer, required=True)
+    p.add_argument("--cap", type=integer, default=None, help="refuse if the monoid is larger than this")
 
     p = sub.add_parser("mul", help="multiply two diagram literals")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--as-matrix", action="store_true", help="print the product in matrix form")
-    p.add_argument("--spot-check", type=int, default=0, metavar="K",
+    p.add_argument("--spot-check", type=integer, default=0, metavar="K",
                    help="also test associativity on K random triples of the same shape")
-    p.add_argument("--seed", type=int, default=12345)
+    p.add_argument("--seed", type=integer, default=12345)
 
     p = sub.add_parser("xbasis", help="expand a diagram's x-basis vector")
     p.add_argument("diagram")
@@ -81,25 +86,25 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the diagram's x-basis coordinates instead")
 
     p = sub.add_parser("chartable", help="write the character table as CSV")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-c", type=int, required=True)
+    p.add_argument("-n", type=integer, required=True)
+    p.add_argument("-c", type=integer, required=True)
     p.add_argument("--format", default="csv", choices=["csv"])
     p.add_argument("--out", default=None)
     p.add_argument("--verify", action="store_true", help="recompute every entry as a trace")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=integer, default=None)
 
     p = sub.add_parser("bratteli", help="emit the restriction tower")
-    p.add_argument("-c", type=int, required=True)
-    p.add_argument("-n", type=int, required=True, help="largest level to build")
+    p.add_argument("-c", type=integer, required=True)
+    p.add_argument("-n", type=integer, required=True, help="largest level to build")
     p.add_argument("--format", default="dot", choices=["dot", "json"])
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("verify", help="run the full verification suite")
-    p.add_argument("--n-cap", type=int, default=None)
-    p.add_argument("--c-cap", type=int, default=None)
-    p.add_argument("--cap", type=int, default=None, help="largest monoid to sweep exhaustively")
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=12345)
+    p.add_argument("--n-cap", type=integer, default=None)
+    p.add_argument("--c-cap", type=integer, default=None)
+    p.add_argument("--cap", type=integer, default=None, help="largest monoid to sweep exhaustively")
+    p.add_argument("--samples", type=integer, default=1000)
+    p.add_argument("--seed", type=integer, default=12345)
     p.add_argument("--json", action="store_true", help="print the JSON report to stdout")
     p.add_argument("--out", default=None, help="write the JSON report to a file")
 
@@ -130,8 +135,7 @@ def _cmd_enumerate(args) -> int:
         print("enumerate needs n >= 0 and c >= 1", file=sys.stderr)
         return 2
     cap = args.cap if args.cap is not None else _env_int(ENV_DIAGRAM_CAP, DEFAULT_DIAGRAM_CAP)
-    ensure_within_cap(args.n, args.c, cap)
-    for d in enumerate_planar(args.n, args.c):
+    for d in enumerate_planar(args.n, args.c, cap):
         print(format_diagram(d))
     return 0
 
@@ -140,12 +144,13 @@ def _cmd_mul(args) -> int:
     left = parse_diagram(args.left)
     right = parse_diagram(args.right)
     product = multiply(left, right)
+    if args.spot_check:  # built before any output, so a refused cap prints nothing
+        pool = list(enumerate_planar(left.n, left.c, _env_int(ENV_DIAGRAM_CAP, DEFAULT_DIAGRAM_CAP)))
     if args.as_matrix:
         print(format_matrix(product))
     else:
         print(format_diagram(product))
     if args.spot_check:
-        pool = list(enumerate_planar(left.n, left.c))
         rng = random.Random(args.seed)
         for _ in range(args.spot_check):
             a, b, d = (rng.choice(pool) for _ in range(3))

@@ -353,12 +353,18 @@ def sorted_profile(n: int, sizes: tuple[int, ...]) -> Profile:
     return Profile(n, len(sizes) - 1, tuple(parts))
 
 
-def enumerate_planar(n: int, c: int) -> Iterator[Diagram]:
-    """Yield every planar diagram exactly once, in the canonical order."""
+def enumerate_planar(n: int, c: int, cap: int = DEFAULT_DIAGRAM_CAP) -> Iterator[Diagram]:
+    """Every planar diagram once, in canonical order; raises at the call, before building any, if |P| > cap."""
+    if (count := cardinality(n, c)) > cap:
+        raise CapExceededError(f"|P_{{{n},{c}}}| = {count} exceeds the cap of {cap}")
+    return _enumerate_planar(n, c)
+
+
+def _enumerate_planar(n: int, c: int) -> Iterator[Diagram]:
     for sizes in compositions(n, c):
-        tops = list(profiles_with_sizes(n, c, sizes))
-        for top in tops:
-            for bottom in profiles_with_sizes(n, c, sizes):
+        profiles = list(profiles_with_sizes(n, c, sizes))
+        for top in profiles:
+            for bottom in profiles:
                 # Checked without the cache: every diagram is new here, and
                 # caching them would keep the whole enumerated monoid alive.
                 d = _matching(top, bottom)
@@ -370,14 +376,6 @@ def enumerate_planar(n: int, c: int) -> Iterator[Diagram]:
 def cardinality(n: int, c: int) -> int:
     """Number of planar diagrams: the sum of squared multinomials."""
     return sum(multinomial(sizes) ** 2 for sizes in compositions(n, c))
-
-
-def ensure_within_cap(n: int, c: int, cap: int = DEFAULT_DIAGRAM_CAP) -> int:
-    """Guard exhaustive sweeps; returns the monoid size if acceptable."""
-    count = cardinality(n, c)
-    if count > cap:
-        raise CapExceededError(f"|P_{{{n},{c}}}| = {count} exceeds the cap of {cap}")
-    return count
 
 
 def diagram_sort_key(d: Diagram):

@@ -31,7 +31,6 @@ from .diagrams import (
     bottom_profile,
     cardinality,
     compositions,
-    ensure_within_cap,
     enumerate_planar,
     format_diagram,
     from_profiles,
@@ -45,6 +44,9 @@ from .diagrams import (
     vertical_diagram,
 )
 from .matrices import RationalMatrix
+
+#: Largest class dimension m for which verify_matrix_algebra expands all m^4 matrix-unit products.
+MATRIX_ALGEBRA_DIM_CAP = 12
 
 
 @dataclass
@@ -173,8 +175,7 @@ def fixed_size_span(n: int, c: int, k: int, cap: int = DEFAULT_DIAGRAM_CAP) -> M
     Invariant under the action but reducible for k >= 1 and n >= 2: the
     action preserves bottom profiles, so transitivity fails across them.
     """
-    ensure_within_cap(n, c, cap)
-    basis = tuple(d for d in enumerate_planar(n, c) if d.size == k)
+    basis = tuple(d for d in enumerate_planar(n, c, cap) if d.size == k)
     return ModuleSpace(n, c, None, basis)
 
 
@@ -260,7 +261,6 @@ def verify_irreducible(space: ModuleSpace, cap: int = DEFAULT_DIAGRAM_CAP) -> Ch
     (one set per vector, so |P| actions each); failure witnesses name an
     unreachable pair.
     """
-    ensure_within_cap(space.n, space.c, cap)
     witnesses: list[str] = []
     checked = 0
     if space.bottom is not None:
@@ -284,7 +284,7 @@ def verify_irreducible(space: ModuleSpace, cap: int = DEFAULT_DIAGRAM_CAP) -> Ch
                     )
         return CheckResult("modules.irreducible", checked, witnesses)
 
-    monoid = list(enumerate_planar(space.n, space.c))
+    monoid = list(enumerate_planar(space.n, space.c, cap))
     for a in space.basis:
         orbit = {left_action_x(d, a) for d in monoid}
         for b in space.basis:
@@ -352,9 +352,7 @@ def regular_decomposition(n: int, c: int) -> list[tuple[IrrepLabel, int]]:
     return decomposition
 
 
-def verify_matrix_algebra(
-    n: int, c: int, label: IrrepLabel, dim_cap: int = 12, cap: int = DEFAULT_DIAGRAM_CAP
-) -> CheckResult:
+def verify_matrix_algebra(n: int, c: int, label: IrrepLabel, cap: int = DEFAULT_DIAGRAM_CAP) -> CheckResult:
     """Check one block behaves as a full matrix algebra, by full expansion.
 
     Indexes the bottom profiles of the class, multiplies the profile-pair
@@ -366,9 +364,9 @@ def verify_matrix_algebra(
     if (label.n, label.c) != (n, c):
         raise MismatchError(f"label {label.sizes} does not match (n={n}, c={c})")
     m = label.dimension()
-    if m > dim_cap:
-        raise CapExceededError(f"class dimension {m} exceeds the cap of {dim_cap}")
-    ensure_within_cap(n, c, cap)
+    if m > MATRIX_ALGEBRA_DIM_CAP:
+        raise CapExceededError(f"class dimension {m} exceeds the cap of {MATRIX_ALGEBRA_DIM_CAP}")
+    monoid = enumerate_planar(n, c, cap)
 
     profiles = list(profiles_with_sizes(n, c, label.sizes))
     x_elems = {
@@ -389,7 +387,7 @@ def verify_matrix_algebra(
                     if product != expected:
                         witnesses.append(f"x-pair product ({i},{j})*({l},{k}) deviates from the matrix law")
 
-    for g in enumerate_planar(n, c):
+    for g in monoid:
         g_elem = from_diagram(g)
         for i in range(m):
             for j in range(m):
@@ -452,7 +450,8 @@ def character_table_csv(n: int, c: int) -> bytes:
 
 def verify_character_table(n: int, c: int, cap: int = DEFAULT_DIAGRAM_CAP) -> CheckResult:
     """Recompute every table entry as a trace on a representative module."""
-    ensure_within_cap(n, c, cap)
+    if (total := (c + 1) ** n) > cap:  # the label modules' multinomial dimensions sum to (c + 1)^n
+        raise CapExceededError(f"{total} module basis vectors at (n={n}, c={c}) exceed the cap of {cap}")
     rows, labels, values = character_table(n, c)
     spaces = [label_module(label) for label in labels]
     witnesses: list[str] = []
@@ -535,7 +534,7 @@ def verify_restriction(space: ModuleSpace, cap: int = DEFAULT_DIAGRAM_CAP) -> Ch
     """
     label = space.label()
     n, c = space.n, space.c
-    ensure_within_cap(n - 1, c, cap)
+    monoid = enumerate_planar(n - 1, c, cap)
     groups = restriction_groups(space)
     witnesses: list[str] = []
     checked = 0
@@ -561,7 +560,7 @@ def verify_restriction(space: ModuleSpace, cap: int = DEFAULT_DIAGRAM_CAP) -> Ch
 
     members = {j: set(indices) for j, indices in groups}
 
-    for d in enumerate_planar(n - 1, c):
+    for d in monoid:
         cols = element_action_columns(embed(from_diagram(d)), space)
         for j, indices in groups:
             child_space = targets[j]

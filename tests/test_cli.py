@@ -50,6 +50,28 @@ def test_enumerate_cap(capsys):
     assert "cap" in err
 
 
+def test_enumerate_order_is_pinned(capsys):
+    code, out, _ = run(capsys, "enumerate", "-n", "4", "-c", "3")
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == "f18ec7e9dd5f948682e465dced1c1cd360a063db566a87e2281b778407c9daa2"
+
+
+def test_numeric_options_take_ascii_digits_only(capsys):
+    code, out, err = run(capsys, "count", "-n", "\u0663", "-c", "1")  # ARABIC-INDIC DIGIT THREE
+    assert code == 2
+    assert out == ""
+    assert "-n" in err
+
+
+def test_environment_integers_take_ascii_digits_only(capsys, monkeypatch):
+    monkeypatch.setenv("PLANAR_ROOK_N_CAP", "\u0661")  # ARABIC-INDIC DIGIT ONE
+    code, out, err = run(capsys, "verify", "--c-cap", "1")
+    assert code == 2
+    assert out == ""
+    assert "PLANAR_ROOK_N_CAP" in err
+
+
 def test_enumerate_env_cap(capsys, monkeypatch):
     monkeypatch.setenv("PLANAR_ROOK_CAP", "2")
     code, _, err = run(capsys, "enumerate", "-n", "2", "-c", "1")
@@ -83,6 +105,15 @@ def test_mul_spot_check(capsys):
     code, out, _ = run(capsys, "mul", "n=2 c=1 []", "n=2 c=1 []", "--spot-check", "25")
     assert code == 0
     assert "25 triples" in out
+
+
+def test_mul_spot_check_pool_obeys_the_cap(capsys, monkeypatch):
+    # |P_{4,3}| = 2716: the pool is refused before the product is printed.
+    monkeypatch.setenv("PLANAR_ROOK_CAP", "10")
+    code, out, err = run(capsys, "mul", "n=4 c=3 []", "n=4 c=3 []", "--spot-check", "1")
+    assert code == 2
+    assert "cap" in err
+    assert out == ""
 
 
 def test_mul_parse_error(capsys):
@@ -121,6 +152,18 @@ def test_chartable_verify_and_file(tmp_path, capsys):
     assert code == 0
     content = out_path.read_bytes()
     assert content.startswith(b"verticals,")
+
+
+def test_chartable_verify_cap_bounds_the_module_basis(capsys):
+    # The label modules at (4, 3) have 4^4 = 256 basis vectors; the monoid
+    # (|P_{4,3}| = 2716) is never built, so it does not count against the cap.
+    code, out, _ = run(capsys, "chartable", "-n", "4", "-c", "3", "--verify", "--cap", "300")
+    assert code == 0
+    assert out.startswith("verticals,")
+    code, out, err = run(capsys, "chartable", "-n", "4", "-c", "3", "--verify", "--cap", "255")
+    assert code == 2
+    assert "256" in err
+    assert out == ""
 
 
 def test_bratteli_dot(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from planar_rook.diagrams import (
+    CapExceededError,
     Diagram,
     InvalidDiagramError,
     MismatchError,
@@ -242,6 +243,12 @@ def test_enumeration_is_deterministic_unique_planar():
     assert len(set(first)) == len(first)
     assert all(is_planar(d) for d in first)
     assert first == sorted(first, key=diagram_sort_key)
+
+
+def test_enumeration_cap_refuses_at_the_call():
+    with pytest.raises(CapExceededError, match=r"\|P_\{4,3\}\| = 2716 exceeds the cap of 2715"):
+        enumerate_planar(4, 3, cap=2715)  # no next(): the refusal comes before any diagram exists
+    assert sum(1 for _ in enumerate_planar(4, 3, cap=2716)) == 2716
 
 
 def test_cardinality_small_values():

@@ -6,6 +6,7 @@ import pytest
 from planar_rook.algebra import from_diagram, identity, left_action_x
 from planar_rook.checks import check_isomorphism_classification, check_regular_decomposition
 from planar_rook.diagrams import (
+    CapExceededError,
     Diagram,
     NonPlanarError,
     Profile,
@@ -156,6 +157,14 @@ def test_fixed_size_span_is_reducible():
         ]
 
 
+def test_homogeneous_irreducibility_ignores_the_monoid_cap():
+    # The constructive branch builds projectors and transporters from
+    # profiles; it never enumerates |P_{4,2}| = 639 diagrams.
+    outcome = verify_irreducible(label_module(IrrepLabel((2, 1, 1))), cap=10)
+    assert outcome.ok
+    assert outcome.checked == 12 + 12 * 12
+
+
 def test_lonely_full_matching_span_is_irreducible():
     # With one color the only planar full matching is the identity, so the
     # span of all size-n vectors is one-dimensional and irreducible.
@@ -228,6 +237,11 @@ def test_matrix_algebra_trivial_label():
 
 def test_matrix_algebra_two_by_two():
     assert verify_matrix_algebra(2, 1, IrrepLabel((1, 1)))
+
+
+def test_matrix_algebra_refuses_large_classes():
+    with pytest.raises(CapExceededError, match="class dimension 30"):
+        verify_matrix_algebra(5, 2, IrrepLabel((2, 2, 1)))
 
 
 def test_matrix_algebra_all_labels_small():
