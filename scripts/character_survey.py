@@ -14,13 +14,14 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
+from planar_rook.cli import integer
 from planar_rook.representations import character_table_csv, verify_character_table
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-n", type=int, default=4)
-    parser.add_argument("--max-c", type=int, default=2)
+    parser.add_argument("--max-n", type=integer, default=4)
+    parser.add_argument("--max-c", type=integer, default=2)
     parser.add_argument("--outdir", type=Path, default=Path("out"))
     parser.add_argument("--verify", action="store_true")
     args = parser.parse_args()

@@ -15,12 +15,13 @@ import argparse
 from pathlib import Path
 
 from planar_rook.bratteli import build, emit_dot, emit_json, vertex_count
+from planar_rook.cli import integer
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--colors", type=int, default=2)
-    parser.add_argument("--levels", type=int, default=4)
+    parser.add_argument("--colors", type=integer, default=2)
+    parser.add_argument("--levels", type=integer, default=4)
     parser.add_argument("--outdir", type=Path, default=Path("out"))
     args = parser.parse_args()
 

@@ -70,6 +70,15 @@ class AlgebraElement:
             clean[d] = q
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _trusted(cls, n: int, c: int, terms: Mapping[Diagram, Fraction]) -> "AlgebraElement":
+        """Skip validation: only for Fraction terms on planar (n, c) diagrams; drops the zeros."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "c", c)
+        object.__setattr__(g, "terms", {d: q for d, q in terms.items() if q})
+        return g
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -104,18 +113,18 @@ class AlgebraElement:
         self._require_compatible(other)
         terms = dict(self.terms)
         for d, q in other.terms.items():
-            terms[d] = terms.get(d, Fraction(0)) + q
-        return AlgebraElement(self.n, self.c, terms)
+            terms[d] = terms.get(d, 0) + q
+        return AlgebraElement._trusted(self.n, self.c, terms)
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.n, self.c, {d: -q for d, q in self.terms.items()})
+        return AlgebraElement._trusted(self.n, self.c, {d: -q for d, q in self.terms.items()})
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (-other)
 
     def scale(self, scalar: Rational) -> "AlgebraElement":
         q = _coeff(scalar)
-        return AlgebraElement(self.n, self.c, {d: q * v for d, v in self.terms.items()})
+        return AlgebraElement._trusted(self.n, self.c, {d: q * v for d, v in self.terms.items()})
 
     def __rmul__(self, scalar: Rational) -> "AlgebraElement":
         return self.scale(scalar)
@@ -124,22 +133,21 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return self.scale(other)
         self._require_compatible(other)
-        terms: dict[Diagram, Fraction] = {}
-        for d1, q1 in self.terms.items():
-            for d2, q2 in other.terms.items():
-                prod = multiply(d1, d2)
-                terms[prod] = terms.get(prod, Fraction(0)) + q1 * q2
-        return AlgebraElement(self.n, self.c, terms)
+        return self._bilinear(other, multiply, self.n)
 
     def tensor(self, other: "AlgebraElement") -> "AlgebraElement":
         if self.c != other.c:
             raise MismatchError(f"color counts differ: {self.c} vs {other.c}")
+        return self._bilinear(other, tensor, self.n + other.n)
+
+    def _bilinear(self, other: "AlgebraElement", product, n: int) -> "AlgebraElement":
+        """Extend a diagram ``product`` bilinearly; it maps planar diagrams to planar width-n ones."""
         terms: dict[Diagram, Fraction] = {}
         for d1, q1 in self.terms.items():
             for d2, q2 in other.terms.items():
-                prod = tensor(d1, d2)
-                terms[prod] = terms.get(prod, Fraction(0)) + q1 * q2
-        return AlgebraElement(self.n + other.n, self.c, terms)
+                prod = product(d1, d2)
+                terms[prod] = terms.get(prod, 0) + q1 * q2
+        return AlgebraElement._trusted(n, self.c, terms)
 
     def __str__(self) -> str:
         return format_element(self)
@@ -181,7 +189,7 @@ def subdiagrams(d: Diagram) -> Iterator[Diagram]:
     """All diagrams obtained by deleting edges of ``d`` (including d itself)."""
     for r in range(d.size + 1):
         for chosen in combinations(d.edges, r):
-            yield Diagram(d.n, d.c, chosen)
+            yield Diagram._trusted(d.n, d.c, chosen)  # combinations keep the canonical order
 
 
 def x_of(d: Diagram) -> AlgebraElement:

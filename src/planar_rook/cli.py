@@ -141,6 +141,9 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_mul(args) -> int:
+    if args.spot_check < 0:
+        print("mul needs --spot-check >= 0", file=sys.stderr)
+        return 2
     left = parse_diagram(args.left)
     right = parse_diagram(args.right)
     product = multiply(left, right)
@@ -204,8 +207,8 @@ def _cmd_verify(args) -> int:
         samples=args.samples,
         seed=args.seed,
     )
-    if config.n_cap < 0 or config.c_cap < 1:
-        print("verify needs n-cap >= 0 and c-cap >= 1", file=sys.stderr)
+    if config.n_cap < 0 or config.c_cap < 1 or config.samples < 0:
+        print("verify needs n-cap >= 0, c-cap >= 1 and --samples >= 0", file=sys.stderr)
         return 2
     results = run_verification(config)
     report = {

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Iterable, Iterator
 
 #: Refuse exhaustive sweeps over monoids larger than this many diagrams.
@@ -101,6 +101,15 @@ class Diagram:
             raise InvalidDiagramError("color-range", f"c must be a positive int, got {self.c!r}")
         object.__setattr__(self, "edges", _canonical_edges(self.n, self.c, self.edges))
 
+    @classmethod
+    def _trusted(cls, n: int, c: int, edges: tuple[Edge, ...]) -> "Diagram":
+        """Skip validation: only for edges derived from valid diagrams or profiles, already canonical."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "n", n)  # a __dict__.update would cost ~144 B more per diagram
+        object.__setattr__(d, "c", c)
+        object.__setattr__(d, "edges", edges)
+        return d
+
     @property
     def size(self) -> int:
         return len(self.edges)
@@ -179,13 +188,12 @@ def is_planar(d: Diagram) -> bool:
     Two same-colored edges (t1, b1), (t2, b2) cross exactly when
     (t1 - t2) * (b1 - b2) < 0; different colors never conflict.
     """
-    by_color: dict[int, list[int]] = {}
-    for t, b, k in d.edges:  # edges are sorted by top index
-        by_color.setdefault(k, []).append(b)
-    return all(
-        all(x < y for x, y in zip(bottoms, bottoms[1:]))
-        for bottoms in by_color.values()
-    )
+    last_bottom: dict[int, int] = {}
+    for _, b, k in d.edges:  # edges are sorted by top index
+        if b <= last_bottom.get(k, 0):
+            return False
+        last_bottom[k] = b
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -212,13 +220,6 @@ def bottom_profile(d: Diagram) -> Profile:
     return Profile(d.n, d.c, tuple(tuple(sorted(p)) for p in parts))
 
 
-def _require_same_shape(d1: Diagram, d2: Diagram) -> None:
-    if d1.n != d2.n:
-        raise MismatchError(f"vertex counts differ: {d1.n} vs {d2.n}")
-    if d1.c != d2.c:
-        raise MismatchError(f"color counts differ: {d1.c} vs {d2.c}")
-
-
 def multiply(d1: Diagram, d2: Diagram) -> Diagram:
     """Compose diagrams: keep the monochromatic top-of-d1 to bottom-of-d2 paths.
 
@@ -227,14 +228,18 @@ def multiply(d1: Diagram, d2: Diagram) -> Diagram:
     some middle vertex m.  This is matrix multiplication over the entry
     semantics u_i * u_j = u_i if i == j else 0.
     """
-    _require_same_shape(d1, d2)
+    if d1.n != d2.n:
+        raise MismatchError(f"vertex counts differ: {d1.n} vs {d2.n}")
+    if d1.c != d2.c:
+        raise MismatchError(f"color counts differ: {d1.c} vs {d2.c}")
     lower = _edges_from_top(d2)
     edges = []
     for t, m, k in d1.edges:
         hit = lower.get(m)
         if hit is not None and hit[1] == k:
             edges.append((t, hit[0], k))
-    product = Diagram(d1.n, d1.c, tuple(edges))
+    # In d1's top order, with distinct tops (from d1) and bottoms (from d2).
+    product = Diagram._trusted(d1.n, d1.c, tuple(edges))
     if is_planar(d1) and is_planar(d2) and not is_planar(product):
         raise AssertionError("product of planar diagrams must be planar")
     return product
@@ -245,12 +250,12 @@ def tensor(d1: Diagram, d2: Diagram) -> Diagram:
     if d1.c != d2.c:
         raise MismatchError(f"color counts differ: {d1.c} vs {d2.c}")
     shifted = tuple((t + d1.n, b + d1.n, k) for (t, b, k) in d2.edges)
-    return Diagram(d1.n + d2.n, d1.c, d1.edges + shifted)
+    return Diagram._trusted(d1.n + d2.n, d1.c, d1.edges + shifted)  # shifted tops all exceed d1.n
 
 
 def vertical_subdiagram(d: Diagram) -> Diagram:
     """Keep exactly the edges whose top and bottom indices coincide."""
-    return Diagram(d.n, d.c, tuple(e for e in d.edges if e[0] == e[1]))
+    return Diagram._trusted(d.n, d.c, tuple(e for e in d.edges if e[0] == e[1]))
 
 
 def vertical_color_counts(d: Diagram) -> tuple[int, ...]:
@@ -290,14 +295,16 @@ def from_profiles(top: Profile, bottom: Profile) -> Diagram:
 def _matching(top: Profile, bottom: Profile) -> Diagram:
     if top.n != bottom.n or top.c != bottom.c:
         raise MismatchError("profiles have different (n, c)")
-    edges = []
+    if top.c < 1:  # a Profile allows c = 0, a Diagram does not
+        raise InvalidDiagramError("color-range", f"c must be a positive int, got {top.c!r}")
+    edges: list[Edge] = []
     for k in range(1, top.c + 1):
-        if len(top.parts[k]) != len(bottom.parts[k]):
-            raise MismatchError(
-                f"color {k}: {len(top.parts[k])} top endpoints vs {len(bottom.parts[k])} bottom endpoints"
-            )
-        edges.extend((t, b, k) for t, b in zip(top.parts[k], bottom.parts[k]))
-    return Diagram(top.n, top.c, tuple(edges))
+        tops, bottoms = top.parts[k], bottom.parts[k]
+        if len(tops) != len(bottoms):
+            raise MismatchError(f"color {k}: {len(tops)} top endpoints vs {len(bottoms)} bottom endpoints")
+        edges += zip(tops, bottoms, repeat(k, len(tops)))
+    edges.sort()  # validated profiles: vertices in 1..n, each used once
+    return Diagram._trusted(top.n, top.c, tuple(edges))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from planar_rook.diagrams import (
     profiles_with_sizes,
 )
 
-from conftest import elements_st, pool
+from conftest import coefficients_st, elements_st, pool
 
 
 def test_add_scale_and_zero_cleanup():
@@ -249,6 +249,14 @@ def test_embed_preserves_unit():
 def test_embed_is_homomorphism(g1, g2):
     assert embed(g1 * g2) == embed(g1) * embed(g2)
     assert embed(g1) == g1.tensor(identity(1, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements_st(2, 2), elements_st(2, 2), coefficients_st())
+def test_engine_built_elements_are_canonical(g1, g2, q):
+    for r in (g1 * g2, g1 + g2, g1 - g2, g1.scale(q), g1.tensor(g2)):
+        assert r == AlgebraElement(r.n, r.c, dict(r.terms))
+        assert all(r.terms.values())
 
 
 def test_unit_diagram():

@@ -1,7 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from planar_rook.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -62,6 +70,33 @@ def test_numeric_options_take_ascii_digits_only(capsys):
     assert code == 2
     assert out == ""
     assert "-n" in err
+
+
+@pytest.mark.parametrize("script, argv", [
+    ("tower_figures.py", ["--colors", "\u0661", "--levels", "\u0662"]),
+    ("character_survey.py", ["--max-n", "\u0661", "--max-c", "1"]),
+])
+def test_script_options_take_ascii_digits_only(tmp_path, script, argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    outdir = tmp_path / "out"
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *argv, "--outdir", str(outdir)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert argv[0] in proc.stderr
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["mul", "n=2 c=1 []", "n=2 c=1 []", "--spot-check", "-1"], "--spot-check"),
+    (["verify", "--n-cap", "1", "--c-cap", "1", "--samples", "-3"], "--samples"),
+])
+def test_negative_counts_are_usage_errors(capsys, argv, option):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert option in err
+    argv[-1] = "0"  # zero stays allowed
+    assert run(capsys, *argv)[0] == 0
 
 
 def test_environment_integers_take_ascii_digits_only(capsys, monkeypatch):

@@ -1,11 +1,13 @@
 import os
 import subprocess
 import sys
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
+from planar_rook.algebra import subdiagrams
 from planar_rook.diagrams import (
     CapExceededError,
     Diagram,
@@ -278,6 +280,53 @@ def test_multinomial():
 def test_profiles_with_sizes_lex_order():
     parts = [p.parts for p in profiles_with_sizes(2, 1, (1, 1))]
     assert parts == [((1,), (2,)), ((2,), (1,))]
+
+
+def _all_rook_diagrams(n, c):
+    """Every rook diagram, planar or not, built through the public constructor."""
+    for size in range(n + 1):
+        for tops in combinations(range(1, n + 1), size):
+            for bottoms in permutations(range(1, n + 1), size):
+                for colors in product(range(1, c + 1), repeat=size):
+                    yield Diagram(n, c, list(zip(tops, bottoms, colors)))
+
+
+def test_planarity_matches_the_pairwise_crossing_rule():
+    for n in range(4):
+        for c in (1, 2):
+            planar = 0
+            for d in _all_rook_diagrams(n, c):
+                crossing = any(
+                    k1 == k2 and (t1 - t2) * (b1 - b2) < 0
+                    for (t1, b1, k1), (t2, b2, k2) in combinations(d.edges, 2)
+                )
+                assert is_planar(d) is not crossing, d
+                planar += not crossing
+            assert planar == cardinality(n, c)
+
+
+def _assert_canonical(r):
+    assert r == Diagram(r.n, r.c, r.edges), r  # equal fields: the same sorted tuple of edge tuples
+
+
+def test_engine_built_diagrams_are_canonical():
+    for a in pool(3, 2):
+        _assert_canonical(vertical_subdiagram(a))
+        _assert_canonical(from_profiles(top_profile(a), bottom_profile(a)))
+        for sub in subdiagrams(a):
+            _assert_canonical(sub)
+        for b in pool(3, 2):
+            _assert_canonical(multiply(a, b))
+    for a in pool(2, 2):
+        for b in pool(2, 2):
+            _assert_canonical(tensor(a, b))
+
+
+def test_matching_refuses_colorless_profiles():
+    p = Profile(1, 0, ((1,),))  # a Profile may have c = 0, a Diagram may not
+    with pytest.raises(InvalidDiagramError) as info:
+        from_profiles(p, p)
+    assert info.value.reason == "color-range"
 
 
 def test_tensor_with_width_zero_is_neutral():
