@@ -198,7 +198,7 @@ def x_of(d: Diagram) -> AlgebraElement:
         raise NonPlanarError(f"{format_diagram(d)} is not planar")
     k = d.size
     terms = {sub: Fraction(-1 if (k - sub.size) % 2 else 1) for sub in subdiagrams(d)}
-    return AlgebraElement(d.n, d.c, terms)
+    return AlgebraElement._trusted(d.n, d.c, terms)  # subdiagrams of a planar diagram are planar
 
 
 def to_x_coordinates(g: AlgebraElement) -> dict[Diagram, Fraction]:

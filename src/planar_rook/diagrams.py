@@ -161,27 +161,21 @@ class Profile:
 
 
 # ---------------------------------------------------------------------------
-# Cached per-diagram lookups.  Diagrams are immutable, so unbounded caches
-# are safe; they stay small because everything here runs at desk scale.
+# Per-diagram lookups.  Only the two profiles are cached: building a Profile
+# validates it, which costs far more than the hash of a lookup.  Everything
+# else here is rebuilt on each call, as cheaply as a cache could hash the
+# diagram, so memory does not grow with the diagrams a session sees.
 
-@lru_cache(maxsize=None)
 def top_colors(d: Diagram) -> dict[int, int]:
     """Map top vertex -> color of its incident edge."""
     return {t: k for (t, _, k) in d.edges}
 
 
-@lru_cache(maxsize=None)
 def bottom_colors(d: Diagram) -> dict[int, int]:
     """Map bottom vertex -> color of its incident edge."""
     return {b: k for (_, b, k) in d.edges}
 
 
-@lru_cache(maxsize=None)
-def _edges_from_top(d: Diagram) -> dict[int, tuple[int, int]]:
-    return {t: (b, k) for (t, b, k) in d.edges}
-
-
-@lru_cache(maxsize=None)
 def is_planar(d: Diagram) -> bool:
     """True iff no two edges of the same color cross.
 
@@ -199,25 +193,24 @@ def is_planar(d: Diagram) -> bool:
 @lru_cache(maxsize=None)
 def top_profile(d: Diagram) -> Profile:
     """Partition of the top row: isolated vertices, then color-k endpoints."""
-    parts: list[list[int]] = [[] for _ in range(d.c + 1)]
-    used = set()
-    for t, _, k in d.edges:
-        parts[k].append(t)
-        used.add(t)
-    parts[0] = [v for v in range(1, d.n + 1) if v not in used]
-    return Profile(d.n, d.c, tuple(tuple(p) for p in parts))
+    return _profile(d, 0)
 
 
 @lru_cache(maxsize=None)
 def bottom_profile(d: Diagram) -> Profile:
     """Partition of the bottom row: isolated vertices, then color-k endpoints."""
+    return _profile(d, 1)
+
+
+def _profile(d: Diagram, row: int) -> Profile:
+    """The profile of the row at edge position ``row``: 0 for the top, 1 for the bottom."""
     parts: list[list[int]] = [[] for _ in range(d.c + 1)]
     used = set()
-    for _, b, k in d.edges:
-        parts[k].append(b)
-        used.add(b)
+    for edge in d.edges:
+        parts[edge[2]].append(edge[row])
+        used.add(edge[row])
     parts[0] = [v for v in range(1, d.n + 1) if v not in used]
-    return Profile(d.n, d.c, tuple(tuple(sorted(p)) for p in parts))
+    return Profile(d.n, d.c, tuple(tuple(p) for p in parts))  # Profile sorts each part
 
 
 def multiply(d1: Diagram, d2: Diagram) -> Diagram:
@@ -232,7 +225,7 @@ def multiply(d1: Diagram, d2: Diagram) -> Diagram:
         raise MismatchError(f"vertex counts differ: {d1.n} vs {d2.n}")
     if d1.c != d2.c:
         raise MismatchError(f"color counts differ: {d1.c} vs {d2.c}")
-    lower = _edges_from_top(d2)
+    lower = {m: (b, k) for m, b, k in d2.edges}
     edges = []
     for t, m, k in d1.edges:
         hit = lower.get(m)
@@ -372,10 +365,8 @@ def _enumerate_planar(n: int, c: int) -> Iterator[Diagram]:
         profiles = list(profiles_with_sizes(n, c, sizes))
         for top in profiles:
             for bottom in profiles:
-                # Checked without the cache: every diagram is new here, and
-                # caching them would keep the whole enumerated monoid alive.
                 d = _matching(top, bottom)
-                if not is_planar.__wrapped__(d):
+                if not is_planar(d):
                     raise AssertionError("increasing matchings cannot cross")
                 yield d
 

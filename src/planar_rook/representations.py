@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Optional
 
 from .algebra import AlgebraElement, embed, from_diagram, left_action_x, x_of, to_x_coordinates
@@ -138,18 +139,14 @@ class ModuleSpace:
         return IrrepLabel(self.bottom.sizes)
 
     def index_of(self, d: Diagram) -> int:
-        return _basis_index(self)[d]
+        return self._index[d]
 
     def top_profiles(self) -> tuple[Profile, ...]:
         return tuple(top_profile(a) for a in self.basis)
 
-
-def _basis_index(space: ModuleSpace) -> dict[Diagram, int]:
-    memo = space.__dict__.get("_index")
-    if memo is None:
-        memo = {a: i for i, a in enumerate(space.basis)}
-        object.__setattr__(space, "_index", memo)
-    return memo
+    @cached_property
+    def _index(self) -> dict[Diagram, int]:
+        return {a: i for i, a in enumerate(self.basis)}
 
 
 def module_space(n: int, c: int, bottom: Profile) -> ModuleSpace:
@@ -198,7 +195,7 @@ def diagram_action(d: Diagram, space: ModuleSpace) -> tuple[Optional[int], ...]:
         raise MismatchError("diagram does not match the module's (n, c)")
     if not is_planar(d):
         raise NonPlanarError(f"{format_diagram(d)} is not planar")
-    idx = _basis_index(space)
+    idx = space._index
     below = bottom_colors(d)
     column: list[Optional[int]] = []
     for a in space.basis:
@@ -469,11 +466,8 @@ def verify_character_table(n: int, c: int, cap: int = DEFAULT_DIAGRAM_CAP) -> Ch
 # Restriction to one column fewer.
 
 def _last_vertex_part(a: Diagram) -> int:
-    """Index of the top-profile part containing the last top vertex."""
-    for part_index, part in enumerate(top_profile(a).parts):
-        if a.n in part:
-            return part_index
-    raise AssertionError("the last vertex belongs to some part")
+    """Index of the top-profile part holding vertex n; edges are sorted by top, so only the last can."""
+    return a.edges[-1][2] if a.edges and a.edges[-1][0] == a.n else 0
 
 
 def restriction_groups(space: ModuleSpace) -> list[tuple[int, list[int]]]:

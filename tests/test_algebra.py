@@ -254,7 +254,7 @@ def test_embed_is_homomorphism(g1, g2):
 @settings(max_examples=60, deadline=None)
 @given(elements_st(2, 2), elements_st(2, 2), coefficients_st())
 def test_engine_built_elements_are_canonical(g1, g2, q):
-    for r in (g1 * g2, g1 + g2, g1 - g2, g1.scale(q), g1.tensor(g2)):
+    for r in (g1 * g2, g1 + g2, g1 - g2, g1.scale(q), g1.tensor(g2), *map(x_of, pool(3, 2))):
         assert r == AlgebraElement(r.n, r.c, dict(r.terms))
         assert all(r.terms.values())
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from planar_rook import diagrams
 from planar_rook.algebra import from_diagram, identity, left_action_x
 from planar_rook.checks import check_isomorphism_classification, check_regular_decomposition
 from planar_rook.diagrams import (
@@ -15,14 +16,17 @@ from planar_rook.diagrams import (
     compositions,
     enumerate_planar,
     format_diagram,
+    from_profiles,
     multinomial,
     multiply,
     profiles_with_sizes,
+    top_profile,
     vertical_subdiagram,
 )
 from planar_rook.matrices import RationalMatrix
 from planar_rook.representations import (
     IrrepLabel,
+    _last_vertex_part,
     action_matrix,
     action_matrix_elem,
     action_trace,
@@ -331,3 +335,37 @@ def test_restriction_requires_positive_width():
     space = module_space(0, 1, Profile(0, 1, ((), ())))
     with pytest.raises(ValueError):
         restriction_decomposition(space)
+
+
+def test_last_edge_and_profiles_match_their_definitions():
+    for n, c in [(n, c) for n in range(5) for c in (1, 2)] + [(3, 3)]:
+        for a in pool(n, c):
+            for profile, row in ((top_profile(a), 0), (bottom_profile(a), 1)):
+                ends = {e[row]: e[2] for e in a.edges}
+                expected = tuple(tuple(v for v in range(1, n + 1) if ends.get(v, 0) == k) for k in range(c + 1))
+                assert (profile.n, profile.c, profile.parts) == (n, c, expected)
+            if n:
+                for part_index, part in enumerate(top_profile(a).parts):
+                    if n in part:
+                        break
+                assert _last_vertex_part(a) == part_index
+
+
+def test_products_and_module_queries_leave_the_diagram_caches_empty():
+    caches = [fn for fn in vars(diagrams).values() if hasattr(fn, "cache_info")]
+    for fn in caches:
+        fn.cache_clear()
+    for a in pool(3, 2):
+        for b in pool(3, 2):
+            multiply(a, b)
+    space = label_module(IrrepLabel((3, 1, 1)))
+    for top, bottom in [
+        (((1, 2, 3), (4,), (5,)), ((1, 2, 3), (4,), (5,))),
+        (((1, 5, 3), (2,), (4,)), ((2, 3, 4), (5,), (1,))),
+        (((2, 3, 4), (1,), (5,)), ((1, 4, 5), (3,), (2,))),
+    ]:
+        d = from_profiles(Profile(5, 2, top), Profile(5, 2, bottom))
+        diagram_action(d, space)
+        action_trace(d, space)
+    restriction_decomposition(space)
+    assert sum(fn.cache_info().currsize for fn in caches) == 0
