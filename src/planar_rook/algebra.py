@@ -2,8 +2,8 @@
 
 Elements are finite formal sums of planar diagrams with rational
 coefficients; the diagram product extends bilinearly.  Coefficients are
-``fractions.Fraction`` values throughout and floats are rejected, so every
-identity the verification suite checks is bit-exact.
+``fractions.Fraction`` values throughout; only ``int`` and ``Fraction``
+inputs are accepted, so every identity the suite checks is bit-exact.
 
 The alternating-sum basis ``x_d = sum over subdiagrams d' of d of
 (-1)^(size d - size d') d'`` turns left and right multiplication by a
@@ -24,13 +24,12 @@ from .diagrams import (
     Diagram,
     MismatchError,
     NonPlanarError,
-    Profile,
     bottom_colors,
     diagram_sort_key,
     format_diagram,
-    from_profiles,
     is_planar,
     multiply,
+    require_shape,
     tensor,
     top_colors,
 )
@@ -39,8 +38,8 @@ Rational = Fraction | int
 
 
 def _coeff(value: Rational) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError("coefficients must be exact rationals, not floats")
+    if type(value) is not int and not isinstance(value, Fraction):  # refuses bool, float, str, Decimal
+        raise TypeError(f"coefficients must be an int or a Fraction, got {value!r}")
     return Fraction(value)
 
 
@@ -58,6 +57,7 @@ class AlgebraElement:
     terms: Mapping[Diagram, Fraction]
 
     def __post_init__(self):
+        require_shape(self.n, self.c)
         clean = {}
         for d, coeff in self.terms.items():
             q = _coeff(coeff)
@@ -175,6 +175,7 @@ def identity(n: int, c: int) -> AlgebraElement:
     (c - 1) times the isolated pair; the width-n unit is its n-fold
     concatenation power.
     """
+    require_shape(n, c)
     if n == 0:
         return from_diagram(Diagram(0, c, ()))
     e1 = AlgebraElement(1, c, {unit_diagram(c, i): Fraction(1) for i in range(1, c + 1)})
@@ -244,31 +245,6 @@ def _require_planar_pair(d: Diagram, a: Diagram) -> None:
         raise MismatchError("diagrams live in different monoids")
     if not is_planar(d) or not is_planar(a):
         raise NonPlanarError("x-basis actions are defined for planar diagrams only")
-
-
-def x_pair_product(
-    s: Profile, t: Profile, u: Profile, v: Profile
-) -> Optional[tuple[Profile, Profile]]:
-    """Product of two profile-pair x-elements: (S,T) * (U,V).
-
-    Profile-pair elements multiply like elementary matrices: the product is
-    (S, V) when T equals U and zero (None) otherwise.
-    """
-    for left, right, who in ((s, t, "first"), (u, v, "second")):
-        if left.n != right.n or left.c != right.c:
-            raise MismatchError(f"{who} profile pair has mismatched (n, c)")
-        if left.sizes != right.sizes:
-            raise ValueError(f"{who} profile pair has part sizes {left.sizes} vs {right.sizes}")
-    if s.n != u.n or s.c != u.c:
-        raise MismatchError("profile pairs live in different monoids")
-    if t == u:
-        return (s, v)
-    return None
-
-
-def x_pair_diagram(s: Profile, t: Profile) -> Diagram:
-    """The diagram labeling the profile-pair x-element (S, T)."""
-    return from_profiles(s, t)
 
 
 def embed(g: AlgebraElement) -> AlgebraElement:

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .representations import CheckResult, IrrepLabel, all_labels
 
@@ -32,13 +34,14 @@ class BratteliGraph:
 
     def children_of(self, n: int, index: int) -> list[int]:
         """Indices of level-(n-1) vertices adjacent to vertex (n, index)."""
-        memo = self.__dict__.get("_children_index")
-        if memo is None:
-            memo = {}
-            for parent, child in self.edges:
-                memo.setdefault(parent, []).append(child[1])
-            object.__setattr__(self, "_children_index", memo)
-        return memo.get((n, index), [])
+        return self._children.get((n, index), [])
+
+    @cached_property
+    def _children(self) -> dict[IndexPath, list[int]]:
+        index: dict[IndexPath, list[int]] = {}
+        for parent, child in self.edges:
+            index.setdefault(parent, []).append(child[1])
+        return index
 
 
 def build(c: int, n_max: int) -> BratteliGraph:
@@ -76,14 +79,7 @@ def adjacency_count(n: int, c: int, x: int) -> int:
 
 def down_degree_histogram(graph: BratteliGraph, n: int) -> dict[int, int]:
     """Histogram of child counts over the level-n vertices."""
-    degrees = [0] * len(graph.levels[n])
-    for (level, parent_idx), _ in graph.edges:
-        if level == n:
-            degrees[parent_idx] += 1
-    histogram: dict[int, int] = {}
-    for deg in degrees:
-        histogram[deg] = histogram.get(deg, 0) + 1
-    return histogram
+    return dict(Counter(len(graph.children_of(n, idx)) for idx in range(len(graph.levels[n]))))
 
 
 def verify_multinomial_recursion(graph: BratteliGraph) -> CheckResult:

@@ -22,6 +22,7 @@ from . import algebra, bratteli, representations
 from .diagrams import (
     DEFAULT_DIAGRAM_CAP,
     Diagram,
+    Profile,
     bottom_profile,
     cardinality,
     enumerate_planar,
@@ -36,17 +37,16 @@ from .diagrams import (
     vertical_color_counts,
     vertical_subdiagram,
 )
-from .matrices import RationalMatrix
 from .representations import (
     CheckResult,
+    ModuleSpace,
     all_bottom_profiles,
     all_labels,
-    action_matrix,
-    action_matrix_elem,
     action_trace,
     are_isomorphic,
     compose_column_maps,
     diagram_action,
+    element_action_columns,
     fixed_size_span,
     label_module,
     module_space,
@@ -82,6 +82,17 @@ def _products(n: int, c: int, cap: int) -> dict[tuple[Diagram, Diagram], Diagram
     """Every product ``a * b`` in the monoid, ``a`` outer and ``b`` inner, for the |P|^2 sweeps."""
     pool = _all_planar(n, c, cap)
     return {(a, b): multiply(a, b) for a in pool for b in pool}
+
+
+@lru_cache(maxsize=None)
+def _actions(n: int, c: int, cap: int) -> dict[Profile, tuple[ModuleSpace, dict[Diagram, tuple]]]:
+    """Each bottom profile's module and the column map of every monoid diagram on it, for the module sweeps."""
+    pool = _all_planar(n, c, cap)
+    table = {}
+    for profile in all_bottom_profiles(n, c):
+        space = module_space(n, c, profile)
+        table[profile] = space, {d: diagram_action(d, space) for d in pool}
+    return table
 
 
 def _draws(scope: Scope, samples: int, seed: int, k: int, cap: int) -> list[tuple[Diagram, ...]]:
@@ -360,18 +371,15 @@ def check_rho_homomorphism(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> Chec
     witnesses = []
     checked = 0
     for n, c in _shapes(scope):
-        pool = _all_planar(n, c, cap)
-        table = _products(n, c, cap)
+        actions = _actions(n, c, cap)
         unit = algebra.identity(n, c)
-        for profile in all_bottom_profiles(n, c):
-            space = module_space(n, c, profile)
+        for profile, (space, _) in actions.items():
             checked += 1
-            if action_matrix_elem(unit, space) != RationalMatrix.identity(space.dimension):
+            if element_action_columns(unit, space) != [{j: 1} for j in range(space.dimension)]:
                 witnesses.append(f"unit does not act as identity on bottom {profile.parts}")
         for label in all_labels(n, c):
-            space = label_module(label)
-            maps = {d: diagram_action(d, space) for d in pool}
-            for (d1, d2), d12 in table.items():
+            maps = actions[label.representative()][1]
+            for (d1, d2), d12 in _products(n, c, cap).items():
                 checked += 1
                 if compose_column_maps(maps[d1], maps[d2]) != maps[d12]:
                     witnesses.append(
@@ -382,19 +390,17 @@ def check_rho_homomorphism(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> Chec
 
 
 def check_column_structure(scope: Scope, cap: int = DEFAULT_DIAGRAM_CAP) -> CheckResult:
-    """Single-diagram action matrices have unit-or-zero columns."""
+    """A single diagram sends each basis vector to one basis vector or to zero."""
     witnesses = []
     checked = 0
     for n, c in _shapes(scope):
+        actions = _actions(n, c, cap)
         for label in all_labels(n, c):
-            space = label_module(label)
-            for d in _all_planar(n, c, cap):
+            space, maps = actions[label.representative()]
+            for d, column in maps.items():
                 checked += 1
-                matrix = action_matrix(d, space)
-                for j in range(space.dimension):
-                    column = [matrix.rows[i][j] for i in range(space.dimension)]
-                    nonzero = [v for v in column if v]
-                    if len(nonzero) > 1 or any(v != 1 for v in nonzero):
+                for j, i in enumerate(column):
+                    if i is not None and not (type(i) is int and 0 <= i < space.dimension):
                         witnesses.append(f"{format_diagram(d)} on {label.encode()} column {j}")
     return CheckResult("modules.column-structure", checked, witnesses)
 
@@ -466,31 +472,26 @@ def check_isomorphism_classification(scope: Scope, cap: int = DEFAULT_DIAGRAM_CA
     witnesses = []
     checked = 0
     for n, c in _shapes(scope):
-        pool = _all_planar(n, c, cap)
-        profiles = list(all_bottom_profiles(n, c))
-        spaces = {p: module_space(n, c, p) for p in profiles}
-        maps = {
-            p: {d: diagram_action(d, spaces[p]) for d in pool} for p in profiles
-        }
-        for p1 in profiles:
-            for p2 in profiles:
+        actions = _actions(n, c, cap)
+        for p1, (space1, maps1) in actions.items():
+            for p2, (space2, maps2) in actions.items():
                 checked += 1
-                result = are_isomorphic(spaces[p1], spaces[p2])
+                result = are_isomorphic(space1, space2)
                 if result.isomorphic != (p1.sizes == p2.sizes):
                     witnesses.append(f"classification differs from size criterion: {p1.parts} vs {p2.parts}")
                     continue
                 if result.isomorphic:
                     d = result.intertwiner
                     try:
-                        phi = [spaces[p2].index_of(multiply(a, d)) for a in spaces[p1].basis]
+                        phi = [space2.index_of(multiply(a, d)) for a in space1.basis]
                     except KeyError:
                         witnesses.append(f"intertwiner leaves the target basis: {p1.parts} vs {p2.parts}")
                         continue
                     if sorted(phi) != list(range(len(phi))):
                         witnesses.append(f"intertwiner is not a bijection: {p1.parts} vs {p2.parts}")
                         continue
-                    for g in pool:
-                        act1, act2 = maps[p1][g], maps[p2][g]
+                    for g, act1 in maps1.items():
+                        act2 = maps2[g]
                         if any(
                             (None if act1[i] is None else phi[act1[i]]) != act2[phi[i]]
                             for i in range(len(phi))
@@ -502,10 +503,10 @@ def check_isomorphism_classification(scope: Scope, cap: int = DEFAULT_DIAGRAM_CA
                             break
                 else:
                     d = result.distinguisher
-                    live, dead = (p1, p2) if result.annihilated == 2 else (p2, p1)
-                    if all(i is None for i in maps[live][d]):
+                    live, dead = (maps1, maps2) if result.annihilated == 2 else (maps2, maps1)
+                    if all(i is None for i in live[d]):
                         witnesses.append(f"distinguisher acts as zero on both: {p1.parts} vs {p2.parts}")
-                    if any(i is not None for i in maps[dead][d]):
+                    if any(i is not None for i in dead[d]):
                         witnesses.append(f"distinguisher does not annihilate: {p1.parts} vs {p2.parts}")
     return CheckResult("modules.isomorphism-classification", checked, witnesses)
 
@@ -685,7 +686,8 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> list[CheckResult]
             check_tower_restriction_consistency(clip(4, 2)),
             check_pascal_triangle(config.n_cap),
         ]
-    finally:  # the pools and the product table live for one run only
+    finally:  # the pools, the product table and the action table live for one run only
+        _actions.cache_clear()
         _products.cache_clear()
         _all_planar.cache_clear()
     results.sort(key=lambda r: r.name)

@@ -167,6 +167,9 @@ def _cmd_mul(args) -> int:
 
 def _cmd_xbasis(args) -> int:
     d = parse_diagram(args.diagram)
+    cap = _env_int(ENV_DIAGRAM_CAP, DEFAULT_DIAGRAM_CAP)
+    if 2 ** d.size > cap:  # both directions build every subdiagram
+        raise CapExceededError(f"{2 ** d.size} subdiagrams of a {d.size}-edge diagram exceed the cap of {cap}")
     if args.invert:
         coords = to_x_coordinates(from_diagram(d))
         terms = sorted(coords.items(), key=lambda item: diagram_sort_key(item[0]))

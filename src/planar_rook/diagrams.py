@@ -81,6 +81,14 @@ def _canonical_edges(n: int, c: int, edges: Iterable[Edge]) -> tuple[Edge, ...]:
     return tuple(sorted(out))
 
 
+def require_shape(n: int, c: int) -> None:
+    """Refuse a width that is not an int >= 0 or a color count that is not an int >= 1 (bools too)."""
+    if type(n) is not int or n < 0:
+        raise InvalidDiagramError("vertex-range", f"n must be a non-negative int, got {n!r}")
+    if type(c) is not int or c < 1:
+        raise InvalidDiagramError("color-range", f"c must be a positive int, got {c!r}")
+
+
 @dataclass(frozen=True)
 class Diagram:
     """A c-colored rook diagram on two rows of ``n`` vertices.
@@ -95,10 +103,7 @@ class Diagram:
     edges: tuple[Edge, ...] = ()
 
     def __post_init__(self):
-        if type(self.n) is not int or self.n < 0:
-            raise InvalidDiagramError("vertex-range", f"n must be a non-negative int, got {self.n!r}")
-        if type(self.c) is not int or self.c < 1:
-            raise InvalidDiagramError("color-range", f"c must be a positive int, got {self.c!r}")
+        require_shape(self.n, self.c)
         object.__setattr__(self, "edges", _canonical_edges(self.n, self.c, self.edges))
 
     @classmethod

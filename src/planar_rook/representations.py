@@ -1,11 +1,11 @@
-"""Irreducible modules, action matrices, characters, and finite verification.
+"""Irreducible modules, column-map actions, characters, and finite verification.
 
 The module with bottom profile T is spanned by the x-basis vectors of all
 planar diagrams whose bottom profile is T; a diagram acts on such a vector
-as another basis vector or as zero, so its action matrix has unit-or-zero
-columns.  Isomorphism classes are labeled by the part-size composition
-(n_0, ..., n_c), and the dimension of a class is its multinomial
-coefficient.
+as another basis vector or as zero, so its column map (one image index or
+None per basis vector) describes the action completely.  Isomorphism
+classes are labeled by the part-size composition (n_0, ..., n_c), and the
+dimension of a class is its multinomial coefficient.
 
 The per-object verifiers here check one module, block or table and return
 the same :class:`CheckResult` as the sweeps in ``checks``, with explicit
@@ -44,7 +44,6 @@ from .diagrams import (
     vertical_color_counts,
     vertical_diagram,
 )
-from .matrices import RationalMatrix
 
 #: Largest class dimension m for which verify_matrix_algebra expands all m^4 matrix-unit products.
 MATRIX_ALGEBRA_DIM_CAP = 12
@@ -219,12 +218,6 @@ def compose_column_maps(
     return tuple(None if j is None else outer[j] for j in inner)
 
 
-def action_matrix(d: Diagram, space: ModuleSpace) -> RationalMatrix:
-    """The 0/1 action matrix of a single diagram."""
-    cols = [({i: Fraction(1)} if i is not None else {}) for i in diagram_action(d, space)]
-    return RationalMatrix.from_columns(cols, space.dimension)
-
-
 def element_action_columns(g: AlgebraElement, space: ModuleSpace) -> list[dict[int, Fraction]]:
     """Sparse action columns of a general element, exact coefficients."""
     cols: list[dict[int, Fraction]] = [dict() for _ in space.basis]
@@ -233,10 +226,6 @@ def element_action_columns(g: AlgebraElement, space: ModuleSpace) -> list[dict[i
             if i is not None:
                 cols[j][i] = cols[j].get(i, Fraction(0)) + coeff
     return [{i: v for i, v in col.items() if v} for col in cols]
-
-
-def action_matrix_elem(g: AlgebraElement, space: ModuleSpace) -> RationalMatrix:
-    return RationalMatrix.from_columns(element_action_columns(g, space), space.dimension)
 
 
 def action_trace(d: Diagram, space: ModuleSpace) -> int:
@@ -500,14 +489,6 @@ def restriction_decomposition(space: ModuleSpace) -> list[IrrepLabel]:
             raise AssertionError("a restriction group must span its child class")
         out.append(child)
     return out
-
-
-def restriction_adapted_space(space: ModuleSpace) -> tuple[ModuleSpace, list[int]]:
-    """Reorder the basis by restriction group; returns the space and block sizes."""
-    groups = restriction_groups(space)
-    order = [idx for _, indices in groups for idx in indices]
-    basis = tuple(space.basis[i] for i in order)
-    return ModuleSpace(space.n, space.c, space.bottom, basis), [len(g) for _, g in groups]
 
 
 def _strip_last_top_vertex(profile: Profile, part_index: int) -> Profile:

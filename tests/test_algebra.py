@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -15,17 +16,17 @@ from planar_rook.algebra import (
     to_x_coordinates,
     unit_diagram,
     x_of,
-    x_pair_diagram,
-    x_pair_product,
     zero,
 )
 from planar_rook.diagrams import (
     Diagram,
+    InvalidDiagramError,
     MismatchError,
     NonPlanarError,
     Profile,
     bottom_profile,
     compositions,
+    from_profiles,
     multiply,
     profiles_with_sizes,
 )
@@ -48,6 +49,34 @@ def test_float_coefficients_rejected():
         from_diagram(d, 0.5)
     with pytest.raises(TypeError):
         from_diagram(d).scale(1.5)
+
+
+@pytest.mark.parametrize("value", ["1/2", " 3 ", True, False, Decimal("0.5"), 0.5, None])
+def test_coefficients_are_ints_or_fractions(value):
+    d = Diagram(1, 1, [(1, 1, 1)])
+    g = from_diagram(d)
+    for build in (lambda: AlgebraElement(1, 1, {d: value}), lambda: from_diagram(d, value),
+                  lambda: g.scale(value), lambda: g * value, lambda: value * g):
+        with pytest.raises(TypeError):
+            build()
+
+
+@pytest.mark.parametrize("n, c, reason", [
+    (-5, "x", "vertex-range"), (2.0, 1, "vertex-range"), (True, 1, "vertex-range"),
+    (1, 0, "color-range"), (1, 1.0, "color-range"), (1, True, "color-range"),
+])
+def test_element_shapes_are_checked_like_diagrams(n, c, reason):
+    for build in (lambda: AlgebraElement(n, c, {}), lambda: Diagram(n, c, ())):
+        with pytest.raises(InvalidDiagramError) as info:
+            build()
+        assert info.value.reason == reason
+
+
+def test_identity_refuses_invalid_shapes():
+    for n, c, reason in ((-1, 2, "vertex-range"), (-3, 1, "vertex-range"), (2, 0, "color-range")):
+        with pytest.raises(InvalidDiagramError) as info:
+            identity(n, c)
+        assert info.value.reason == reason
 
 
 def test_elements_reject_nonplanar_terms():
@@ -197,25 +226,15 @@ def test_x_pair_product_matches_expansion_exhaustive():
     pairs = list(_same_size_pairs(2, 2))
     for s, t in pairs:
         for u, v in pairs:
-            fast = x_pair_product(s, t, u, v)
-            assert (fast == (s, v)) if t == u else (fast is None)
-            expansion = x_of(x_pair_diagram(s, t)) * x_of(x_pair_diagram(u, v))
-            expected = x_of(x_pair_diagram(s, v)) if t == u else zero(2, 2)
+            expansion = x_of(from_profiles(s, t)) * x_of(from_profiles(u, v))
+            expected = x_of(from_profiles(s, v)) if t == u else zero(2, 2)
             assert expansion == expected
 
 
 def test_x_pair_product_idempotent():
     t = Profile(2, 2, ((2,), (1,), ()))
-    assert x_pair_product(t, t, t, t) == (t, t)
-    e = x_of(x_pair_diagram(t, t))
+    e = x_of(from_profiles(t, t))
     assert e * e == e
-
-
-def test_x_pair_product_size_precondition():
-    s = Profile(2, 1, ((1,), (2,)))
-    t = Profile(2, 1, ((1, 2), ()))
-    with pytest.raises(ValueError):
-        x_pair_product(s, t, s, s)
 
 
 def test_embed_single_color_is_plain_concatenation():

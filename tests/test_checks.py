@@ -157,7 +157,26 @@ def test_product_sweeps_catch_stacking_mutant(monkeypatch, check):
     assert outcome.witnesses
 
 
+def test_column_structure_catches_out_of_range_images(monkeypatch):
+    # Mutant action: every nonzero column points one past the last basis index.
+    real = representations.diagram_action
+
+    def overshooting(d, space):
+        return tuple(None if i is None else space.dimension for i in real(d, space))
+
+    checks._actions.cache_clear()  # a table built by an earlier test holds the real actions
+    monkeypatch.setattr(checks, "diagram_action", overshooting)
+    monkeypatch.setattr(representations, "diagram_action", overshooting)
+    try:
+        outcome = checks.check_column_structure((2, 2))
+    finally:
+        checks._actions.cache_clear()
+    assert not outcome.ok
+    assert outcome.witnesses
+
+
 def test_verification_drops_its_tables():
     run_verification(VerifyConfig(n_cap=2, c_cap=1, samples=10))
+    assert checks._actions.cache_info().currsize == 0
     assert checks._products.cache_info().currsize == 0
     assert checks._all_planar.cache_info().currsize == 0

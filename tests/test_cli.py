@@ -175,6 +175,31 @@ def test_xbasis_invert(capsys):
     assert out.strip() == "1 * x[n=1 c=1 []] + 1 * x[n=1 c=1 [1-1:1]]"
 
 
+@pytest.mark.parametrize("extra", [[], ["--invert"]])
+def test_xbasis_obeys_the_cap(capsys, monkeypatch, extra):
+    # The 14-edge identity at (14, 1) has 2^14 = 16384 subdiagrams.
+    literal = "n=14 c=1 [" + ", ".join(f"{i}-{i}:1" for i in range(1, 15)) + "]"
+    monkeypatch.setenv("PLANAR_ROOK_CAP", "10")
+    code, out, err = run(capsys, "xbasis", literal, *extra)
+    assert code == 2
+    assert out == ""
+    assert "16384" in err and "cap" in err
+    monkeypatch.setenv("PLANAR_ROOK_CAP", "8")  # 2^3 subdiagrams fit exactly
+    assert run(capsys, "xbasis", "n=3 c=1 [1-1:1, 2-2:1, 3-3:1]", *extra)[0] == 0
+
+
+def test_verify_never_imports_the_matrix_module():
+    script = (
+        "import sys\n"
+        "from planar_rook import cli\n"
+        "code = cli.main(['verify', '--n-cap', '2', '--c-cap', '1'])\n"
+        "sys.exit(3 if 'planar_rook.matrices' in sys.modules else code)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_chartable_stdout(capsys):
     code, out, _ = run(capsys, "chartable", "-n", "2", "-c", "1")
     assert code == 0

@@ -1,10 +1,9 @@
 import math
-from fractions import Fraction
 
 import pytest
 
 from planar_rook import diagrams
-from planar_rook.algebra import from_diagram, identity, left_action_x
+from planar_rook.algebra import embed, from_diagram, identity, left_action_x
 from planar_rook.checks import check_isomorphism_classification, check_regular_decomposition
 from planar_rook.diagrams import (
     CapExceededError,
@@ -23,12 +22,9 @@ from planar_rook.diagrams import (
     top_profile,
     vertical_subdiagram,
 )
-from planar_rook.matrices import RationalMatrix
 from planar_rook.representations import (
     IrrepLabel,
     _last_vertex_part,
-    action_matrix,
-    action_matrix_elem,
     action_trace,
     all_bottom_profiles,
     all_labels,
@@ -36,13 +32,15 @@ from planar_rook.representations import (
     character,
     character_table,
     character_table_csv,
+    compose_column_maps,
     diagram_action,
+    element_action_columns,
     fixed_size_span,
     label_module,
     module_space,
     regular_decomposition,
-    restriction_adapted_space,
     restriction_decomposition,
+    restriction_groups,
     verify_character_table,
     verify_irreducible,
     verify_matrix_algebra,
@@ -96,22 +94,21 @@ def test_unit_acts_as_identity_matrix():
             unit = identity(n, c)
             for profile in all_bottom_profiles(n, c):
                 space = module_space(n, c, profile)
-                assert action_matrix_elem(unit, space) == RationalMatrix.identity(space.dimension)
+                assert element_action_columns(unit, space) == [{j: 1} for j in range(space.dimension)]
 
 
 def test_empty_diagram_acts_as_zero_on_colored_modules():
     space = module_space(2, 2, Profile(2, 2, ((2,), (1,), ())))
-    matrix = action_matrix(Diagram(2, 2, []), space)
-    assert matrix == RationalMatrix.zero(space.dimension, space.dimension)
+    assert diagram_action(Diagram(2, 2, []), space) == (None,) * space.dimension
 
 
 def test_action_is_multiplicative_exhaustive_small():
     for profile in all_bottom_profiles(2, 2):
         space = module_space(2, 2, profile)
         for d1 in pool(2, 2):
-            m1 = action_matrix(d1, space)
+            m1 = diagram_action(d1, space)
             for d2 in pool(2, 2):
-                assert m1 @ action_matrix(d2, space) == action_matrix(multiply(d1, d2), space)
+                assert compose_column_maps(m1, diagram_action(d2, space)) == diagram_action(multiply(d1, d2), space)
 
 
 def test_action_rejects_nonplanar():
@@ -124,9 +121,9 @@ def test_action_columns_are_unit_or_zero():
     for profile in all_bottom_profiles(2, 2):
         space = module_space(2, 2, profile)
         for d in pool(2, 2):
-            for column in zip(*action_matrix(d, space).rows):
-                nonzero = [v for v in column if v]
-                assert nonzero in ([], [Fraction(1)])
+            column_map = diagram_action(d, space)
+            assert len(column_map) == space.dimension
+            assert all(i is None or (type(i) is int and 0 <= i < space.dimension) for i in column_map)
 
 
 def test_irreducibility_of_all_small_modules():
@@ -321,14 +318,13 @@ def test_restriction_verifies_small():
 
 def test_restriction_adapted_blocks():
     space = label_module(IrrepLabel((1, 1, 1)))
-    adapted, block_sizes = restriction_adapted_space(space)
-    assert set(adapted.basis) == set(space.basis)
-    assert block_sizes == [2, 2, 2]
-    from planar_rook.algebra import embed
-
+    groups = restriction_groups(space)
+    assert sorted(i for _, indices in groups for i in indices) == list(range(space.dimension))
+    assert [len(indices) for _, indices in groups] == [2, 2, 2]
+    group_of = {i: j for j, indices in groups for i in indices}
     for d in pool(2, 2):
-        matrix = action_matrix_elem(embed(from_diagram(d)), adapted)
-        assert matrix.is_block_diagonal(block_sizes)
+        for col_index, column in enumerate(element_action_columns(embed(from_diagram(d)), space)):
+            assert all(group_of[i] == group_of[col_index] for i in column)
 
 
 def test_restriction_requires_positive_width():
