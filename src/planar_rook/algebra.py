@@ -254,12 +254,7 @@ def embed(g: AlgebraElement) -> AlgebraElement:
     with each single vertical edge, minus (c - 1) times g concatenated with
     an isolated pair.  Equivalently, g tensored with the width-1 unit.
     """
-    c = g.c
-    out = zero(g.n + 1, c)
-    for i in range(1, c + 1):
-        out += g.tensor(from_diagram(unit_diagram(c, i)))
-    out += g.tensor(from_diagram(unit_diagram(c, 0))).scale(-(c - 1))
-    return out
+    return g.tensor(identity(1, g.c))
 
 
 def format_element(g: AlgebraElement) -> str:

@@ -7,7 +7,9 @@ resource-cap errors.  All data output is deterministic for fixed flags.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import os
 import random
 import re
@@ -19,10 +21,6 @@ from .checks import VerifyConfig, run_verification
 from .diagrams import (
     DEFAULT_DIAGRAM_CAP,
     CapExceededError,
-    InvalidDiagramError,
-    MismatchError,
-    NonPlanarError,
-    ParseError,
     cardinality,
     compositions,
     diagram_sort_key,
@@ -53,6 +51,11 @@ def _env_int(name: str, fallback: int) -> int:
         return integer(value)
     except ValueError:
         raise ValueError(f"environment variable {name}={value!r} is not an integer")
+
+
+def _diagram_cap(option: int | None = None) -> int:
+    """The diagram cap: the command's ``--cap``, else ``PLANAR_ROOK_CAP``, else the default."""
+    return option if option is not None else _env_int(ENV_DIAGRAM_CAP, DEFAULT_DIAGRAM_CAP)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,8 +137,7 @@ def _cmd_enumerate(args) -> int:
     if args.n < 0 or args.c < 1:
         print("enumerate needs n >= 0 and c >= 1", file=sys.stderr)
         return 2
-    cap = args.cap if args.cap is not None else _env_int(ENV_DIAGRAM_CAP, DEFAULT_DIAGRAM_CAP)
-    for d in enumerate_planar(args.n, args.c, cap):
+    for d in enumerate_planar(args.n, args.c, _diagram_cap(args.cap)):
         print(format_diagram(d))
     return 0
 
@@ -148,7 +150,7 @@ def _cmd_mul(args) -> int:
     right = parse_diagram(args.right)
     product = multiply(left, right)
     if args.spot_check:  # built before any output, so a refused cap prints nothing
-        pool = list(enumerate_planar(left.n, left.c, _env_int(ENV_DIAGRAM_CAP, DEFAULT_DIAGRAM_CAP)))
+        pool = list(enumerate_planar(left.n, left.c, _diagram_cap()))
     if args.as_matrix:
         print(format_matrix(product))
     else:
@@ -167,7 +169,7 @@ def _cmd_mul(args) -> int:
 
 def _cmd_xbasis(args) -> int:
     d = parse_diagram(args.diagram)
-    cap = _env_int(ENV_DIAGRAM_CAP, DEFAULT_DIAGRAM_CAP)
+    cap = _diagram_cap()
     if 2 ** d.size > cap:  # both directions build every subdiagram
         raise CapExceededError(f"{2 ** d.size} subdiagrams of a {d.size}-edge diagram exceed the cap of {cap}")
     if args.invert:
@@ -185,8 +187,7 @@ def _cmd_chartable(args) -> int:
         return 2
     payload = character_table_csv(args.n, args.c)
     if args.verify:
-        cap = args.cap if args.cap is not None else _env_int(ENV_DIAGRAM_CAP, DEFAULT_DIAGRAM_CAP)
-        outcome = verify_character_table(args.n, args.c, cap)
+        outcome = verify_character_table(args.n, args.c, _diagram_cap(args.cap))
         if not outcome:
             for failure in outcome.witnesses:
                 print(failure, file=sys.stderr)
@@ -196,6 +197,13 @@ def _cmd_chartable(args) -> int:
 
 
 def _cmd_bratteli(args) -> int:
+    if args.n < 0 or args.c < 1:
+        print("bratteli needs n >= 0 and c >= 1", file=sys.stderr)
+        return 2
+    cap = _diagram_cap()
+    # Levels 0..n hold C(n+c+1, n) >= 2^min(n, c+1) vertices; the power bound spares a huge binomial.
+    if min(args.n, args.c + 1) > cap.bit_length() or math.comb(args.n + args.c + 1, args.n) > cap:
+        raise CapExceededError(f"the tower to level {args.n} at c={args.c} has more than {cap} vertices")
     graph = bratteli.build(args.c, args.n)
     payload = bratteli.emit(graph, args.format)
     _write_bytes(args.out, payload)
@@ -206,7 +214,7 @@ def _cmd_verify(args) -> int:
     config = VerifyConfig(
         n_cap=args.n_cap if args.n_cap is not None else _env_int(ENV_N_CAP, 3),
         c_cap=args.c_cap if args.c_cap is not None else _env_int(ENV_C_CAP, 2),
-        diagram_cap=args.cap if args.cap is not None else _env_int(ENV_DIAGRAM_CAP, DEFAULT_DIAGRAM_CAP),
+        diagram_cap=_diagram_cap(args.cap),
         samples=args.samples,
         seed=args.seed,
     )
@@ -215,13 +223,7 @@ def _cmd_verify(args) -> int:
         return 2
     results = run_verification(config)
     report = {
-        "config": {
-            "n_cap": config.n_cap,
-            "c_cap": config.c_cap,
-            "diagram_cap": config.diagram_cap,
-            "samples": config.samples,
-            "seed": config.seed,
-        },
+        "config": dataclasses.asdict(config),
         "ok": all(r.ok for r in results),
         "checks": [r.as_dict() for r in results],
     }
@@ -259,7 +261,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, InvalidDiagramError, MismatchError, NonPlanarError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapExceededError as exc:

@@ -165,13 +165,13 @@ def label_module(label: IrrepLabel) -> ModuleSpace:
     return module_space(label.n, label.c, label.representative())
 
 
-def fixed_size_span(n: int, c: int, k: int, cap: int = DEFAULT_DIAGRAM_CAP) -> ModuleSpace:
+def fixed_size_span(n: int, c: int, k: int) -> ModuleSpace:
     """The span of all x-vectors of diagrams with exactly k edges.
 
     Invariant under the action but reducible for k >= 1 and n >= 2: the
     action preserves bottom profiles, so transitivity fails across them.
     """
-    basis = tuple(d for d in enumerate_planar(n, c, cap) if d.size == k)
+    basis = tuple(d for d in enumerate_planar(n, c) if d.size == k)
     return ModuleSpace(n, c, None, basis)
 
 
@@ -236,13 +236,14 @@ def action_trace(d: Diagram, space: ModuleSpace) -> int:
 # ---------------------------------------------------------------------------
 # Irreducibility and isomorphism classification.
 
-def verify_irreducible(space: ModuleSpace, cap: int = DEFAULT_DIAGRAM_CAP) -> CheckResult:
+def verify_irreducible(space: ModuleSpace) -> CheckResult:
     """Check that the span has no proper nonzero invariant subspace.
 
     For a single-bottom-profile module this is constructive: the diagram
     that projects onto one basis vector and the diagram that transports any
-    basis vector to any other are built from profiles and then verified
-    through their action columns.  For inhomogeneous spans transitivity is
+    basis vector to any other are built from profiles; the projector is
+    verified through its action column, each transporter through its action
+    on the one vector it must move.  For inhomogeneous spans transitivity is
     decided from the orbit of each basis vector under the whole monoid
     (one set per vector, so |P| actions each); failure witnesses name an
     unreachable pair.
@@ -260,17 +261,17 @@ def verify_irreducible(space: ModuleSpace, cap: int = DEFAULT_DIAGRAM_CAP) -> Ch
                 witnesses.append(
                     f"projector {format_diagram(projector)} is not the unit projection at {format_diagram(a)}"
                 )
-            for b_idx, b in enumerate(space.basis):
+            for b in space.basis:
                 transporter = from_profiles(top_profile(b), ta)
                 checked += 1
-                if diagram_action(transporter, space)[a_idx] != b_idx:
+                if left_action_x(transporter, a) != b:
                     witnesses.append(
                         f"transport {format_diagram(transporter)} fails to map "
                         f"{format_diagram(a)} to {format_diagram(b)}"
                     )
         return CheckResult("modules.irreducible", checked, witnesses)
 
-    monoid = list(enumerate_planar(space.n, space.c, cap))
+    monoid = list(enumerate_planar(space.n, space.c))
     for a in space.basis:
         orbit = {left_action_x(d, a) for d in monoid}
         for b in space.basis:
@@ -338,7 +339,7 @@ def regular_decomposition(n: int, c: int) -> list[tuple[IrrepLabel, int]]:
     return decomposition
 
 
-def verify_matrix_algebra(n: int, c: int, label: IrrepLabel, cap: int = DEFAULT_DIAGRAM_CAP) -> CheckResult:
+def verify_matrix_algebra(n: int, c: int, label: IrrepLabel) -> CheckResult:
     """Check one block behaves as a full matrix algebra, by full expansion.
 
     Indexes the bottom profiles of the class, multiplies the profile-pair
@@ -352,7 +353,7 @@ def verify_matrix_algebra(n: int, c: int, label: IrrepLabel, cap: int = DEFAULT_
     m = label.dimension()
     if m > MATRIX_ALGEBRA_DIM_CAP:
         raise CapExceededError(f"class dimension {m} exceeds the cap of {MATRIX_ALGEBRA_DIM_CAP}")
-    monoid = enumerate_planar(n, c, cap)
+    monoid = enumerate_planar(n, c)
 
     profiles = list(profiles_with_sizes(n, c, label.sizes))
     x_elems = {
@@ -499,7 +500,7 @@ def _strip_last_top_vertex(profile: Profile, part_index: int) -> Profile:
     return Profile(profile.n - 1, profile.c, tuple(parts))
 
 
-def verify_restriction(space: ModuleSpace, cap: int = DEFAULT_DIAGRAM_CAP) -> CheckResult:
+def verify_restriction(space: ModuleSpace) -> CheckResult:
     """Check the three restriction claims on one module.
 
     (a) each group span is invariant under the embedded action of every
@@ -509,7 +510,7 @@ def verify_restriction(space: ModuleSpace, cap: int = DEFAULT_DIAGRAM_CAP) -> Ch
     """
     label = space.label()
     n, c = space.n, space.c
-    monoid = enumerate_planar(n - 1, c, cap)
+    monoid = enumerate_planar(n - 1, c)
     groups = restriction_groups(space)
     witnesses: list[str] = []
     checked = 0

@@ -1,8 +1,9 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from planar_rook import algebra, checks, representations
+from planar_rook import algebra, checks, diagrams, representations
 from planar_rook.algebra import AlgebraElement, subdiagrams, unit_diagram
 from planar_rook.checks import VerifyConfig, run_verification
 from planar_rook.diagrams import CapExceededError, Diagram, from_profiles, is_planar
@@ -56,6 +57,25 @@ def test_zero_cap_is_vacuously_green():
 def test_tiny_diagram_cap_raises_distinct_error():
     with pytest.raises(CapExceededError):
         run_verification(VerifyConfig(diagram_cap=3, samples=10))
+
+
+@pytest.mark.parametrize("n_cap, c_cap, largest", [(3, 2, 93), (2, 2, 15)])
+def test_verification_refuses_its_cap_before_building(monkeypatch, n_cap, c_cap, largest):
+    # |P| at the largest swept shape, clip(5, 3), bounds the whole run.
+    real = diagrams._enumerate_planar
+    built = []
+
+    def counting(n, c):
+        for d in real(n, c):
+            built.append(d)
+            yield d
+
+    monkeypatch.setattr(diagrams, "_enumerate_planar", counting)
+    config = VerifyConfig(n_cap=n_cap, c_cap=c_cap, diagram_cap=largest - 1, samples=20)
+    with pytest.raises(CapExceededError, match=rf"\|P_\{{{n_cap},{c_cap}\}}\| = {largest} exceeds"):
+        run_verification(config)
+    assert built == []
+    assert all(r.ok for r in run_verification(dataclasses.replace(config, diagram_cap=largest)))
 
 
 def _sign_flipped_x_of(d):

@@ -241,6 +241,24 @@ def test_bratteli_json_levels(capsys):
     assert [len(level) for level in payload["levels"]] == [1, 2, 3, 4, 5]
 
 
+def test_bratteli_obeys_the_cap(capsys, monkeypatch):
+    # Levels 0..2 at c=2 hold 1 + 3 + 6 = 10 vertices.
+    uncapped = run(capsys, "bratteli", "-c", "2", "-n", "2")
+    assert uncapped[0] == 0
+    monkeypatch.setenv("PLANAR_ROOK_CAP", "9")
+    code, out, err = run(capsys, "bratteli", "-c", "2", "-n", "2")
+    assert (code, out) == (2, "")
+    assert "cap" in err
+    monkeypatch.setenv("PLANAR_ROOK_CAP", "10")
+    assert run(capsys, "bratteli", "-c", "2", "-n", "2") == uncapped
+    monkeypatch.delenv("PLANAR_ROOK_CAP")
+    # C(1999999, 999999) vertices: refused without evaluating the binomial, which takes tens of seconds.
+    assert run(capsys, "bratteli", "-c", "999999", "-n", "999999")[:2] == (2, "")
+    code, out, err = run(capsys, "bratteli", "-c", "2", "-n", "-1")
+    assert (code, out) == (2, "")
+    assert "n >= 0" in err
+
+
 def test_bratteli_unknown_format(capsys):
     code, _, _ = run(capsys, "bratteli", "-c", "2", "-n", "2", "--format", "xml")
     assert code == 2

@@ -5,14 +5,16 @@ from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from planar_rook.algebra import subdiagrams
+from planar_rook.algebra import AlgebraElement, subdiagrams
 from planar_rook.diagrams import (
     CapExceededError,
     Diagram,
     InvalidDiagramError,
     MismatchError,
+    NonPlanarError,
     ParseError,
     Profile,
     bottom_profile,
@@ -86,6 +88,81 @@ def test_constructor_rejects_non_int_shape(n, c, reason):
     with pytest.raises(InvalidDiagramError) as excinfo:
         Diagram(n, c, [])
     assert excinfo.value.reason == reason
+
+
+@st.composite
+def rook_edge_lists(draw, min_size: int = 0, max_n: int = 6, max_c: int = 3):
+    """(n, c, edges): a rook edge list in random order, planar or not."""
+    n, c = draw(st.integers(max(1, min_size), max_n)), draw(st.integers(1, max_c))
+    tops, bottoms = (draw(st.permutations(range(1, n + 1))) for _ in range(2))
+    size = draw(st.integers(min_size, n))
+    return n, c, [(t, b, draw(st.integers(1, c))) for t, b in zip(tops[:size], bottoms[:size])]
+
+
+NON_INTS = st.sampled_from([1.0, 2.5, True, False, "1"])
+
+
+@st.composite
+def faulty_edge_lists(draw):
+    """(n, c, edges, reason): a rook edge list with one injected fault, and the reason it must raise."""
+    n, c, edges = draw(rook_edge_lists())
+    fault = draw(st.sampled_from(["vertex-range", "color-range", "edge-shape", "duplicate-top", "duplicate-bottom"]))
+    t, b, k = draw(st.integers(1, n)), draw(st.integers(1, n)), draw(st.integers(1, c))
+    if fault.startswith("duplicate"):  # repeat a vertex of an earlier edge, at the end
+        assume(edges)
+        source = draw(st.sampled_from(edges))
+        if fault == "duplicate-top":
+            return n, c, edges + [(source[0], b, k)], fault
+        free = sorted(set(range(1, n + 1)) - {e[0] for e in edges})
+        assume(free)
+        return n, c, edges + [(draw(st.sampled_from(free)), source[1], k)], fault
+    if fault == "vertex-range":
+        bad = draw(NON_INTS | st.sampled_from([0, -1, n + 1]))
+        edge = draw(st.sampled_from([(bad, b, k), (t, bad, k)]))
+    elif fault == "color-range":
+        edge = (t, b, draw(NON_INTS | st.sampled_from([0, -1, c + 1])))
+    else:
+        edge = draw(st.sampled_from([(t, b), (t, b, k, k), None, t]))
+    edges.insert(draw(st.integers(0, len(edges))), edge)  # every edge before it is valid
+    return n, c, edges, fault
+
+
+@st.composite
+def crossing_edge_lists(draw):
+    """(n, c, edges): a rook edge list in which two edges of one color cross."""
+    n, c, edges = draw(rook_edge_lists(min_size=2))
+    i, j = draw(st.lists(st.integers(0, len(edges) - 1), min_size=2, max_size=2, unique=True))
+    (t1, b1, _), (t2, b2, _) = sorted([edges[i], edges[j]])
+    k = draw(st.integers(1, c))
+    edges[i], edges[j] = (t1, max(b1, b2), k), (t2, min(b1, b2), k)
+    return n, c, edges
+
+
+@settings(max_examples=60, deadline=None)
+@given(rook_edge_lists())
+def test_fuzzed_edge_lists_are_stored_whole(case):
+    n, c, edges = case
+    assert Diagram(n, c, edges).edges == tuple(sorted(edges))
+
+
+@settings(max_examples=120, deadline=None)
+@given(faulty_edge_lists())
+def test_fuzzed_faults_raise_their_reason(case):
+    n, c, edges, reason = case
+    with pytest.raises(InvalidDiagramError) as excinfo:
+        Diagram(n, c, edges)
+    assert excinfo.value.reason == reason
+
+
+@settings(max_examples=40, deadline=None)
+@given(crossing_edge_lists())
+def test_fuzzed_same_color_crossings_are_accepted_but_not_planar(case):
+    n, c, edges = case
+    d = Diagram(n, c, edges)
+    assert d.edges == tuple(sorted(edges))
+    assert not is_planar(d)
+    with pytest.raises(NonPlanarError):
+        AlgebraElement(n, c, {d: 1})
 
 
 def test_width_zero_permits_only_empty():

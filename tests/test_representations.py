@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from planar_rook import diagrams
+from planar_rook import diagrams, representations
 from planar_rook.algebra import embed, from_diagram, identity, left_action_x
 from planar_rook.checks import check_isomorphism_classification, check_regular_decomposition
 from planar_rook.diagrams import (
@@ -158,12 +158,27 @@ def test_fixed_size_span_is_reducible():
         ]
 
 
-def test_homogeneous_irreducibility_ignores_the_monoid_cap():
+def test_homogeneous_irreducibility_ignores_the_monoid_cap(monkeypatch):
     # The constructive branch builds projectors and transporters from
     # profiles; it never enumerates |P_{4,2}| = 639 diagrams.
-    outcome = verify_irreducible(label_module(IrrepLabel((2, 1, 1))), cap=10)
+    def refuse(n, c, cap=None):
+        raise CapExceededError(f"the homogeneous branch enumerated P_{{{n},{c}}}")
+
+    monkeypatch.setattr(representations, "enumerate_planar", refuse)
+    outcome = verify_irreducible(label_module(IrrepLabel((2, 1, 1))))
     assert outcome.ok
     assert outcome.checked == 12 + 12 * 12
+
+
+def test_homogeneous_irreducibility_builds_one_column_map_per_basis_vector(monkeypatch):
+    # Only the 12 projectors need whole columns; each of the 144 transporters
+    # is checked on the one vector it must move.
+    real = representations.diagram_action
+    calls = []
+    monkeypatch.setattr(representations, "diagram_action", lambda d, space: calls.append(d) or real(d, space))
+    outcome = verify_irreducible(label_module(IrrepLabel((2, 1, 1))))
+    assert outcome.ok
+    assert len(calls) == 12
 
 
 def test_lonely_full_matching_span_is_irreducible():
