@@ -50,7 +50,6 @@ from .representations import (
     compose_column_maps,
     diagram_action,
     element_action_columns,
-    fixed_size_span,
     label_module,
     module_space,
     regular_decomposition,
@@ -75,19 +74,33 @@ class VerifyConfig:
 Scope = tuple[int, int]
 
 
-@lru_cache(maxsize=None)
+_tables: dict | None = None  # keyed by (builder, *args); None outside run_verification
+
+
+def _per_run(build):
+    """Memoize a table builder for the length of one run_verification; outside a run, build afresh."""
+    def table(*args):
+        if _tables is None:
+            return build(*args)
+        if (key := (build, *args)) not in _tables:
+            _tables[key] = build(*args)
+        return _tables[key]
+    return table
+
+
+@_per_run
 def _all_planar(n: int, c: int) -> tuple[Diagram, ...]:
     return tuple(enumerate_planar(n, c))
 
 
-@lru_cache(maxsize=None)
+@_per_run
 def _products(n: int, c: int) -> dict[tuple[Diagram, Diagram], Diagram]:
     """Every product ``a * b`` in the monoid, ``a`` outer and ``b`` inner, for the |P|^2 sweeps."""
     pool = _all_planar(n, c)
     return {(a, b): multiply(a, b) for a in pool for b in pool}
 
 
-@lru_cache(maxsize=None)
+@_per_run
 def _actions(n: int, c: int) -> dict[Profile, tuple[ModuleSpace, dict[Diagram, tuple]]]:
     """Each bottom profile's module and the column map of every monoid diagram on it, for the module sweeps."""
     pool = _all_planar(n, c)
@@ -452,14 +465,16 @@ def check_irreducibility(scope: Scope) -> CheckResult:
             if not outcome:
                 witnesses.append(f"module at bottom {profile.parts}: {outcome.witnesses[:1]}")
         if n >= 2:
+            pool = _all_planar(n, c)
             for k in range(1, n + 1):
-                span = fixed_size_span(n, c, k)
+                span = {d for d in pool if d.size == k}
                 # Reducible exactly when the span mixes bottom profiles (for
                 # c = 1, k = n the identity matching is alone and the span is
                 # a one-dimensional module).
-                mixed = len({bottom_profile(a) for a in span.basis}) > 1
+                mixed = len({bottom_profile(a) for a in span}) > 1
+                transitive = all(span <= {algebra.left_action_x(d, a) for d in pool} for a in span)
                 checked += 1
-                if bool(verify_irreducible(span)) == mixed:
+                if transitive == mixed:
                     witnesses.append(
                         f"span of all size-{k} vectors at (n={n}, c={c}) has the wrong reducibility"
                     )
@@ -657,6 +672,8 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> list[CheckResult]
     # Every scope below that builds a monoid lies inside the enumeration check's, and |P| grows
     # with n and c: this call refuses an over-cap run before any diagram; its generator goes unread.
     enumerate_planar(*clip(5, 3), config.diagram_cap)
+    global _tables
+    _tables = {}
     try:
         results = [
             check_enumeration_count(clip(5, 3)),
@@ -688,8 +705,6 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> list[CheckResult]
             check_pascal_triangle(config.n_cap),
         ]
     finally:  # the pools, the product table and the action table live for one run only
-        _actions.cache_clear()
-        _products.cache_clear()
-        _all_planar.cache_clear()
+        _tables = None
     results.sort(key=lambda r: r.name)
     return results

@@ -123,9 +123,6 @@ def _write_bytes(path: str | None, payload: bytes) -> None:
 
 
 def _cmd_count(args) -> int:
-    if args.n < 0 or args.c < 1:
-        print("count needs n >= 0 and c >= 1", file=sys.stderr)
-        return 2
     print(cardinality(args.n, args.c))
     if args.breakdown:
         for sizes in compositions(args.n, args.c):
@@ -134,9 +131,6 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.n < 0 or args.c < 1:
-        print("enumerate needs n >= 0 and c >= 1", file=sys.stderr)
-        return 2
     for d in enumerate_planar(args.n, args.c, _diagram_cap(args.cap)):
         print(format_diagram(d))
     return 0
@@ -182,9 +176,6 @@ def _cmd_xbasis(args) -> int:
 
 
 def _cmd_chartable(args) -> int:
-    if args.n < 0 or args.c < 1:
-        print("chartable needs n >= 0 and c >= 1", file=sys.stderr)
-        return 2
     payload = character_table_csv(args.n, args.c)
     if args.verify:
         outcome = verify_character_table(args.n, args.c, _diagram_cap(args.cap))
@@ -197,9 +188,6 @@ def _cmd_chartable(args) -> int:
 
 
 def _cmd_bratteli(args) -> int:
-    if args.n < 0 or args.c < 1:
-        print("bratteli needs n >= 0 and c >= 1", file=sys.stderr)
-        return 2
     cap = _diagram_cap()
     # Levels 0..n hold C(n+c+1, n) >= 2^min(n, c+1) vertices; the power bound spares a huge binomial.
     if min(args.n, args.c + 1) > cap.bit_length() or math.comb(args.n + args.c + 1, args.n) > cap:
@@ -227,12 +215,11 @@ def _cmd_verify(args) -> int:
         "ok": all(r.ok for r in results),
         "checks": [r.as_dict() for r in results],
     }
+    payload = (json.dumps(report, indent=2) + "\n").encode("utf-8")
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
+        _write_bytes(args.out, payload)
     if args.json:
-        print(json.dumps(report, indent=2))
+        _write_bytes(None, payload)
     else:
         for r in results:
             status = "PASS" if r.ok else "FAIL"
@@ -259,6 +246,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    if hasattr(args, "n") and (args.n < 0 or args.c < 1):  # the commands with -n
+        print(f"{args.command} needs n >= 0 and c >= 1", file=sys.stderr)
+        return 2
     try:
         return _COMMANDS[args.command](args)
     except ValueError as exc:

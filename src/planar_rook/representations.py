@@ -115,26 +115,37 @@ def all_labels(n: int, c: int) -> tuple[IrrepLabel, ...]:
 
 @dataclass(frozen=True)
 class ModuleSpace:
-    """An ordered x-basis span; basis vectors are labeled by diagrams.
+    """The irreducible module with bottom profile T, over its ordered x-basis.
 
-    For the irreducible module of bottom profile T the basis runs over all
-    top profiles with matching part sizes, in enumeration order, realized
-    as the planar diagrams from_profiles(S, T).  ``bottom`` is None for
-    inhomogeneous spans (used to exhibit reducibility).
+    The basis runs over all top profiles with T's part sizes, in enumeration
+    order, realized as the planar diagrams from_profiles(S, T).
     """
 
-    n: int
-    c: int
-    bottom: Optional[Profile]
-    basis: tuple[Diagram, ...]
+    bottom: Profile
+    basis: tuple[Diagram, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not isinstance(self.bottom, Profile):
+            raise TypeError(f"a module is built from a bottom Profile, not {self.bottom!r}")
+        sizes = self.bottom.sizes
+        basis = tuple(from_profiles(top, self.bottom) for top in profiles_with_sizes(self.n, self.c, sizes))
+        if len(basis) != multinomial(sizes):
+            raise AssertionError("a module basis has multinomially many vectors")
+        object.__setattr__(self, "basis", basis)
+
+    @property
+    def n(self) -> int:
+        return self.bottom.n
+
+    @property
+    def c(self) -> int:
+        return self.bottom.c
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
     def label(self) -> IrrepLabel:
-        if self.bottom is None:
-            raise ValueError("inhomogeneous span has no single class label")
         return IrrepLabel(self.bottom.sizes)
 
     def index_of(self, d: Diagram) -> int:
@@ -152,27 +163,12 @@ def module_space(n: int, c: int, bottom: Profile) -> ModuleSpace:
     """The irreducible module with the given bottom profile."""
     if bottom.n != n or bottom.c != c:
         raise MismatchError("profile does not match (n, c)")
-    basis = tuple(
-        from_profiles(top, bottom) for top in profiles_with_sizes(n, c, bottom.sizes)
-    )
-    if len(basis) != multinomial(bottom.sizes):
-        raise AssertionError("a module basis has multinomially many vectors")
-    return ModuleSpace(n, c, bottom, basis)
+    return ModuleSpace(bottom)
 
 
 def label_module(label: IrrepLabel) -> ModuleSpace:
     """The canonical representative module of an isomorphism class."""
     return module_space(label.n, label.c, label.representative())
-
-
-def fixed_size_span(n: int, c: int, k: int) -> ModuleSpace:
-    """The span of all x-vectors of diagrams with exactly k edges.
-
-    Invariant under the action but reducible for k >= 1 and n >= 2: the
-    action preserves bottom profiles, so transitivity fails across them.
-    """
-    basis = tuple(d for d in enumerate_planar(n, c) if d.size == k)
-    return ModuleSpace(n, c, None, basis)
 
 
 def all_bottom_profiles(n: int, c: int) -> Iterator[Profile]:
@@ -202,8 +198,8 @@ def diagram_action(d: Diagram, space: ModuleSpace) -> tuple[Optional[int], ...]:
             image = multiply(d, a)
             try:
                 column.append(idx[image])
-            except KeyError:
-                raise ValueError(
+            except KeyError:  # containment keeps every edge of a, so d * a keeps bottom T
+                raise AssertionError(
                     f"action of {format_diagram(d)} leaves the span at basis vector {format_diagram(a)}"
                 )
         else:
@@ -237,48 +233,33 @@ def action_trace(d: Diagram, space: ModuleSpace) -> int:
 # Irreducibility and isomorphism classification.
 
 def verify_irreducible(space: ModuleSpace) -> CheckResult:
-    """Check that the span has no proper nonzero invariant subspace.
+    """Check that the module has no proper nonzero invariant subspace.
 
-    For a single-bottom-profile module this is constructive: the diagram
-    that projects onto one basis vector and the diagram that transports any
-    basis vector to any other are built from profiles; the projector is
-    verified through its action column, each transporter through its action
-    on the one vector it must move.  For inhomogeneous spans transitivity is
-    decided from the orbit of each basis vector under the whole monoid
-    (one set per vector, so |P| actions each); failure witnesses name an
-    unreachable pair.
+    The check is constructive: the diagram that projects onto one basis
+    vector and the diagram that transports any basis vector to any other are
+    built from profiles; the projector is verified through its action
+    column, each transporter through its action on the one vector it must
+    move.
     """
     witnesses: list[str] = []
     checked = 0
-    if space.bottom is not None:
-        for a_idx, a in enumerate(space.basis):
-            ta = top_profile(a)
-            projector = from_profiles(ta, ta)
-            col = diagram_action(projector, space)
-            expected = tuple(a_idx if j == a_idx else None for j in range(space.dimension))
-            checked += 1
-            if col != expected:
-                witnesses.append(
-                    f"projector {format_diagram(projector)} is not the unit projection at {format_diagram(a)}"
-                )
-            for b in space.basis:
-                transporter = from_profiles(top_profile(b), ta)
-                checked += 1
-                if left_action_x(transporter, a) != b:
-                    witnesses.append(
-                        f"transport {format_diagram(transporter)} fails to map "
-                        f"{format_diagram(a)} to {format_diagram(b)}"
-                    )
-        return CheckResult("modules.irreducible", checked, witnesses)
-
-    monoid = list(enumerate_planar(space.n, space.c))
-    for a in space.basis:
-        orbit = {left_action_x(d, a) for d in monoid}
+    for a_idx, a in enumerate(space.basis):
+        ta = top_profile(a)
+        projector = from_profiles(ta, ta)
+        col = diagram_action(projector, space)
+        expected = tuple(a_idx if j == a_idx else None for j in range(space.dimension))
+        checked += 1
+        if col != expected:
+            witnesses.append(
+                f"projector {format_diagram(projector)} is not the unit projection at {format_diagram(a)}"
+            )
         for b in space.basis:
+            transporter = from_profiles(top_profile(b), ta)
             checked += 1
-            if b not in orbit:
+            if left_action_x(transporter, a) != b:
                 witnesses.append(
-                    f"no diagram maps x at {format_diagram(a)} to x at {format_diagram(b)}"
+                    f"transport {format_diagram(transporter)} fails to map "
+                    f"{format_diagram(a)} to {format_diagram(b)}"
                 )
     return CheckResult("modules.irreducible", checked, witnesses)
 
@@ -305,8 +286,6 @@ class IsoResult:
 
 def are_isomorphic(space1: ModuleSpace, space2: ModuleSpace) -> IsoResult:
     """Modules are isomorphic iff their bottom part sizes agree; witnessed."""
-    if space1.bottom is None or space2.bottom is None:
-        raise ValueError("isomorphism classification needs single-profile modules")
     if (space1.n, space1.c) != (space2.n, space2.c):
         raise MismatchError("modules live over different monoids")
     t, s = space1.bottom, space2.bottom
@@ -462,8 +441,6 @@ def _last_vertex_part(a: Diagram) -> int:
 
 def restriction_groups(space: ModuleSpace) -> list[tuple[int, list[int]]]:
     """Basis indices grouped by where the last top vertex sits, part index ascending."""
-    if space.bottom is None:
-        raise ValueError("restriction needs a single-profile module")
     if space.n < 1:
         raise ValueError("restriction needs n >= 1")
     groups: dict[int, list[int]] = {}
@@ -524,11 +501,8 @@ def verify_restriction(space: ModuleSpace) -> CheckResult:
     # phi per group: strip the last top vertex, land in the canonical child module.
     targets: dict[int, ModuleSpace] = {}
     phi: dict[int, Diagram] = {}
-    for j, indices in groups:
-        reduced = list(label.sizes)
-        reduced[j] -= 1
-        child_space = label_module(IrrepLabel(tuple(reduced)))
-        targets[j] = child_space
+    for (j, indices), child in zip(groups, children):  # both in group order
+        child_space = targets[j] = label_module(child)
         for idx in indices:
             a = space.basis[idx]
             stripped = _strip_last_top_vertex(top_profile(a), j)

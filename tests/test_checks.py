@@ -167,12 +167,8 @@ def _stacked(a, b):
     ],
 )
 def test_product_sweeps_catch_stacking_mutant(monkeypatch, check):
-    checks._products.cache_clear()  # a table built by an earlier test holds the real products
     monkeypatch.setattr(checks, "multiply", _stacked)
-    try:
-        outcome = check((2, 1))
-    finally:
-        checks._products.cache_clear()
+    outcome = check((2, 1))
     assert not outcome.ok
     assert outcome.witnesses
 
@@ -184,19 +180,20 @@ def test_column_structure_catches_out_of_range_images(monkeypatch):
     def overshooting(d, space):
         return tuple(None if i is None else space.dimension for i in real(d, space))
 
-    checks._actions.cache_clear()  # a table built by an earlier test holds the real actions
     monkeypatch.setattr(checks, "diagram_action", overshooting)
     monkeypatch.setattr(representations, "diagram_action", overshooting)
-    try:
-        outcome = checks.check_column_structure((2, 2))
-    finally:
-        checks._actions.cache_clear()
+    outcome = checks.check_column_structure((2, 2))
     assert not outcome.ok
     assert outcome.witnesses
 
 
 def test_verification_drops_its_tables():
     run_verification(VerifyConfig(n_cap=2, c_cap=1, samples=10))
-    assert checks._actions.cache_info().currsize == 0
-    assert checks._products.cache_info().currsize == 0
-    assert checks._all_planar.cache_info().currsize == 0
+    assert checks._tables is None
+
+
+def test_a_lone_check_keeps_no_table(monkeypatch):
+    # A table kept from the first call would hand the second the real products.
+    assert checks.check_rook_closure((2, 1)).ok
+    monkeypatch.setattr(checks, "multiply", _stacked)
+    assert not checks.check_rook_closure((2, 1)).ok

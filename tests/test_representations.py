@@ -2,9 +2,13 @@ import math
 
 import pytest
 
-from planar_rook import diagrams, representations
+from planar_rook import algebra, diagrams, representations
 from planar_rook.algebra import embed, from_diagram, identity, left_action_x
-from planar_rook.checks import check_isomorphism_classification, check_regular_decomposition
+from planar_rook.checks import (
+    check_irreducibility,
+    check_isomorphism_classification,
+    check_regular_decomposition,
+)
 from planar_rook.diagrams import (
     CapExceededError,
     Diagram,
@@ -13,8 +17,6 @@ from planar_rook.diagrams import (
     bottom_profile,
     cardinality,
     compositions,
-    enumerate_planar,
-    format_diagram,
     from_profiles,
     multinomial,
     multiply,
@@ -24,6 +26,7 @@ from planar_rook.diagrams import (
 )
 from planar_rook.representations import (
     IrrepLabel,
+    ModuleSpace,
     _last_vertex_part,
     action_trace,
     all_bottom_profiles,
@@ -35,7 +38,6 @@ from planar_rook.representations import (
     compose_column_maps,
     diagram_action,
     element_action_columns,
-    fixed_size_span,
     label_module,
     module_space,
     regular_decomposition,
@@ -135,27 +137,17 @@ def test_irreducibility_of_all_small_modules():
 
 def test_fixed_size_span_is_reducible():
     for n, expected_failures in ((2, 48), (3, 270)):
-        span = fixed_size_span(n, 2, 1)
-        outcome = verify_irreducible(span)
-        assert not outcome
-        assert outcome.checked == span.dimension ** 2
-        # Orbit sets must agree with the exhaustive search over the monoid,
-        # which fails exactly on pairs with different bottom profiles.
-        monoid = list(enumerate_planar(n, 2))
+        span = [d for d in pool(n, 2) if d.size == 1]
+        # Exhaustive search over the monoid fails exactly on pairs with
+        # different bottom profiles.
         unreachable = [
             (a, b)
-            for a in span.basis
-            for b in span.basis
-            if not any(left_action_x(d, a) == b for d in monoid)
+            for a in span
+            for b in span
+            if not any(left_action_x(d, a) == b for d in pool(n, 2))
         ]
-        assert unreachable == [
-            (a, b) for a in span.basis for b in span.basis if bottom_profile(a) != bottom_profile(b)
-        ]
+        assert unreachable == [(a, b) for a in span for b in span if bottom_profile(a) != bottom_profile(b)]
         assert len(unreachable) == expected_failures
-        assert outcome.witnesses == [
-            f"no diagram maps x at {format_diagram(a)} to x at {format_diagram(b)}"
-            for a, b in unreachable
-        ]
 
 
 def test_homogeneous_irreducibility_ignores_the_monoid_cap(monkeypatch):
@@ -181,12 +173,41 @@ def test_homogeneous_irreducibility_builds_one_column_map_per_basis_vector(monke
     assert len(calls) == 12
 
 
-def test_lonely_full_matching_span_is_irreducible():
+def test_lonely_full_matching_span_is_irreducible(monkeypatch):
     # With one color the only planar full matching is the identity, so the
     # span of all size-n vectors is one-dimensional and irreducible.
-    span = fixed_size_span(2, 1, 2)
-    assert span.dimension == 1
-    assert verify_irreducible(span)
+    outcome = check_irreducibility((2, 1))
+    assert outcome.ok
+    assert outcome.checked == 9
+    # With every action zero that span is no longer transitive, and only it is misjudged.
+    monkeypatch.setattr(algebra, "left_action_x", lambda d, a: None)
+    outcome = check_irreducibility((2, 1))
+    assert outcome.witnesses == ["span of all size-2 vectors at (n=2, c=1) has the wrong reducibility"]
+
+
+def test_module_space_takes_only_a_profile():
+    for bottom in (None, (2, 1)):
+        with pytest.raises(TypeError):
+            ModuleSpace(bottom)
+
+
+def test_module_space_builds_its_basis_from_the_bottom_profile():
+    for c in (1, 2):
+        for n in range(5):
+            for p in all_bottom_profiles(n, c):
+                space = ModuleSpace(p)
+                assert space.basis == tuple(from_profiles(s, p) for s in profiles_with_sizes(n, c, p.sizes))
+                assert (space.n, space.c) == (p.n, p.c)
+                twin = ModuleSpace(Profile(n, c, p.parts))
+                assert twin == space
+                assert hash(twin) == hash(space)
+
+
+def test_an_action_leaving_the_basis_is_an_engine_fault(monkeypatch):
+    space = label_module(IrrepLabel((1, 1)))
+    monkeypatch.setattr(representations, "multiply", lambda d, a: Diagram(a.n, a.c, []))
+    with pytest.raises(AssertionError, match="leaves the span"):
+        diagram_action(Diagram(2, 1, [(1, 1, 1), (2, 2, 1)]), space)
 
 
 def test_isomorphism_same_module():
