@@ -1,9 +1,13 @@
 """Exact linear combinations of planar diagrams.
 
 Elements are finite formal sums of planar diagrams with rational
-coefficients; the diagram product extends bilinearly.  Coefficients are
-``fractions.Fraction`` values throughout; only ``int`` and ``Fraction``
-inputs are accepted, so every identity the suite checks is bit-exact.
+coefficients; the diagram product extends bilinearly.  Only ``int`` and
+``Fraction`` inputs are accepted, so every identity the suite checks is
+bit-exact.  Integral inputs are stored as ``int`` (a ``Fraction`` with
+denominator 1 becomes its numerator) and all others as ``Fraction``; the
+unit and the x-basis have ``int`` coefficients, so integer elements multiply
+in ``int`` arithmetic.  Arithmetic on ``Fraction`` terms may leave an
+integral ``Fraction``, which compares and prints as the ``int``.
 
 The alternating-sum basis ``x_d = sum over subdiagrams d' of d of
 (-1)^(size d - size d') d'`` turns left and right multiplication by a
@@ -16,8 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterator, Mapping, Optional
 
 from .diagrams import (
@@ -37,10 +40,12 @@ from .diagrams import (
 Rational = Fraction | int
 
 
-def _coeff(value: Rational) -> Fraction:
-    if type(value) is not int and not isinstance(value, Fraction):  # refuses bool, float, str, Decimal
+def _coeff(value: Rational) -> Rational:
+    if type(value) is int:
+        return value
+    if not isinstance(value, Fraction):  # refuses bool, float, str, Decimal
         raise TypeError(f"coefficients must be an int or a Fraction, got {value!r}")
-    return Fraction(value)
+    return value.numerator if value.denominator == 1 else Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -54,7 +59,7 @@ class AlgebraElement:
 
     n: int
     c: int
-    terms: Mapping[Diagram, Fraction]
+    terms: Mapping[Diagram, Rational]
 
     def __post_init__(self):
         require_shape(self.n, self.c)
@@ -71,8 +76,8 @@ class AlgebraElement:
         object.__setattr__(self, "terms", clean)
 
     @classmethod
-    def _trusted(cls, n: int, c: int, terms: Mapping[Diagram, Fraction]) -> "AlgebraElement":
-        """Skip validation: only for Fraction terms on planar (n, c) diagrams; drops the zeros."""
+    def _trusted(cls, n: int, c: int, terms: Mapping[Diagram, Rational]) -> "AlgebraElement":
+        """Skip validation: only for int or Fraction terms on planar (n, c) diagrams; drops the zeros."""
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "c", c)
@@ -95,8 +100,8 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, d: Diagram) -> Fraction:
-        return self.terms.get(d, Fraction(0))
+    def coefficient(self, d: Diagram) -> Rational:
+        return self.terms.get(d, 0)
 
     def support(self) -> tuple[Diagram, ...]:
         return tuple(sorted(self.terms, key=diagram_sort_key))
@@ -142,7 +147,7 @@ class AlgebraElement:
 
     def _bilinear(self, other: "AlgebraElement", product, n: int) -> "AlgebraElement":
         """Extend a diagram ``product`` bilinearly; it maps planar diagrams to planar width-n ones."""
-        terms: dict[Diagram, Fraction] = {}
+        terms: dict[Diagram, Rational] = {}
         for d1, q1 in self.terms.items():
             for d2, q2 in other.terms.items():
                 prod = product(d1, d2)
@@ -173,14 +178,16 @@ def identity(n: int, c: int) -> AlgebraElement:
 
     For one column the unit is (sum of all single vertical edges) minus
     (c - 1) times the isolated pair; the width-n unit is its n-fold
-    concatenation power.
+    concatenation power.  Expanded, each column state (0 = isolated, k = a
+    vertical color-k edge) gives one diagram with coefficient (1 - c)^j,
+    where j counts its isolated columns; for c = 1 only the full one is left.
     """
     require_shape(n, c)
-    if n == 0:
-        return from_diagram(Diagram(0, c, ()))
-    e1 = AlgebraElement(1, c, {unit_diagram(c, i): Fraction(1) for i in range(1, c + 1)})
-    e1 += from_diagram(unit_diagram(c, 0), -(c - 1))
-    return reduce(lambda acc, _: acc.tensor(e1), range(n - 1), e1)
+    terms = {}
+    for states in product(range(c + 1), repeat=n):
+        edges = tuple((v, v, k) for v, k in enumerate(states, start=1) if k)
+        terms[Diagram._trusted(n, c, edges)] = (1 - c) ** (n - len(edges))
+    return AlgebraElement._trusted(n, c, terms)  # _trusted drops the zero terms
 
 
 # ---------------------------------------------------------------------------
@@ -198,21 +205,21 @@ def x_of(d: Diagram) -> AlgebraElement:
     if not is_planar(d):
         raise NonPlanarError(f"{format_diagram(d)} is not planar")
     k = d.size
-    terms = {sub: Fraction(-1 if (k - sub.size) % 2 else 1) for sub in subdiagrams(d)}
+    terms = {sub: -1 if (k - sub.size) % 2 else 1 for sub in subdiagrams(d)}
     return AlgebraElement._trusted(d.n, d.c, terms)  # subdiagrams of a planar diagram are planar
 
 
-def to_x_coordinates(g: AlgebraElement) -> dict[Diagram, Fraction]:
+def to_x_coordinates(g: AlgebraElement) -> dict[Diagram, Rational]:
     """Coordinates of ``g`` in the x-basis.
 
     Inverting the alternating sum is summation over the subdiagram order:
     the x-coordinate at ``a`` is the sum of the diagram coefficients of all
     supports containing ``a``.
     """
-    coords: dict[Diagram, Fraction] = {}
+    coords: dict[Diagram, Rational] = {}
     for d, coeff in g.terms.items():
         for sub in subdiagrams(d):
-            coords[sub] = coords.get(sub, Fraction(0)) + coeff
+            coords[sub] = coords.get(sub, 0) + coeff
     return {a: q for a, q in coords.items() if q}
 
 

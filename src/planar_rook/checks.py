@@ -49,7 +49,6 @@ from .representations import (
     are_isomorphic,
     compose_column_maps,
     diagram_action,
-    element_action_columns,
     label_module,
     module_space,
     regular_decomposition,
@@ -57,6 +56,7 @@ from .representations import (
     verify_irreducible,
     verify_matrix_algebra,
     verify_restriction,
+    weighted_columns,
 )
 
 
@@ -385,9 +385,10 @@ def check_rho_homomorphism(scope: Scope) -> CheckResult:
     for n, c in _shapes(scope):
         actions = _actions(n, c)
         unit = algebra.identity(n, c)
-        for profile, (space, _) in actions.items():
+        for profile, (space, maps) in actions.items():
             checked += 1
-            if element_action_columns(unit, space) != [{j: 1} for j in range(space.dimension)]:
+            columns = weighted_columns(((q, maps[d]) for d, q in unit.terms.items()), space.dimension)
+            if columns != [{j: 1} for j in range(space.dimension)]:
                 witnesses.append(f"unit does not act as identity on bottom {profile.parts}")
         for label in all_labels(n, c):
             maps = actions[label.representative()][1]

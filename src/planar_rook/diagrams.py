@@ -160,6 +160,15 @@ class Profile:
             raise ValueError(f"parts do not cover vertices {missing}")
         object.__setattr__(self, "parts", parts)
 
+    @classmethod
+    def _trusted(cls, n: int, c: int, parts: tuple[tuple[int, ...], ...]) -> "Profile":
+        """Skip validation: only for c + 1 sorted parts that partition 1..n."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "n", n)
+        object.__setattr__(p, "c", c)
+        object.__setattr__(p, "parts", parts)
+        return p
+
     @property
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(p) for p in self.parts)
@@ -232,13 +241,17 @@ def multiply(d1: Diagram, d2: Diagram) -> Diagram:
         raise MismatchError(f"color counts differ: {d1.c} vs {d2.c}")
     lower = {m: (b, k) for m, b, k in d2.edges}
     edges = []
+    last_bottom: dict[int, int] = {}  # is_planar(product), run as the edges come out
+    planar = True
     for t, m, k in d1.edges:
         hit = lower.get(m)
         if hit is not None and hit[1] == k:
+            planar &= hit[0] > last_bottom.get(k, 0)
+            last_bottom[k] = hit[0]
             edges.append((t, hit[0], k))
     # In d1's top order, with distinct tops (from d1) and bottoms (from d2).
     product = Diagram._trusted(d1.n, d1.c, tuple(edges))
-    if is_planar(d1) and is_planar(d2) and not is_planar(product):
+    if not planar and is_planar(d1) and is_planar(d2):
         raise AssertionError("product of planar diagrams must be planar")
     return product
 
@@ -345,7 +358,7 @@ def profiles_with_sizes(n: int, c: int, sizes: tuple[int, ...]) -> Iterator[Prof
                 yield (part,) + tail
 
     for parts in rec(tuple(range(1, n + 1)), tuple(sizes)):
-        yield Profile(n, c, parts)
+        yield Profile._trusted(n, c, parts)  # combinations of a sorted tuple come out sorted
 
 
 def sorted_profile(n: int, sizes: tuple[int, ...]) -> Profile:
@@ -360,6 +373,10 @@ def sorted_profile(n: int, sizes: tuple[int, ...]) -> Profile:
 
 def enumerate_planar(n: int, c: int, cap: int = DEFAULT_DIAGRAM_CAP) -> Iterator[Diagram]:
     """Every planar diagram once, in canonical order; raises at the call, before building any, if |P| > cap."""
+    # |P| >= (c+1)^n, one diagram per column state, so a far-over-cap call is refused before the
+    # multinomial sum; the exponent stops where (c+1)^e >= 2^e already exceeds the cap.
+    if (bound := (c + 1) ** min(n, cap.bit_length() + 1)) > cap:
+        raise CapExceededError(f"|P_{{{n},{c}}}| >= {bound} exceeds the cap of {cap}")
     if (count := cardinality(n, c)) > cap:
         raise CapExceededError(f"|P_{{{n},{c}}}| = {count} exceeds the cap of {cap}")
     return _enumerate_planar(n, c)

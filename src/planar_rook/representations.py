@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
-from .algebra import AlgebraElement, embed, from_diagram, left_action_x, x_of, to_x_coordinates
+from .algebra import AlgebraElement, Rational, embed, from_diagram, left_action_x, x_of, to_x_coordinates
 from .diagrams import (
     DEFAULT_DIAGRAM_CAP,
     CapExceededError,
@@ -161,7 +160,7 @@ class ModuleSpace:
 
 def module_space(n: int, c: int, bottom: Profile) -> ModuleSpace:
     """The irreducible module with the given bottom profile."""
-    if bottom.n != n or bottom.c != c:
+    if isinstance(bottom, Profile) and (bottom.n != n or bottom.c != c):  # ModuleSpace refuses a non-Profile
         raise MismatchError("profile does not match (n, c)")
     return ModuleSpace(bottom)
 
@@ -214,13 +213,20 @@ def compose_column_maps(
     return tuple(None if j is None else outer[j] for j in inner)
 
 
-def element_action_columns(g: AlgebraElement, space: ModuleSpace) -> list[dict[int, Fraction]]:
+def element_action_columns(g: AlgebraElement, space: ModuleSpace) -> list[dict[int, Rational]]:
     """Sparse action columns of a general element, exact coefficients."""
-    cols: list[dict[int, Fraction]] = [dict() for _ in space.basis]
-    for d, coeff in g.terms.items():
-        for j, i in enumerate(diagram_action(d, space)):
+    return weighted_columns(((coeff, diagram_action(d, space)) for d, coeff in g.terms.items()), space.dimension)
+
+
+def weighted_columns(
+    weighted: Iterable[tuple[Rational, tuple[Optional[int], ...]]], dimension: int
+) -> list[dict[int, Rational]]:
+    """Sparse columns of the sum of coefficient * column map over ``(coefficient, column map)`` pairs."""
+    cols: list[dict[int, Rational]] = [dict() for _ in range(dimension)]
+    for coeff, column in weighted:
+        for j, i in enumerate(column):
             if i is not None:
-                cols[j][i] = cols[j].get(i, Fraction(0)) + coeff
+                cols[j][i] = cols[j].get(i, 0) + coeff
     return [{i: v for i, v in col.items() if v} for col in cols]
 
 
@@ -472,7 +478,8 @@ def restriction_decomposition(space: ModuleSpace) -> list[IrrepLabel]:
 def _strip_last_top_vertex(profile: Profile, part_index: int) -> Profile:
     parts = list(profile.parts)
     if profile.n not in parts[part_index]:
-        raise ValueError(f"vertex {profile.n} is not in part {part_index}")
+        # restriction_groups puts a in group j only when its top vertex n sits in part j
+        raise AssertionError(f"vertex {profile.n} is not in part {part_index}")
     parts[part_index] = tuple(v for v in parts[part_index] if v != profile.n)
     return Profile(profile.n - 1, profile.c, tuple(parts))
 
@@ -524,7 +531,7 @@ def verify_restriction(space: ModuleSpace) -> CheckResult:
                     continue
                 mapped = {child_space.index_of(phi[i]): q for i, q in col.items()}
                 image = left_action_x(d, phi[idx])
-                expected = {} if image is None else {child_space.index_of(image): Fraction(1)}
+                expected = {} if image is None else {child_space.index_of(image): 1}
                 if mapped != expected:
                     witnesses.append(
                         f"column drop does not intertwine {format_diagram(d)} on "

@@ -139,6 +139,42 @@ def test_identity_width_zero():
     assert identity(0, 2) == from_diagram(Diagram(0, 2, []))
 
 
+@pytest.mark.parametrize("c", [1, 2, 3])
+def test_identity_is_the_tensor_power_of_one_column(c):
+    column = AlgebraElement(1, c, {unit_diagram(c, k): 1 for k in range(1, c + 1)})
+    column += from_diagram(unit_diagram(c, 0), 1 - c)
+    assert identity(1, c) == column
+    power = column
+    for n in range(2, 6):
+        power = power.tensor(column)
+        assert identity(n, c) == power
+
+
+def _ints(coefficients) -> bool:
+    return all(type(q) is int for q in coefficients)
+
+
+def test_integer_elements_hold_ints():
+    unit = identity(3, 2)
+    xs = [x_of(d) for d in pool(3, 2)]
+    products = [unit * x for x in xs] + [x * y for x in xs[::7] for y in xs[::5]]
+    for g in [unit, *xs, *products]:
+        assert _ints(g.terms.values())
+        assert _ints(to_x_coordinates(g).values())
+    d = Diagram(1, 1, [(1, 1, 1)])
+    integral = (from_diagram(d, Fraction(6, 3)), AlgebraElement(1, 1, {d: Fraction(-4, 2)}))
+    assert all(_ints(g.terms.values()) for g in (*integral, from_diagram(d).scale(Fraction(9, 3))))
+
+
+def test_fractional_elements_stay_fractions():
+    d, empty = Diagram(2, 1, [(1, 1, 1)]), Diagram(2, 1, [])
+    half, three_quarters = from_diagram(d, Fraction(1, 2)), from_diagram(empty, Fraction(-3, 4))
+    assert (half * three_quarters).terms == {empty: Fraction(-3, 8)}
+    for g in (half, three_quarters, half * three_quarters, identity(2, 1) * half, half.scale(3)):
+        assert all(type(q) is Fraction for q in g.terms.values())
+    assert to_x_coordinates(half) == {d: Fraction(1, 2), empty: Fraction(1, 2)}
+
+
 def test_x_of_empty_and_single_edge():
     empty = Diagram(1, 1, [])
     assert x_of(empty) == from_diagram(empty)

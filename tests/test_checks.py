@@ -173,6 +173,26 @@ def test_product_sweeps_catch_stacking_mutant(monkeypatch, check):
     assert outcome.witnesses
 
 
+def test_rho_unit_check_reads_the_action_table(monkeypatch):
+    def recomputed(d, space):
+        raise AssertionError(f"recomputed the action of {d}")
+
+    monkeypatch.setattr(representations, "diagram_action", recomputed)
+    outcome = checks.check_rho_homomorphism((2, 1))
+    assert outcome.ok and outcome.checked == 124
+
+
+def test_rho_unit_check_catches_a_wrong_unit(monkeypatch):
+    monkeypatch.setattr(algebra, "identity", lambda n, c: algebra.from_diagram(Diagram(n, c, [])))
+    outcome = checks.check_rho_homomorphism((2, 1))
+    assert outcome.checked == 124
+    # The empty diagram is the unit only on the modules whose bottom profile has no edge.
+    assert outcome.witnesses == [
+        f"unit does not act as identity on bottom {parts}"
+        for parts in (((), (1,)), ((1,), (2,)), ((2,), (1,)), ((), (1, 2)))
+    ]
+
+
 def test_column_structure_catches_out_of_range_images(monkeypatch):
     # Mutant action: every nonzero column points one past the last basis index.
     real = representations.diagram_action

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from planar_rook import diagrams
 from planar_rook.algebra import AlgebraElement, subdiagrams
 from planar_rook.diagrams import (
     CapExceededError,
@@ -200,6 +201,14 @@ def test_multiplying_by_empty_annihilates():
         assert multiply(empty, d) == empty
 
 
+def test_nonplanar_operands_may_have_nonplanar_products():
+    crossed = Diagram(2, 1, [(1, 2, 1), (2, 1, 1)])
+    straight = Diagram(2, 1, [(1, 1, 1), (2, 2, 1)])
+    assert multiply(crossed, straight) == crossed
+    assert multiply(straight, crossed) == crossed
+    assert multiply(crossed, crossed) == straight
+
+
 def test_multiply_shape_mismatch():
     with pytest.raises(MismatchError):
         multiply(Diagram(2, 1, []), Diagram(3, 1, []))
@@ -285,6 +294,21 @@ def test_profile_validation():
         Profile(2.0, 1, ((1,), (2,)))
 
 
+def test_module_basis_profiles_are_valid():
+    for c in (1, 2):
+        for n in range(5):
+            for sizes in compositions(n, c):
+                for p in profiles_with_sizes(n, c, sizes):
+                    assert Profile(p.n, p.c, p.parts) == p
+                    assert p.sizes == sizes
+
+
+def _exit_code_under_optimization(script: str) -> int:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-O", "-c", script], env=env).returncode
+
+
 def test_invariants_survive_optimized_mode():
     # Mutant matching that crosses: from_profiles must still refuse it under -O.
     script = (
@@ -297,9 +321,22 @@ def test_invariants_survive_optimized_mode():
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    assert subprocess.run([sys.executable, "-O", "-c", script], env=env).returncode == 0
+    assert _exit_code_under_optimization(script) == 0
+
+
+def test_multiply_invariant_survives_optimized_mode():
+    # A corrupt operand, its edges out of top order, passes is_planar and composes to a crossing.
+    script = (
+        "from planar_rook import diagrams\n"
+        "straight = diagrams.Diagram(2, 1, ((1, 1, 1), (2, 2, 1)))\n"
+        "corrupt = diagrams.Diagram._trusted(2, 1, ((2, 1, 1), (1, 2, 1)))\n"
+        "try:\n"
+        "    diagrams.multiply(straight, corrupt)\n"
+        "except AssertionError:\n"
+        "    raise SystemExit(0 if diagrams.is_planar(corrupt) else 2)\n"
+        "raise SystemExit(1)\n"
+    )
+    assert _exit_code_under_optimization(script) == 0
 
 
 @pytest.mark.parametrize("c", [1, 2, 3, 4])
@@ -328,6 +365,16 @@ def test_enumeration_cap_refuses_at_the_call():
     with pytest.raises(CapExceededError, match=r"\|P_\{4,3\}\| = 2716 exceeds the cap of 2715"):
         enumerate_planar(4, 3, cap=2715)  # no next(): the refusal comes before any diagram exists
     assert sum(1 for _ in enumerate_planar(4, 3, cap=2716)) == 2716
+
+
+def test_enumeration_cap_refuses_on_the_lower_bound_without_counting(monkeypatch):
+    def refuse(n, c):
+        raise AssertionError("summed the multinomials")
+
+    monkeypatch.setattr(diagrams, "cardinality", refuse)
+    for n in (200, 400, 10**9):
+        with pytest.raises(CapExceededError, match=rf"\|P_\{{{n},3\}}\| >= \d+ exceeds the cap of 10$"):
+            enumerate_planar(n, 3, cap=10)
 
 
 def test_cardinality_small_values():

@@ -189,6 +189,8 @@ def test_module_space_takes_only_a_profile():
     for bottom in (None, (2, 1)):
         with pytest.raises(TypeError):
             ModuleSpace(bottom)
+        with pytest.raises(TypeError):
+            module_space(2, 1, bottom)
 
 
 def test_module_space_builds_its_basis_from_the_bottom_profile():
@@ -208,6 +210,13 @@ def test_an_action_leaving_the_basis_is_an_engine_fault(monkeypatch):
     monkeypatch.setattr(representations, "multiply", lambda d, a: Diagram(a.n, a.c, []))
     with pytest.raises(AssertionError, match="leaves the span"):
         diagram_action(Diagram(2, 1, [(1, 1, 1), (2, 2, 1)]), space)
+
+
+def test_a_last_vertex_outside_its_restriction_part_is_an_engine_fault():
+    profile = Profile(2, 1, ((1,), (2,)))
+    assert representations._strip_last_top_vertex(profile, 1) == Profile(1, 1, ((1,), ()))
+    with pytest.raises(AssertionError, match="vertex 2 is not in part 0"):
+        representations._strip_last_top_vertex(profile, 0)
 
 
 def test_isomorphism_same_module():
