@@ -16,7 +16,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .representations import CheckResult, IrrepLabel, all_labels
+from .diagrams import require_shape
+from .representations import IrrepLabel, all_labels
 
 #: An edge joins (level, index) of a parent to (level - 1, index) of a child.
 IndexPath = tuple[int, int]
@@ -46,8 +47,7 @@ class BratteliGraph:
 
 def build(c: int, n_max: int) -> BratteliGraph:
     """Build the tower up to level ``n_max``; levels in colex order."""
-    if c < 1 or n_max < 0:
-        raise ValueError("need c >= 1 and n_max >= 0")
+    require_shape(n_max, c)
     levels = tuple(all_labels(n, c) for n in range(n_max + 1))
     index_at = [{label: i for i, label in enumerate(level)} for level in levels]
     edges = []
@@ -80,25 +80,6 @@ def adjacency_count(n: int, c: int, x: int) -> int:
 def down_degree_histogram(graph: BratteliGraph, n: int) -> dict[int, int]:
     """Histogram of child counts over the level-n vertices."""
     return dict(Counter(len(graph.children_of(n, idx)) for idx in range(len(graph.levels[n]))))
-
-
-def verify_multinomial_recursion(graph: BratteliGraph) -> CheckResult:
-    """Every non-root vertex dimension equals the sum over its children."""
-    witnesses: list[str] = []
-    checked = 0
-    for n in range(1, graph.n_max + 1):
-        for idx, label in enumerate(graph.levels[n]):
-            checked += 1
-            child_sum = sum(
-                graph.levels[n - 1][child_idx].dimension()
-                for child_idx in graph.children_of(n, idx)
-            )
-            if label.dimension() != child_sum:
-                witnesses.append(
-                    f"vertex {label.encode()} at level {n}: dimension {label.dimension()} "
-                    f"but children sum to {child_sum}"
-                )
-    return CheckResult("bratteli.multinomial-recursion", checked, witnesses)
 
 
 # ---------------------------------------------------------------------------

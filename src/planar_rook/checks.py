@@ -1,11 +1,11 @@
 """Finite verification suite for every structural claim the engine relies on.
 
 Each check sweeps the shapes of an exhaustive range (clipped by the
-configured caps) or a seeded random sample, calling the per-object
-verifiers of ``representations`` and ``bratteli`` where one exists, and
-reports an explicit witness for every failure.  Every claim has exactly one
-verifier, and all of them return :class:`CheckResult`.  All arithmetic is
-exact, so a check either passes identically or names a counterexample.
+configured caps) or a seeded random sample and reports an explicit witness
+for every failure; a check that verifies one object at a time keeps the first
+witness of each failing object.  Every claim is verified in one place, and
+every check returns :class:`CheckResult`.  All arithmetic is exact, so a
+check either passes identically or names a counterexample.
 
 No check takes a diagram cap: :func:`run_verification` compares its cap
 with |P| at the largest shape it sweeps once, before any check runs.
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from typing import Iterator
 
 from . import algebra, bratteli, representations
 from .diagrams import (
@@ -49,13 +50,13 @@ from .representations import (
     are_isomorphic,
     compose_column_maps,
     diagram_action,
+    element_action_columns,
     label_module,
     module_space,
     regular_decomposition,
     restriction_decomposition,
+    restriction_groups,
     verify_irreducible,
-    verify_matrix_algebra,
-    verify_restriction,
     weighted_columns,
 )
 
@@ -526,15 +527,39 @@ def check_isomorphism_classification(scope: Scope) -> CheckResult:
     return CheckResult("modules.isomorphism-classification", checked, witnesses)
 
 
+def _matrix_block_witnesses(label: representations.IrrepLabel, pool) -> Iterator[str]:
+    """Failures of a class's profile-pair x-elements: the matrix-unit law, then ideal escapes under ``pool``."""
+    n, c, m = label.n, label.c, label.dimension()
+    profiles = list(profiles_with_sizes(n, c, label.sizes))
+    x_elems = {
+        (i, j): algebra.x_of(from_profiles(profiles[i], profiles[j])) for i in range(m) for j in range(m)
+    }
+    zero = algebra.zero(n, c)
+    for i, j, l, k in product(range(m), repeat=4):
+        if x_elems[i, j] * x_elems[l, k] != (x_elems[i, k] if j == l else zero):
+            yield f"x-pair product ({i},{j})*({l},{k}) deviates from the matrix law"
+    for g in pool:
+        g_elem = algebra.from_diagram(g)
+        for (i, j), x in x_elems.items():
+            for side in (g_elem * x, x * g_elem):
+                for d in algebra.to_x_coordinates(side):
+                    if bottom_profile(d).sizes != label.sizes:
+                        yield (
+                            f"ideal escape: {format_diagram(g)} times x-pair ({i},{j}) "
+                            f"reaches class {bottom_profile(d).sizes}"
+                        )
+
+
 def check_matrix_algebra(scope: Scope) -> CheckResult:
+    """Each class spans a full matrix block that is a two-sided ideal."""
     witnesses = []
     checked = 0
     for n, c in _shapes(scope):
+        pool = _all_planar(n, c)
         for label in all_labels(n, c):
             checked += 1
-            outcome = verify_matrix_algebra(n, c, label)
-            if not outcome:
-                witnesses.append(f"label {label.encode()} at (n={n}, c={c}): {outcome.witnesses[:1]}")
+            if (first := next(_matrix_block_witnesses(label, pool), None)) is not None:
+                witnesses.append(f"label {label.encode()} at (n={n}, c={c}): {[first]}")
     return CheckResult("modules.matrix-algebra", checked, witnesses)
 
 
@@ -562,18 +587,58 @@ def check_regular_decomposition(scope: Scope) -> CheckResult:
     return CheckResult("modules.regular-decomposition", checked, witnesses)
 
 
+def _strip_last_top_vertex(profile: Profile, part_index: int) -> Profile:
+    parts = list(profile.parts)
+    if profile.n not in parts[part_index]:
+        # restriction_groups puts a in group j only when its top vertex n sits in part j
+        raise AssertionError(f"vertex {profile.n} is not in part {part_index}")
+    parts[part_index] = tuple(v for v in parts[part_index] if v != profile.n)
+    return Profile(profile.n - 1, profile.c, tuple(parts))
+
+
+def _restriction_witnesses(space: ModuleSpace, pool) -> Iterator[str]:
+    """Restriction failures of a module under the width-(n-1) ``pool``, per group: invariance, intertwining."""
+    label = space.label()
+    groups = restriction_groups(space)
+    targets: dict[int, ModuleSpace] = {}
+    phi: dict[int, Diagram] = {}  # basis index -> its image in the child module
+    for (j, indices), child in zip(groups, restriction_decomposition(space)):  # both in group order
+        child_space = targets[j] = label_module(child)
+        for idx in indices:
+            stripped = _strip_last_top_vertex(top_profile(space.basis[idx]), j)
+            phi[idx] = from_profiles(stripped, child_space.bottom)
+    members = {j: set(indices) for j, indices in groups}
+    for d in pool:
+        cols = element_action_columns(algebra.embed(algebra.from_diagram(d)), space)
+        for j, indices in groups:
+            child_space = targets[j]
+            for idx in indices:
+                col = cols[idx]
+                if any(i not in members[j] for i in col):
+                    yield f"group {j} of {label.encode()} is not invariant under {format_diagram(d)}"
+                    continue
+                mapped = {child_space.index_of(phi[i]): q for i, q in col.items()}
+                image = algebra.left_action_x(d, phi[idx])
+                expected = {} if image is None else {child_space.index_of(image): 1}
+                if mapped != expected:
+                    yield (
+                        f"column drop does not intertwine {format_diagram(d)} on "
+                        f"{label.encode()} group {j} basis {idx}"
+                    )
+
+
 def check_restriction(scope: Scope) -> CheckResult:
-    """Column-drop restriction: invariance, intertwining, dimensions."""
+    """Column-drop restriction: invariance and intertwining."""
     witnesses = []
     checked = 0
     for n, c in _shapes(scope):
         if n < 1:
             continue
+        pool = _all_planar(n - 1, c)
         for profile in all_bottom_profiles(n, c):
             checked += 1
-            outcome = verify_restriction(module_space(n, c, profile))
-            if not outcome:
-                witnesses.append(f"bottom {profile.parts}: {outcome.witnesses[:1]}")
+            if (first := next(_restriction_witnesses(module_space(n, c, profile), pool), None)) is not None:
+                witnesses.append(f"bottom {profile.parts}: {[first]}")
     return CheckResult("modules.restriction-blocks", checked, witnesses)
 
 
@@ -611,15 +676,28 @@ def check_tower_degrees(scope: Scope) -> CheckResult:
     return CheckResult("bratteli.degree-histogram", checked, witnesses)
 
 
+def _recursion_witnesses(graph: bratteli.BratteliGraph) -> Iterator[str]:
+    """Non-root vertices whose dimension is not the sum over their children, level by level."""
+    for n in range(1, graph.n_max + 1):
+        for idx, label in enumerate(graph.level(n)):
+            child_sum = sum(graph.level(n - 1)[i].dimension() for i in graph.children_of(n, idx))
+            if label.dimension() != child_sum:
+                yield (
+                    f"vertex {label.encode()} at level {n}: dimension {label.dimension()} "
+                    f"but children sum to {child_sum}"
+                )
+
+
 def check_tower_recursion(scope: Scope) -> CheckResult:
+    """Every non-root vertex dimension equals the sum over its children."""
     witnesses = []
     checked = 0
     n_max, c_max = scope
     for c in range(1, c_max + 1):
-        outcome = bratteli.verify_multinomial_recursion(bratteli.build(c, n_max))
-        checked += outcome.checked
-        if not outcome:
-            witnesses.append(f"c={c}: {outcome.witnesses[:1]}")
+        graph = bratteli.build(c, n_max)
+        checked += sum(map(len, graph.levels[1:]))  # the non-root vertices
+        if (first := next(_recursion_witnesses(graph), None)) is not None:
+            witnesses.append(f"c={c}: {[first]}")
     return CheckResult("bratteli.recursion", checked, witnesses)
 
 
@@ -653,9 +731,8 @@ def check_pascal_triangle(n_max: int) -> CheckResult:
         expected = [math.comb(n, k) for k in range(n + 1)]
         if dims != expected:
             witnesses.append(f"level {n} dimensions are not binomials")
-    outcome = bratteli.verify_multinomial_recursion(graph)
-    checked += outcome.checked
-    witnesses += outcome.witnesses
+    checked += sum(map(len, graph.levels[1:]))  # the non-root vertices
+    witnesses += _recursion_witnesses(graph)
     return CheckResult("bratteli.pascal-triangle", checked, witnesses)
 
 

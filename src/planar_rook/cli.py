@@ -143,6 +143,8 @@ def _cmd_mul(args) -> int:
     left = parse_diagram(args.left)
     right = parse_diagram(args.right)
     product = multiply(left, right)
+    if args.as_matrix and (cells := product.n ** 2) > (cap := _diagram_cap()):
+        raise CapExceededError(f"the {product.n}x{product.n} matrix has {cells} cells, more than the cap of {cap}")
     if args.spot_check:  # built before any output, so a refused cap prints nothing
         pool = list(enumerate_planar(left.n, left.c, _diagram_cap()))
     if args.as_matrix:

@@ -373,6 +373,7 @@ def sorted_profile(n: int, sizes: tuple[int, ...]) -> Profile:
 
 def enumerate_planar(n: int, c: int, cap: int = DEFAULT_DIAGRAM_CAP) -> Iterator[Diagram]:
     """Every planar diagram once, in canonical order; raises at the call, before building any, if |P| > cap."""
+    require_shape(n, c)
     # |P| >= (c+1)^n, one diagram per column state, so a far-over-cap call is refused before the
     # multinomial sum; the exponent stops where (c+1)^e >= 2^e already exceeds the cap.
     if (bound := (c + 1) ** min(n, cap.bit_length() + 1)) > cap:
@@ -395,14 +396,31 @@ def _enumerate_planar(n: int, c: int) -> Iterator[Diagram]:
 
 def cardinality(n: int, c: int) -> int:
     """Number of planar diagrams: the sum of squared multinomials."""
+    require_shape(n, c)
     return sum(multinomial(sizes) ** 2 for sizes in compositions(n, c))
 
 
 def diagram_sort_key(d: Diagram):
-    """Sort key realizing the canonical enumeration order."""
-    t = top_profile(d)
-    b = bottom_profile(d)
-    return (tuple(reversed(t.sizes)), t.parts, b.parts)
+    """Sort key realizing the canonical enumeration order, built from the edges alone.
+
+    The order compares reversed part sizes, then the top profile's parts, then
+    the bottom's.  Between rows with equal part sizes the isolated parts order
+    as the sorted edge endpoints do in reverse, so the key holds those
+    endpoints negated instead of the n - k isolated vertices.
+    """
+    tops: list[list[int]] = [[] for _ in range(d.c)]
+    bottoms: list[list[int]] = [[] for _ in range(d.c)]
+    for t, b, k in d.edges:  # sorted by top
+        tops[k - 1].append(t)
+        bottoms[k - 1].append(b)
+    sizes = tuple(len(part) for part in reversed(tops)) + (d.n - d.size,)
+    return (
+        sizes,
+        tuple(-t for t, _, _ in d.edges),
+        tuple(map(tuple, tops)),
+        tuple(-b for b in sorted(b for _, b, _ in d.edges)),
+        tuple(tuple(sorted(part)) for part in bottoms),
+    )
 
 
 # ---------------------------------------------------------------------------

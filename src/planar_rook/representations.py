@@ -1,4 +1,4 @@
-"""Irreducible modules, column-map actions, characters, and finite verification.
+"""Irreducible modules, column-map actions, characters and restriction.
 
 The module with bottom profile T is spanned by the x-basis vectors of all
 planar diagrams whose bottom profile is T; a diagram acts on such a vector
@@ -7,9 +7,9 @@ None per basis vector) describes the action completely.  Isomorphism
 classes are labeled by the part-size composition (n_0, ..., n_c), and the
 dimension of a class is its multinomial coefficient.
 
-The per-object verifiers here check one module, block or table and return
-the same :class:`CheckResult` as the sweeps in ``checks``, with explicit
-failure witnesses rather than a bare boolean.
+The two verifiers here, for one module and one table, have callers outside
+``checks``; they return its :class:`CheckResult`, with explicit failure
+witnesses.  Every other claim is verified inside its check in ``checks``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
-from .algebra import AlgebraElement, Rational, embed, from_diagram, left_action_x, x_of, to_x_coordinates
+from .algebra import AlgebraElement, Rational, left_action_x
 from .diagrams import (
     DEFAULT_DIAGRAM_CAP,
     CapExceededError,
@@ -28,24 +28,20 @@ from .diagrams import (
     NonPlanarError,
     Profile,
     bottom_colors,
-    bottom_profile,
     cardinality,
     compositions,
-    enumerate_planar,
     format_diagram,
     from_profiles,
     is_planar,
     multinomial,
     multiply,
     profiles_with_sizes,
+    require_shape,
     sorted_profile,
     top_profile,
     vertical_color_counts,
     vertical_diagram,
 )
-
-#: Largest class dimension m for which verify_matrix_algebra expands all m^4 matrix-unit products.
-MATRIX_ALGEBRA_DIM_CAP = 12
 
 
 @dataclass
@@ -149,9 +145,6 @@ class ModuleSpace:
 
     def index_of(self, d: Diagram) -> int:
         return self._index[d]
-
-    def top_profiles(self) -> tuple[Profile, ...]:
-        return tuple(top_profile(a) for a in self.basis)
 
     @cached_property
     def _index(self) -> dict[Diagram, int]:
@@ -310,7 +303,7 @@ def _first_smaller_part(t: Profile, s: Profile) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The regular representation and the matrix-algebra structure.
+# The regular representation.
 
 def regular_decomposition(n: int, c: int) -> list[tuple[IrrepLabel, int]]:
     """Isomorphism classes with multiplicities in the regular representation.
@@ -322,56 +315,6 @@ def regular_decomposition(n: int, c: int) -> list[tuple[IrrepLabel, int]]:
     if sum(mult * label.dimension() for label, mult in decomposition) != cardinality(n, c):
         raise AssertionError("the regular decomposition must exhaust the algebra")
     return decomposition
-
-
-def verify_matrix_algebra(n: int, c: int, label: IrrepLabel) -> CheckResult:
-    """Check one block behaves as a full matrix algebra, by full expansion.
-
-    Indexes the bottom profiles of the class, multiplies the profile-pair
-    x-elements as fully expanded linear combinations, and compares with the
-    matrix-unit law x_(i,j) * x_(l,k) = delta_(j,l) x_(i,k).  Also checks the
-    block is a two-sided ideal: multiplying by any diagram keeps x-supports
-    inside the class.
-    """
-    if (label.n, label.c) != (n, c):
-        raise MismatchError(f"label {label.sizes} does not match (n={n}, c={c})")
-    m = label.dimension()
-    if m > MATRIX_ALGEBRA_DIM_CAP:
-        raise CapExceededError(f"class dimension {m} exceeds the cap of {MATRIX_ALGEBRA_DIM_CAP}")
-    monoid = enumerate_planar(n, c)
-
-    profiles = list(profiles_with_sizes(n, c, label.sizes))
-    x_elems = {
-        (i, j): x_of(from_profiles(profiles[i], profiles[j]))
-        for i in range(m)
-        for j in range(m)
-    }
-    witnesses: list[str] = []
-    checked = 0
-
-    for i in range(m):
-        for j in range(m):
-            for l in range(m):
-                for k in range(m):
-                    checked += 1
-                    product = x_elems[i, j] * x_elems[l, k]
-                    expected = x_elems[i, k] if j == l else AlgebraElement.zero(n, c)
-                    if product != expected:
-                        witnesses.append(f"x-pair product ({i},{j})*({l},{k}) deviates from the matrix law")
-
-    for g in monoid:
-        g_elem = from_diagram(g)
-        for i in range(m):
-            for j in range(m):
-                checked += 1
-                for side in (g_elem * x_elems[i, j], x_elems[i, j] * g_elem):
-                    for d in to_x_coordinates(side):
-                        if bottom_profile(d).sizes != label.sizes:
-                            witnesses.append(
-                                f"ideal escape: {format_diagram(g)} times x-pair ({i},{j}) "
-                                f"reaches class {bottom_profile(d).sizes}"
-                            )
-    return CheckResult("modules.matrix-units", checked, witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +348,7 @@ def vertical_count_rows(n: int, c: int) -> list[tuple[int, ...]]:
 
 def character_table(n: int, c: int) -> tuple[list[tuple[int, ...]], list[IrrepLabel], list[list[int]]]:
     """Rows (vertical-count vectors), columns (labels), and values."""
+    require_shape(n, c)
     rows = vertical_count_rows(n, c)
     labels = list(all_labels(n, c))
     values = [[character(vertical_diagram(n, row), label) for label in labels] for row in rows]
@@ -473,68 +417,3 @@ def restriction_decomposition(space: ModuleSpace) -> list[IrrepLabel]:
             raise AssertionError("a restriction group must span its child class")
         out.append(child)
     return out
-
-
-def _strip_last_top_vertex(profile: Profile, part_index: int) -> Profile:
-    parts = list(profile.parts)
-    if profile.n not in parts[part_index]:
-        # restriction_groups puts a in group j only when its top vertex n sits in part j
-        raise AssertionError(f"vertex {profile.n} is not in part {part_index}")
-    parts[part_index] = tuple(v for v in parts[part_index] if v != profile.n)
-    return Profile(profile.n - 1, profile.c, tuple(parts))
-
-
-def verify_restriction(space: ModuleSpace) -> CheckResult:
-    """Check the three restriction claims on one module.
-
-    (a) each group span is invariant under the embedded action of every
-    smaller diagram, (b) dropping the last column intertwines that action
-    with the smaller module's action, and (c) group sizes reproduce the
-    multinomial recursion.
-    """
-    label = space.label()
-    n, c = space.n, space.c
-    monoid = enumerate_planar(n - 1, c)
-    groups = restriction_groups(space)
-    witnesses: list[str] = []
-    checked = 0
-
-    # (c) dimensions
-    children = restriction_decomposition(space)
-    checked += 1
-    if space.dimension != sum(child.dimension() for child in children):
-        witnesses.append(f"dimension of {label.encode()} does not match the sum over summands")
-
-    # phi per group: strip the last top vertex, land in the canonical child module.
-    targets: dict[int, ModuleSpace] = {}
-    phi: dict[int, Diagram] = {}
-    for (j, indices), child in zip(groups, children):  # both in group order
-        child_space = targets[j] = label_module(child)
-        for idx in indices:
-            a = space.basis[idx]
-            stripped = _strip_last_top_vertex(top_profile(a), j)
-            phi[idx] = from_profiles(stripped, child_space.bottom)
-
-    members = {j: set(indices) for j, indices in groups}
-
-    for d in monoid:
-        cols = element_action_columns(embed(from_diagram(d)), space)
-        for j, indices in groups:
-            child_space = targets[j]
-            for idx in indices:
-                checked += 1
-                col = cols[idx]
-                if any(i not in members[j] for i in col):
-                    witnesses.append(
-                        f"group {j} of {label.encode()} is not invariant under {format_diagram(d)}"
-                    )
-                    continue
-                mapped = {child_space.index_of(phi[i]): q for i, q in col.items()}
-                image = left_action_x(d, phi[idx])
-                expected = {} if image is None else {child_space.index_of(image): 1}
-                if mapped != expected:
-                    witnesses.append(
-                        f"column drop does not intertwine {format_diagram(d)} on "
-                        f"{label.encode()} group {j} basis {idx}"
-                    )
-    return CheckResult("modules.restriction", checked, witnesses)

@@ -11,9 +11,9 @@ from planar_rook.bratteli import (
     emit_dot,
     emit_json,
     graph_from_json,
-    verify_multinomial_recursion,
     vertex_count,
 )
+from planar_rook.checks import check_tower_recursion
 from planar_rook.representations import IrrepLabel
 
 # The two-color tower up to level 2: 1 + 3 + 6 vertices and 12 edges.
@@ -106,12 +106,13 @@ def test_multinomial_recursion_examples():
     assert IrrepLabel((1, 1, 0)).dimension() == 2 == sum(
         graph.level(1)[i].dimension() for i in children
     )
-    assert verify_multinomial_recursion(graph)
+    assert check_tower_recursion((2, 2))
 
 
 def test_multinomial_recursion_wide():
-    for c in (1, 2, 3, 4):
-        assert verify_multinomial_recursion(build(c, 12))
+    outcome = check_tower_recursion((12, 4))
+    assert outcome.ok, outcome.witnesses
+    assert outcome.checked == sum(vertex_count(n, c) for c in range(1, 5) for n in range(1, 13))
 
 
 def test_pascal_triangle_specialization():
@@ -153,3 +154,13 @@ def test_rebuild_from_parsed_parameters():
     raw = emit_json(build(3, 2))
     parsed = graph_from_json(raw)
     assert emit_json(build(parsed.c, parsed.n_max)) == raw
+
+
+@pytest.mark.parametrize("c, n_max", [(True, 2), (2, False), (0, 2), (2, -1), (2.0, 2)])
+def test_build_refuses_a_bad_shape(c, n_max):
+    with pytest.raises(ValueError):
+        build(c, n_max)
+
+
+def test_vertex_count_takes_zero_colors():
+    assert [vertex_count(n, 0) for n in range(4)] == [1, 1, 1, 1]

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from planar_rook import algebra, checks, diagrams, representations
+from planar_rook import algebra, bratteli, checks, diagrams, representations
 from planar_rook.algebra import AlgebraElement, subdiagrams, unit_diagram
 from planar_rook.checks import VerifyConfig, run_verification
 from planar_rook.diagrams import CapExceededError, Diagram, from_profiles, is_planar
@@ -138,14 +138,63 @@ def test_classification_catches_swapped_distinguisher(monkeypatch):
     assert len(outcome.witnesses) == 168
 
 
+def test_a_default_run_enumerates_each_shape_once(monkeypatch):
+    # clip(5, 3) holds the 8 shapes n <= 3, c <= 2, and every check reads the run's pools.
+    real = diagrams._enumerate_planar
+    shapes = []
+
+    def counting(n, c):  # counts on the first item, so the run's unread cap probe is not an enumeration
+        shapes.append((n, c))
+        yield from real(n, c)
+
+    monkeypatch.setattr(diagrams, "_enumerate_planar", counting)
+    assert all(r.ok for r in run_verification())
+    assert len(shapes) <= 8
+
+
 def test_restriction_catches_one_color_embedding(monkeypatch):
     # Mutant: append only a color-1 vertical edge instead of the width-1 unit.
-    monkeypatch.setattr(
-        representations, "embed", lambda g: g.tensor(algebra.from_diagram(unit_diagram(g.c, 1)))
-    )
+    monkeypatch.setattr(algebra, "embed", lambda g: g.tensor(algebra.from_diagram(unit_diagram(g.c, 1))))
     outcome = checks.check_restriction((2, 2))
-    assert not outcome.ok
-    assert outcome.witnesses
+    assert outcome.checked == 18
+    assert len(outcome.witnesses) == 6
+    assert outcome.witnesses[0] == (
+        "bottom ((), (), (1,)): ['column drop does not intertwine n=0 c=2 [] on 0|0|1 group 2 basis 0']"
+    )
+
+
+def test_matrix_algebra_catches_plain_diagrams_as_x_elements(monkeypatch):
+    # Mutant: x_d is d itself, so products break the matrix law or leave the class.
+    monkeypatch.setattr(algebra, "x_of", algebra.from_diagram)
+    outcome = checks.check_matrix_algebra((2, 2))
+    assert outcome.checked == 16
+    assert len(outcome.witnesses) == 10
+    assert outcome.witnesses[0] == (
+        "label 0|1 at (n=1, c=1): ['ideal escape: n=1 c=1 [] times x-pair (0,0) reaches class (1, 0)']"
+    )
+
+
+def _drop_first_child(monkeypatch):
+    real = bratteli.BratteliGraph.children_of
+    monkeypatch.setattr(bratteli.BratteliGraph, "children_of", lambda graph, n, idx: real(graph, n, idx)[1:])
+
+
+def test_tower_recursion_catches_a_missing_child(monkeypatch):
+    _drop_first_child(monkeypatch)
+    outcome = checks.check_tower_recursion((4, 2))
+    assert outcome.checked == 48
+    assert outcome.witnesses == [
+        "c=1: ['vertex 1|0 at level 1: dimension 1 but children sum to 0']",
+        "c=2: ['vertex 1|0|0 at level 1: dimension 1 but children sum to 0']",
+    ]
+
+
+def test_pascal_triangle_names_every_vertex_missing_a_child(monkeypatch):
+    _drop_first_child(monkeypatch)
+    outcome = checks.check_pascal_triangle(4)
+    assert outcome.checked == 19
+    assert len(outcome.witnesses) == 14
+    assert outcome.witnesses[0] == "vertex 1|0 at level 1: dimension 1 but children sum to 0"
 
 
 def _stacked(a, b):

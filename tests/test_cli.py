@@ -130,6 +130,17 @@ def test_mul_as_matrix(capsys):
     assert out == "0 u1 0\n0 0 0\n0 0 0\n"
 
 
+def test_mul_as_matrix_obeys_the_cap(capsys, monkeypatch):
+    # An n x n matrix prints n^2 cells: refused before any output when n^2 exceeds the cap.
+    code, out, err = run(capsys, "mul", "n=2000 c=1 []", "n=2000 c=1 []", "--as-matrix")
+    assert code == 2
+    assert out == ""
+    assert "4000000 cells" in err and "cap" in err
+    monkeypatch.setenv("PLANAR_ROOK_CAP", "9")
+    assert run(capsys, "mul", "n=3 c=1 []", "n=3 c=1 []", "--as-matrix")[:2] == (0, "0 0 0\n0 0 0\n0 0 0\n")
+    assert run(capsys, "mul", "n=4 c=1 []", "n=4 c=1 []", "--as-matrix")[:2] == (2, "")
+
+
 def test_mul_by_empty(capsys):
     code, out, _ = run(capsys, "mul", "n=2 c=1 [1-1:1]", "n=2 c=1 []")
     assert code == 0
@@ -296,6 +307,13 @@ def test_verify_json_report_is_byte_stable(capsys):
     assert code == 0
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert digest == "d5bc669a2afcee5e6add4132415da4233ae2480dfeeed11ebde4a1c6a1b706bb"
+
+
+def test_default_verify_json_report_is_byte_stable(capsys):
+    code, out, _ = run(capsys, "verify", "--json")
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == "2ddfc6109766cb2a0c7b96579c95ade50fb6d67d85fdc3d36661938ac689e2a4"
 
 
 def test_verify_cap_exceeded_is_usage_error(capsys):

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from itertools import combinations, permutations, product
@@ -359,6 +360,32 @@ def test_enumeration_is_deterministic_unique_planar():
     assert len(set(first)) == len(first)
     assert all(is_planar(d) for d in first)
     assert first == sorted(first, key=diagram_sort_key)
+
+
+def _profile_sort_key(d):
+    top, bottom = top_profile(d), bottom_profile(d)
+    return (tuple(reversed(top.sizes)), top.parts, bottom.parts)
+
+
+@pytest.mark.parametrize("c", [1, 2, 3])
+def test_sort_key_orders_as_the_profiles_do(c):
+    for n in range(6):
+        shuffled = list(pool(n, c))
+        random.Random(n).shuffle(shuffled)
+        assert sorted(shuffled, key=diagram_sort_key) == sorted(shuffled, key=_profile_sort_key) == list(pool(n, c))
+
+
+def test_sort_key_builds_no_profile():
+    before = top_profile.cache_info().currsize, bottom_profile.cache_info().currsize
+    key = diagram_sort_key(Diagram(10**6, 1, [(3, 5, 1)]))
+    assert key[0] == (1, 10**6 - 1)
+    assert (top_profile.cache_info().currsize, bottom_profile.cache_info().currsize) == before
+
+
+@pytest.mark.parametrize("call", [lambda: enumerate_planar(-1, 2), lambda: cardinality(-1, 2)])
+def test_enumeration_refuses_a_negative_width(call):
+    with pytest.raises(ValueError, match="n must be a non-negative int"):
+        call()
 
 
 def test_enumeration_cap_refuses_at_the_call():

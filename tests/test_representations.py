@@ -2,12 +2,14 @@ import math
 
 import pytest
 
-from planar_rook import algebra, diagrams, representations
+from planar_rook import algebra, checks, diagrams, representations
 from planar_rook.algebra import embed, from_diagram, identity, left_action_x
 from planar_rook.checks import (
     check_irreducibility,
     check_isomorphism_classification,
+    check_matrix_algebra,
     check_regular_decomposition,
+    check_restriction,
 )
 from planar_rook.diagrams import (
     CapExceededError,
@@ -45,8 +47,6 @@ from planar_rook.representations import (
     restriction_groups,
     verify_character_table,
     verify_irreducible,
-    verify_matrix_algebra,
-    verify_restriction,
 )
 
 from conftest import pool
@@ -75,7 +75,7 @@ def test_label_children_drop_empty_parts():
 def test_module_space_dimension_one():
     space = module_space(1, 1, Profile(1, 1, ((), (1,))))
     assert space.dimension == 1
-    assert space.top_profiles()[0].parts == ((), (1,))
+    assert top_profile(space.basis[0]).parts == ((), (1,))
 
 
 def test_module_space_dimension_two():
@@ -97,6 +97,15 @@ def test_unit_acts_as_identity_matrix():
             for profile in all_bottom_profiles(n, c):
                 space = module_space(n, c, profile)
                 assert element_action_columns(unit, space) == [{j: 1} for j in range(space.dimension)]
+
+
+def test_action_columns_drop_cancelled_entries():
+    # On the module with no edges every diagram acts as the identity, so d - d' acts as zero.
+    space = ModuleSpace(Profile(2, 1, ((1, 2), ())))
+    for d in pool(2, 1):
+        for other in pool(2, 1):
+            if d != other:
+                assert element_action_columns(from_diagram(d) - from_diagram(other), space) == [{}]
 
 
 def test_empty_diagram_acts_as_zero_on_colored_modules():
@@ -153,10 +162,10 @@ def test_fixed_size_span_is_reducible():
 def test_homogeneous_irreducibility_ignores_the_monoid_cap(monkeypatch):
     # The constructive branch builds projectors and transporters from
     # profiles; it never enumerates |P_{4,2}| = 639 diagrams.
-    def refuse(n, c, cap=None):
+    def refuse(n, c):
         raise CapExceededError(f"the homogeneous branch enumerated P_{{{n},{c}}}")
 
-    monkeypatch.setattr(representations, "enumerate_planar", refuse)
+    monkeypatch.setattr(diagrams, "_enumerate_planar", refuse)
     outcome = verify_irreducible(label_module(IrrepLabel((2, 1, 1))))
     assert outcome.ok
     assert outcome.checked == 12 + 12 * 12
@@ -214,9 +223,9 @@ def test_an_action_leaving_the_basis_is_an_engine_fault(monkeypatch):
 
 def test_a_last_vertex_outside_its_restriction_part_is_an_engine_fault():
     profile = Profile(2, 1, ((1,), (2,)))
-    assert representations._strip_last_top_vertex(profile, 1) == Profile(1, 1, ((1,), ()))
+    assert checks._strip_last_top_vertex(profile, 1) == Profile(1, 1, ((1,), ()))
     with pytest.raises(AssertionError, match="vertex 2 is not in part 0"):
-        representations._strip_last_top_vertex(profile, 0)
+        checks._strip_last_top_vertex(profile, 0)
 
 
 def test_isomorphism_same_module():
@@ -277,22 +286,11 @@ def test_regular_blocks_partition_the_basis():
     assert check_regular_decomposition((3, 2))
 
 
-def test_matrix_algebra_trivial_label():
-    assert verify_matrix_algebra(2, 2, IrrepLabel((2, 0, 0)))
-
-
-def test_matrix_algebra_two_by_two():
-    assert verify_matrix_algebra(2, 1, IrrepLabel((1, 1)))
-
-
-def test_matrix_algebra_refuses_large_classes():
-    with pytest.raises(CapExceededError, match="class dimension 30"):
-        verify_matrix_algebra(5, 2, IrrepLabel((2, 2, 1)))
-
-
 def test_matrix_algebra_all_labels_small():
-    for label in all_labels(2, 2):
-        assert verify_matrix_algebra(2, 2, label)
+    # Every label at n <= 2, c <= 2, among them the trivial (2, 0, 0) and the 2-dimensional (1, 1).
+    outcome = check_matrix_algebra((2, 2))
+    assert outcome.ok, outcome.witnesses
+    assert outcome.checked == 16
 
 
 def test_character_zero_without_verticals():
@@ -332,6 +330,11 @@ def test_character_table_csv_frozen():
     assert character_table_csv(2, 1) == character_table_csv(2, 1)
 
 
+def test_character_table_refuses_zero_colors():
+    with pytest.raises(ValueError, match="c must be a positive int"):
+        character_table_csv(2, 0)
+
+
 def test_character_table_verifies_by_trace():
     assert verify_character_table(3, 2)
     assert verify_character_table(4, 1)
@@ -355,10 +358,9 @@ def test_restriction_dimension_recursion():
 
 
 def test_restriction_verifies_small():
-    for c in (1, 2):
-        for n in (1, 2):
-            for profile in all_bottom_profiles(n, c):
-                assert verify_restriction(module_space(n, c, profile))
+    outcome = check_restriction((2, 2))
+    assert outcome.ok, outcome.witnesses
+    assert outcome.checked == sum(1 for c in (1, 2) for n in (1, 2) for _ in all_bottom_profiles(n, c))
 
 
 def test_restriction_adapted_blocks():
