@@ -286,8 +286,19 @@ def test_regular_blocks_partition_the_basis():
     assert check_regular_decomposition((3, 2))
 
 
+def test_matrix_algebra_trivial_label():
+    label = IrrepLabel((2, 0, 0))
+    assert label.dimension() == 1
+    assert list(checks._matrix_block_witnesses(label, checks._all_planar(2, 2))) == []
+
+
+def test_matrix_algebra_two_by_two():
+    label = IrrepLabel((1, 1))
+    assert label.dimension() == 2
+    assert list(checks._matrix_block_witnesses(label, checks._all_planar(2, 1))) == []
+
+
 def test_matrix_algebra_all_labels_small():
-    # Every label at n <= 2, c <= 2, among them the trivial (2, 0, 0) and the 2-dimensional (1, 1).
     outcome = check_matrix_algebra((2, 2))
     assert outcome.ok, outcome.witnesses
     assert outcome.checked == 16
