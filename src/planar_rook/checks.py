@@ -3,9 +3,10 @@
 Each check sweeps the shapes of an exhaustive range (clipped by the
 configured caps) or a seeded random sample and reports an explicit witness
 for every failure; a check that verifies one object at a time keeps the first
-witness of each failing object.  Every claim is verified in one place, and
-every check returns :class:`CheckResult`.  All arithmetic is exact, so a
-check either passes identically or names a counterexample.
+witness of each failing object.  Every claim is verified in one place, by a
+generator of case counts (``int``) and witnesses (``str``) that ``@tallied``
+runs at the call into its :class:`CheckResult`.  All arithmetic is exact, so
+a check either passes identically or names a counterexample.
 
 No check takes a diagram cap: :func:`run_verification` compares its cap
 with |P| at the largest shape it sweeps once, before any check runs.
@@ -36,6 +37,7 @@ from .diagrams import (
     multinomial,
     multiply,
     profiles_with_sizes,
+    require_monoid_cap,
     to_matrix,
     top_profile,
     vertical_color_counts,
@@ -56,6 +58,7 @@ from .representations import (
     regular_decomposition,
     restriction_decomposition,
     restriction_groups,
+    tallied,
     verify_irreducible,
     weighted_columns,
 )
@@ -138,91 +141,85 @@ def _random_element(rng: random.Random, pool, n: int, c: int) -> algebra.Algebra
 # ---------------------------------------------------------------------------
 # Diagram-level checks.
 
+@tallied("diagram.enumeration-count")
 def check_enumeration_count(scope: Scope) -> CheckResult:
     """Enumeration yields each planar diagram exactly once, matching the formula."""
-    witnesses = []
-    checked = 0
     for n, c in _shapes(scope):
         pool = _all_planar(n, c)
-        checked += 1
+        yield 1
         if any(not is_planar(d) for d in pool):
-            witnesses.append(f"(n={n}, c={c}): enumeration produced a non-planar diagram")
+            yield f"(n={n}, c={c}): enumeration produced a non-planar diagram"
         if len(set(pool)) != len(pool):
-            witnesses.append(f"(n={n}, c={c}): enumeration repeated a diagram")
+            yield f"(n={n}, c={c}): enumeration repeated a diagram"
         if len(pool) != cardinality(n, c):
-            witnesses.append(
+            yield (
                 f"(n={n}, c={c}): enumerated {len(pool)} diagrams, formula gives {cardinality(n, c)}"
             )
-    return CheckResult("diagram.enumeration-count", checked, witnesses)
 
 
+@tallied("diagram.associativity")
 def check_associativity(exhaustive: Scope, sampled: Scope, samples: int, seed: int) -> CheckResult:
-    witnesses = []
-    checked = 0
     for n, c in _shapes(exhaustive):
         pool = _all_planar(n, c)
         table = _products(n, c)
         for (a, b), ab in table.items():
             for d in pool:
-                checked += 1
+                yield 1
                 if multiply(ab, d) != multiply(a, table[b, d]):
-                    witnesses.append(
+                    yield (
                         f"({format_diagram(a)}) * ({format_diagram(b)}) * ({format_diagram(d)})"
                     )
     for a, b, d in _draws(sampled, samples, seed, 3):
-        checked += 1
+        yield 1
         if multiply(multiply(a, b), d) != multiply(a, multiply(b, d)):
-            witnesses.append(
+            yield (
                 f"sampled ({format_diagram(a)}) * ({format_diagram(b)}) * ({format_diagram(d)})"
             )
-    return CheckResult("diagram.associativity", checked, witnesses)
 
 
-def _product_sweep(name: str, scope: Scope, fails, suffix: str = "") -> CheckResult:
+def _product_sweep(scope: Scope, fails, suffix: str = "") -> Iterator[int | str]:
     """Test ``fails(a, b, a * b)`` on every product of the shapes in ``scope``."""
-    witnesses = []
-    checked = 0
     for n, c in _shapes(scope):
         for (a, b), ab in _products(n, c).items():
-            checked += 1
+            yield 1
             if fails(a, b, ab):
-                witnesses.append(f"({format_diagram(a)}) * ({format_diagram(b)}){suffix}")
-    return CheckResult(name, checked, witnesses)
+                yield f"({format_diagram(a)}) * ({format_diagram(b)}){suffix}"
 
 
+@tallied("diagram.rook-closure")
 def check_rook_closure(scope: Scope) -> CheckResult:
     """Products never place two edges on one vertex."""
-    return _product_sweep(
-        "diagram.rook-closure", scope,
+    yield from _product_sweep(
+        scope,
         lambda a, b, p: len({t for t, _, _ in p.edges}) != p.size or len({x for _, x, _ in p.edges}) != p.size,
     )
 
 
+@tallied("diagram.planarity-closure")
 def check_planarity_closure(scope: Scope) -> CheckResult:
-    return _product_sweep(
-        "diagram.planarity-closure", scope, lambda a, b, p: not is_planar(p), " is not planar"
+    yield from _product_sweep(
+        scope, lambda a, b, p: not is_planar(p), " is not planar"
     )
 
 
+@tallied("diagram.size-monotonicity")
 def check_size_monotonicity(scope: Scope) -> CheckResult:
-    return _product_sweep(
-        "diagram.size-monotonicity", scope, lambda a, b, p: p.size > min(a.size, b.size), " grew"
+    yield from _product_sweep(
+        scope, lambda a, b, p: p.size > min(a.size, b.size), " grew"
     )
 
 
+@tallied("diagram.profile-roundtrip")
 def check_profile_roundtrip(scope: Scope) -> CheckResult:
     """Profiles determine planar diagrams; the two rows have equal part sizes."""
-    witnesses = []
-    checked = 0
     for n, c in _shapes(scope):
         for d in _all_planar(n, c):
-            checked += 1
+            yield 1
             top, bottom = top_profile(d), bottom_profile(d)
             if top.sizes != bottom.sizes:
-                witnesses.append(f"{format_diagram(d)}: row part sizes differ")
+                yield f"{format_diagram(d)}: row part sizes differ"
             if from_profiles(top, bottom) != d:
-                witnesses.append(f"{format_diagram(d)}: profile round trip failed")
-    return CheckResult("diagram.profile-roundtrip", checked, witnesses)
+                yield f"{format_diagram(d)}: profile round trip failed"
 
 
 def _bitmask_matrix(d: Diagram) -> list[list[int]]:
@@ -242,48 +239,46 @@ def _bitmask_product(m1: list[list[int]], m2: list[list[int]]) -> list[list[int]
     return out
 
 
+@tallied("diagram.matrix-semantics")
 def check_matrix_semantics(scope: Scope) -> CheckResult:
     """Diagram composition agrees with matrix multiplication over the color ring."""
     mask = lru_cache(maxsize=None)(_bitmask_matrix)  # once per diagram, for this call only
-    return _product_sweep(
-        "diagram.matrix-semantics", scope, lambda a, b, p: _bitmask_product(mask(a), mask(b)) != mask(p)
+    yield from _product_sweep(
+        scope, lambda a, b, p: _bitmask_product(mask(a), mask(b)) != mask(p)
     )
 
 
 # ---------------------------------------------------------------------------
 # Algebra-level checks.
 
+@tallied("algebra.identity-unit")
 def check_identity_unit(scope: Scope) -> CheckResult:
-    witnesses = []
-    checked = 0
     for n, c in _shapes(scope):
         unit = algebra.identity(n, c)
         for d in _all_planar(n, c):
-            checked += 1
+            yield 1
             as_elem = algebra.from_diagram(d)
             if unit * as_elem != as_elem or as_elem * unit != as_elem:
-                witnesses.append(f"unit fails on {format_diagram(d)}")
-    return CheckResult("algebra.identity-unit", checked, witnesses)
+                yield f"unit fails on {format_diagram(d)}"
 
 
+@tallied("algebra.x-basis-inversion")
 def check_x_inversion(scope: Scope, samples: int, seed: int) -> CheckResult:
     """The alternating-sum basis change inverts exactly, and linearly."""
-    witnesses = []
-    checked = 0
     for n, c in _shapes(scope):
         pool = _all_planar(n, c)
         for d in pool:
-            checked += 1
+            yield 1
             total = algebra.zero(n, c)
             for sub in algebra.subdiagrams(d):
                 total += algebra.x_of(sub)
             if total != algebra.from_diagram(d):
-                witnesses.append(f"sum of x over subdiagrams of {format_diagram(d)} is not d")
+                yield f"sum of x over subdiagrams of {format_diagram(d)} is not d"
             if algebra.to_x_coordinates(algebra.x_of(d)) != {d: Fraction(1)}:
-                witnesses.append(f"x-coordinates of x_d differ from a unit vector at {format_diagram(d)}")
+                yield f"x-coordinates of x_d differ from a unit vector at {format_diagram(d)}"
             expected = {sub: Fraction(1) for sub in algebra.subdiagrams(d)}
             if algebra.to_x_coordinates(algebra.from_diagram(d)) != expected:
-                witnesses.append(f"x-coordinates of {format_diagram(d)} are not its subdiagram indicators")
+                yield f"x-coordinates of {format_diagram(d)} are not its subdiagram indicators"
     rng = random.Random(seed)
     n, c = scope
     pool = _all_planar(n, c)
@@ -291,7 +286,7 @@ def check_x_inversion(scope: Scope, samples: int, seed: int) -> CheckResult:
         g1 = _random_element(rng, pool, n, c)
         g2 = _random_element(rng, pool, n, c)
         alpha = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        checked += 1
+        yield 1
         left = algebra.to_x_coordinates(g1.scale(alpha) + g2)
         right: dict[Diagram, Fraction] = {}
         for d_key, q in algebra.to_x_coordinates(g1).items():
@@ -299,130 +294,119 @@ def check_x_inversion(scope: Scope, samples: int, seed: int) -> CheckResult:
         for d_key, q in algebra.to_x_coordinates(g2).items():
             right[d_key] = right.get(d_key, Fraction(0)) + q
         if left != {k: v for k, v in right.items() if v}:
-            witnesses.append("x-coordinates are not linear on a sampled pair")
-    return CheckResult("algebra.x-basis-inversion", checked, witnesses)
+            yield "x-coordinates are not linear on a sampled pair"
 
 
 def _action_check(
-    name: str, exhaustive: Scope, sampled: Scope, samples: int, seed: int, act, witness: str
-) -> CheckResult:
+    exhaustive: Scope, sampled: Scope, samples: int, seed: int, act, witness: str
+) -> Iterator[int | str]:
     """Compare ``act(d, a)``, an (expansion, fast image) pair, on exhaustive then sampled pairs."""
-    witnesses = []
-    checked = 0
     pairs = [("", d, a) for n, c in _shapes(exhaustive) for d, a in product(_all_planar(n, c), repeat=2)]
     pairs += [("sampled ", d, a) for d, a in _draws(sampled, samples, seed, 2)]
     for prefix, d, a in pairs:
-        checked += 1
+        yield 1
         expansion, fast = act(d, a)
         if expansion != (algebra.zero(d.n, d.c) if fast is None else algebra.x_of(fast)):
-            witnesses.append(prefix + witness.format(d=format_diagram(d), a=format_diagram(a)))
-    return CheckResult(name, checked, witnesses)
+            yield prefix + witness.format(d=format_diagram(d), a=format_diagram(a))
 
 
+@tallied("algebra.x-action-left")
 def check_left_action(exhaustive: Scope, sampled: Scope, samples: int, seed: int) -> CheckResult:
     """The containment fast path reproduces the full bilinear expansion."""
-    return _action_check(
-        "algebra.x-action-left", exhaustive, sampled, samples, seed,
+    yield from _action_check(
+        exhaustive, sampled, samples, seed,
         lambda d, a: (algebra.from_diagram(d) * algebra.x_of(a), algebra.left_action_x(d, a)),
         "d={d}, a={a}",
     )
 
 
+@tallied("algebra.x-action-right")
 def check_right_action(exhaustive: Scope, sampled: Scope, samples: int, seed: int) -> CheckResult:
-    return _action_check(
-        "algebra.x-action-right", exhaustive, sampled, samples, seed,
+    yield from _action_check(
+        exhaustive, sampled, samples, seed,
         lambda d, a: (algebra.x_of(a) * algebra.from_diagram(d), algebra.right_action_x(a, d)),
         "a={a}, d={d}",
     )
 
 
+@tallied("algebra.block-preservation")
 def check_block_preservation(scope: Scope) -> CheckResult:
     """A nonzero left action fixes the bottom profile and the edge count."""
-    witnesses = []
-    checked = 0
     for n, c in _shapes(scope):
         pool = _all_planar(n, c)
         for d in pool:
             for a in pool:
-                checked += 1
+                yield 1
                 image = algebra.left_action_x(d, a)
                 if image is None:
                     continue
                 if bottom_profile(image) != bottom_profile(a) or image.size != a.size:
-                    witnesses.append(f"d={format_diagram(d)}, a={format_diagram(a)}")
-    return CheckResult("algebra.block-preservation", checked, witnesses)
+                    yield f"d={format_diagram(d)}, a={format_diagram(a)}"
 
 
+@tallied("algebra.embed-homomorphism")
 def check_embed(scope: Scope, samples: int, seed: int) -> CheckResult:
     """Appending a unit column is a unital algebra homomorphism."""
-    witnesses = []
-    checked = 0
     rng = random.Random(seed)
     for n, c in _shapes(scope):
-        checked += 1
+        yield 1
         if algebra.embed(algebra.identity(n, c)) != algebra.identity(n + 1, c):
-            witnesses.append(f"embedding does not preserve the unit at (n={n}, c={c})")
+            yield f"embedding does not preserve the unit at (n={n}, c={c})"
         pool = _all_planar(n, c)
         for _ in range(max(1, samples // 10)):
             g1 = _random_element(rng, pool, n, c)
             g2 = _random_element(rng, pool, n, c)
-            checked += 1
+            yield 1
             if algebra.embed(g1 * g2) != algebra.embed(g1) * algebra.embed(g2):
-                witnesses.append(f"embedding is not multiplicative at (n={n}, c={c})")
+                yield f"embedding is not multiplicative at (n={n}, c={c})"
             # Reference: g beside each one-edge column, summed, minus c - 1 times g beside an empty column.
             states = [g1.tensor(algebra.from_diagram(algebra.unit_diagram(c, i))) for i in range(c + 1)]
             if algebra.embed(g1) != sum(states[1:], states[0].scale(-(c - 1))):
-                witnesses.append(f"embedding differs from tensoring the unit column at (n={n}, c={c})")
-    return CheckResult("algebra.embed-homomorphism", checked, witnesses)
+                yield f"embedding differs from tensoring the unit column at (n={n}, c={c})"
 
 
 # ---------------------------------------------------------------------------
 # Module-level checks.
 
+@tallied("modules.rho-homomorphism")
 def check_rho_homomorphism(scope: Scope) -> CheckResult:
     """Actions are unital on every module and multiplicative on class representatives."""
-    witnesses = []
-    checked = 0
     for n, c in _shapes(scope):
         actions = _actions(n, c)
         unit = algebra.identity(n, c)
         for profile, (space, maps) in actions.items():
-            checked += 1
+            yield 1
             columns = weighted_columns(((q, maps[d]) for d, q in unit.terms.items()), space.dimension)
             if columns != [{j: 1} for j in range(space.dimension)]:
-                witnesses.append(f"unit does not act as identity on bottom {profile.parts}")
+                yield f"unit does not act as identity on bottom {profile.parts}"
         for label in all_labels(n, c):
             maps = actions[label.representative()][1]
             for (d1, d2), d12 in _products(n, c).items():
-                checked += 1
+                yield 1
                 if compose_column_maps(maps[d1], maps[d2]) != maps[d12]:
-                    witnesses.append(
+                    yield (
                         f"action of product differs from composed actions: "
                         f"{format_diagram(d1)}, {format_diagram(d2)} on {label.encode()}"
                     )
-    return CheckResult("modules.rho-homomorphism", checked, witnesses)
 
 
+@tallied("modules.column-structure")
 def check_column_structure(scope: Scope) -> CheckResult:
     """A single diagram sends each basis vector to one basis vector or to zero."""
-    witnesses = []
-    checked = 0
     for n, c in _shapes(scope):
         actions = _actions(n, c)
         for label in all_labels(n, c):
             space, maps = actions[label.representative()]
             for d, column in maps.items():
-                checked += 1
+                yield 1
                 for j, i in enumerate(column):
                     if i is not None and not (type(i) is int and 0 <= i < space.dimension):
-                        witnesses.append(f"{format_diagram(d)} on {label.encode()} column {j}")
-    return CheckResult("modules.column-structure", checked, witnesses)
+                        yield f"{format_diagram(d)} on {label.encode()} column {j}"
 
 
+@tallied("modules.character-trace")
 def check_character(scope: Scope) -> CheckResult:
     """Closed form equals trace; traces see only vertical edges, via their counts."""
-    witnesses = []
-    checked = 0
     for n, c in _shapes(scope):
         pool = _all_planar(n, c)
         labels = all_labels(n, c)
@@ -432,40 +416,36 @@ def check_character(scope: Scope) -> CheckResult:
         for d in pool:
             row = traces[d]
             for label, value in zip(labels, row):
-                checked += 1
+                yield 1
                 if representations.character(d, label) != value:
-                    witnesses.append(f"character of {format_diagram(d)} at {label.encode()}")
+                    yield f"character of {format_diagram(d)} at {label.encode()}"
             if traces[vertical_subdiagram(d)] != row:
-                witnesses.append(f"trace of {format_diagram(d)} changes when non-vertical edges drop")
+                yield f"trace of {format_diagram(d)} changes when non-vertical edges drop"
             key = vertical_color_counts(d)
             if by_verticals.setdefault(key, row) != row:
-                witnesses.append(f"trace of {format_diagram(d)} disagrees within vertical class {key}")
-    return CheckResult("modules.character-trace", checked, witnesses)
+                yield f"trace of {format_diagram(d)} disagrees within vertical class {key}"
 
 
+@tallied("modules.multiplicity-count")
 def check_multiplicity_count(scope: Scope) -> CheckResult:
     """Each class label is realized by multinomially many bottom profiles."""
-    witnesses = []
-    checked = 0
     for n, c in _shapes(scope):
         for label in all_labels(n, c):
-            checked += 1
+            yield 1
             count = sum(1 for _ in profiles_with_sizes(n, c, label.sizes))
             if count != multinomial(label.sizes):
-                witnesses.append(f"label {label.encode()}: {count} profiles")
-    return CheckResult("modules.multiplicity-count", checked, witnesses)
+                yield f"label {label.encode()}: {count} profiles"
 
 
+@tallied("modules.irreducibility")
 def check_irreducibility(scope: Scope) -> CheckResult:
     """Single-profile modules are irreducible; mixed-profile spans are not."""
-    witnesses = []
-    checked = 0
     for n, c in _shapes(scope):
         for profile in all_bottom_profiles(n, c):
-            checked += 1
+            yield 1
             outcome = verify_irreducible(module_space(n, c, profile))
             if not outcome:
-                witnesses.append(f"module at bottom {profile.parts}: {outcome.witnesses[:1]}")
+                yield f"module at bottom {profile.parts}: {outcome.witnesses[:1]}"
         if n >= 2:
             pool = _all_planar(n, c)
             for k in range(1, n + 1):
@@ -475,36 +455,34 @@ def check_irreducibility(scope: Scope) -> CheckResult:
                 # a one-dimensional module).
                 mixed = len({bottom_profile(a) for a in span}) > 1
                 transitive = all(span <= {algebra.left_action_x(d, a) for d in pool} for a in span)
-                checked += 1
+                yield 1
                 if transitive == mixed:
-                    witnesses.append(
+                    yield (
                         f"span of all size-{k} vectors at (n={n}, c={c}) has the wrong reducibility"
                     )
-    return CheckResult("modules.irreducibility", checked, witnesses)
 
 
+@tallied("modules.isomorphism-classification")
 def check_isomorphism_classification(scope: Scope) -> CheckResult:
     """Isomorphism holds iff part sizes match, and every witness validates."""
-    witnesses = []
-    checked = 0
     for n, c in _shapes(scope):
         actions = _actions(n, c)
         for p1, (space1, maps1) in actions.items():
             for p2, (space2, maps2) in actions.items():
-                checked += 1
+                yield 1
                 result = are_isomorphic(space1, space2)
                 if result.isomorphic != (p1.sizes == p2.sizes):
-                    witnesses.append(f"classification differs from size criterion: {p1.parts} vs {p2.parts}")
+                    yield f"classification differs from size criterion: {p1.parts} vs {p2.parts}"
                     continue
                 if result.isomorphic:
                     d = result.intertwiner
                     try:
                         phi = [space2.index_of(multiply(a, d)) for a in space1.basis]
                     except KeyError:
-                        witnesses.append(f"intertwiner leaves the target basis: {p1.parts} vs {p2.parts}")
+                        yield f"intertwiner leaves the target basis: {p1.parts} vs {p2.parts}"
                         continue
                     if sorted(phi) != list(range(len(phi))):
-                        witnesses.append(f"intertwiner is not a bijection: {p1.parts} vs {p2.parts}")
+                        yield f"intertwiner is not a bijection: {p1.parts} vs {p2.parts}"
                         continue
                     for g, act1 in maps1.items():
                         act2 = maps2[g]
@@ -512,7 +490,7 @@ def check_isomorphism_classification(scope: Scope) -> CheckResult:
                             (None if act1[i] is None else phi[act1[i]]) != act2[phi[i]]
                             for i in range(len(phi))
                         ):
-                            witnesses.append(
+                            yield (
                                 f"intertwiner does not commute with {format_diagram(g)}: "
                                 f"{p1.parts} vs {p2.parts}"
                             )
@@ -521,10 +499,9 @@ def check_isomorphism_classification(scope: Scope) -> CheckResult:
                     d = result.distinguisher
                     live, dead = (maps1, maps2) if result.annihilated == 2 else (maps2, maps1)
                     if all(i is None for i in live[d]):
-                        witnesses.append(f"distinguisher acts as zero on both: {p1.parts} vs {p2.parts}")
+                        yield f"distinguisher acts as zero on both: {p1.parts} vs {p2.parts}"
                     if any(i is not None for i in dead[d]):
-                        witnesses.append(f"distinguisher does not annihilate: {p1.parts} vs {p2.parts}")
-    return CheckResult("modules.isomorphism-classification", checked, witnesses)
+                        yield f"distinguisher does not annihilate: {p1.parts} vs {p2.parts}"
 
 
 def _matrix_block_witnesses(label: representations.IrrepLabel, pool) -> Iterator[str]:
@@ -550,41 +527,37 @@ def _matrix_block_witnesses(label: representations.IrrepLabel, pool) -> Iterator
                         )
 
 
+@tallied("modules.matrix-algebra")
 def check_matrix_algebra(scope: Scope) -> CheckResult:
     """Each class spans a full matrix block that is a two-sided ideal."""
-    witnesses = []
-    checked = 0
     for n, c in _shapes(scope):
         pool = _all_planar(n, c)
         for label in all_labels(n, c):
-            checked += 1
+            yield 1
             if (first := next(_matrix_block_witnesses(label, pool), None)) is not None:
-                witnesses.append(f"label {label.encode()} at (n={n}, c={c}): {[first]}")
-    return CheckResult("modules.matrix-algebra", checked, witnesses)
+                yield f"label {label.encode()} at (n={n}, c={c}): {[first]}"
 
 
+@tallied("modules.regular-decomposition")
 def check_regular_decomposition(scope: Scope) -> CheckResult:
     """Multiplicity-weighted dimensions exhaust the algebra, block by block."""
-    witnesses = []
-    checked = 0
     for n, c in _shapes(scope):
-        checked += 1
+        yield 1
         decomposition = regular_decomposition(n, c)
         total = sum(mult * label.dimension() for label, mult in decomposition)
         if total != cardinality(n, c):
-            witnesses.append(f"(n={n}, c={c}): multiplicities sum to {total}")
+            yield f"(n={n}, c={c}): multiplicities sum to {total}"
         # The x-basis splits into bottom-profile blocks of multinomial size.
         by_bottom = Counter(bottom_profile(d) for d in _all_planar(n, c))
         for profile in all_bottom_profiles(n, c):
             got, expected = by_bottom.pop(profile, 0), multinomial(profile.sizes)
             if got != expected:
-                witnesses.append(
+                yield (
                     f"(n={n}, c={c}): bottom profile {profile.parts} spans {got} vectors, expected {expected}"
                 )
         if by_bottom:
             unexpected = sorted(p.parts for p in by_bottom)
-            witnesses.append(f"(n={n}, c={c}): unexpected bottom profiles {unexpected}")
-    return CheckResult("modules.regular-decomposition", checked, witnesses)
+            yield f"(n={n}, c={c}): unexpected bottom profiles {unexpected}"
 
 
 def _strip_last_top_vertex(profile: Profile, part_index: int) -> Profile:
@@ -627,53 +600,47 @@ def _restriction_witnesses(space: ModuleSpace, pool) -> Iterator[str]:
                     )
 
 
+@tallied("modules.restriction-blocks")
 def check_restriction(scope: Scope) -> CheckResult:
     """Column-drop restriction: invariance and intertwining."""
-    witnesses = []
-    checked = 0
     for n, c in _shapes(scope):
         if n < 1:
             continue
         pool = _all_planar(n - 1, c)
         for profile in all_bottom_profiles(n, c):
-            checked += 1
+            yield 1
             if (first := next(_restriction_witnesses(module_space(n, c, profile), pool), None)) is not None:
-                witnesses.append(f"bottom {profile.parts}: {[first]}")
-    return CheckResult("modules.restriction-blocks", checked, witnesses)
+                yield f"bottom {profile.parts}: {[first]}"
 
 
 # ---------------------------------------------------------------------------
 # Tower checks.
 
+@tallied("bratteli.level-sizes")
 def check_tower_levels(scope: Scope) -> CheckResult:
-    witnesses = []
-    checked = 0
     n_max, c_max = scope
     for c in range(1, c_max + 1):
         graph = bratteli.build(c, n_max)
         for n in range(n_max + 1):
-            checked += 1
+            yield 1
             if len(graph.level(n)) != bratteli.vertex_count(n, c):
-                witnesses.append(f"level {n} at c={c} has {len(graph.level(n))} vertices")
-    return CheckResult("bratteli.level-sizes", checked, witnesses)
+                yield f"level {n} at c={c} has {len(graph.level(n))} vertices"
 
 
+@tallied("bratteli.degree-histogram")
 def check_tower_degrees(scope: Scope) -> CheckResult:
     """Down-degree histograms match the closed-form adjacency counts."""
-    witnesses = []
-    checked = 0
     n_max, c_max = scope
     for c in range(1, c_max + 1):
         graph = bratteli.build(c, n_max)
         for n in range(1, n_max + 1):
             histogram = bratteli.down_degree_histogram(graph, n)
             for x in range(1, c + 2):
-                checked += 1
+                yield 1
                 if histogram.get(x, 0) != bratteli.adjacency_count(n, c, x):
-                    witnesses.append(f"c={c}, level {n}, degree {x}")
+                    yield f"c={c}, level {n}, degree {x}"
             if sum(histogram.values()) != bratteli.vertex_count(n, c):
-                witnesses.append(f"c={c}, level {n}: histogram does not cover the level")
-    return CheckResult("bratteli.degree-histogram", checked, witnesses)
+                yield f"c={c}, level {n}: histogram does not cover the level"
 
 
 def _recursion_witnesses(graph: bratteli.BratteliGraph) -> Iterator[str]:
@@ -688,52 +655,46 @@ def _recursion_witnesses(graph: bratteli.BratteliGraph) -> Iterator[str]:
                 )
 
 
+@tallied("bratteli.recursion")
 def check_tower_recursion(scope: Scope) -> CheckResult:
     """Every non-root vertex dimension equals the sum over its children."""
-    witnesses = []
-    checked = 0
     n_max, c_max = scope
     for c in range(1, c_max + 1):
         graph = bratteli.build(c, n_max)
-        checked += sum(map(len, graph.levels[1:]))  # the non-root vertices
+        yield sum(map(len, graph.levels[1:]))  # the non-root vertices
         if (first := next(_recursion_witnesses(graph), None)) is not None:
-            witnesses.append(f"c={c}: {[first]}")
-    return CheckResult("bratteli.recursion", checked, witnesses)
+            yield f"c={c}: {[first]}"
 
 
+@tallied("bratteli.restriction-consistency")
 def check_tower_restriction_consistency(scope: Scope) -> CheckResult:
     """Componentwise tower edges agree with the module-level restriction."""
-    witnesses = []
-    checked = 0
     n_max, c_max = scope
     for c in range(1, c_max + 1):
         graph = bratteli.build(c, n_max)
         for n in range(1, n_max + 1):
             for idx, label in enumerate(graph.level(n)):
-                checked += 1
+                yield 1
                 from_graph = {graph.level(n - 1)[i] for i in graph.children_of(n, idx)}
                 from_modules = set(restriction_decomposition(label_module(label)))
                 if from_graph != from_modules:
-                    witnesses.append(f"c={c}, label {label.encode()}")
-    return CheckResult("bratteli.restriction-consistency", checked, witnesses)
+                    yield f"c={c}, label {label.encode()}"
 
 
+@tallied("bratteli.pascal-triangle")
 def check_pascal_triangle(n_max: int) -> CheckResult:
     """The one-color tower is Pascal's triangle with the binomial recursion."""
-    witnesses = []
-    checked = 0
     graph = bratteli.build(1, n_max)
     for n in range(n_max + 1):
-        checked += 1
+        yield 1
         if len(graph.level(n)) != n + 1:
-            witnesses.append(f"level {n} is not a triangle row")
+            yield f"level {n} is not a triangle row"
         dims = [label.dimension() for label in graph.level(n)]
         expected = [math.comb(n, k) for k in range(n + 1)]
         if dims != expected:
-            witnesses.append(f"level {n} dimensions are not binomials")
-    checked += sum(map(len, graph.levels[1:]))  # the non-root vertices
-    witnesses += _recursion_witnesses(graph)
-    return CheckResult("bratteli.pascal-triangle", checked, witnesses)
+            yield f"level {n} dimensions are not binomials"
+    yield sum(map(len, graph.levels[1:]))  # the non-root vertices
+    yield from _recursion_witnesses(graph)
 
 
 # ---------------------------------------------------------------------------
@@ -748,8 +709,8 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> list[CheckResult]
     samples = config.samples
     seed = config.seed
     # Every scope below that builds a monoid lies inside the enumeration check's, and |P| grows
-    # with n and c: this call refuses an over-cap run before any diagram; its generator goes unread.
-    enumerate_planar(*clip(5, 3), config.diagram_cap)
+    # with n and c: this refuses an over-cap run before any diagram.
+    require_monoid_cap(*clip(5, 3), config.diagram_cap)
     global _tables
     _tables = {}
     try:

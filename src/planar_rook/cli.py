@@ -58,6 +58,11 @@ def _diagram_cap(option: int | None = None) -> int:
     return option if option is not None else _env_int(ENV_DIAGRAM_CAP, DEFAULT_DIAGRAM_CAP)
 
 
+def _binomial_exceeds(a: int, b: int, cap: int) -> bool:
+    """Whether C(a+b, b) > cap; C(a+b, b) >= 2^min(a, b), and that power bound spares a huge binomial."""
+    return min(a, b) > cap.bit_length() or math.comb(a + b, b) > cap
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="planar-rook",
@@ -123,6 +128,8 @@ def _write_bytes(path: str | None, payload: bytes) -> None:
 
 
 def _cmd_count(args) -> int:
+    if _binomial_exceeds(args.n, args.c, cap := _diagram_cap()):  # one multinomial per composition of n
+        raise CapExceededError(f"n={args.n} has more than {cap} compositions into {args.c + 1} parts")
     print(cardinality(args.n, args.c))
     if args.breakdown:
         for sizes in compositions(args.n, args.c):
@@ -178,6 +185,9 @@ def _cmd_xbasis(args) -> int:
 
 
 def _cmd_chartable(args) -> int:
+    # C(n+c, c) rows by as many columns; --cap bounds the --verify modules, the environment the table.
+    if _binomial_exceeds(args.n, args.c, math.isqrt(max(cap := _diagram_cap(), 0))):
+        raise CapExceededError(f"the character table at (n={args.n}, c={args.c}) has more than {cap} cells")
     payload = character_table_csv(args.n, args.c)
     if args.verify:
         outcome = verify_character_table(args.n, args.c, _diagram_cap(args.cap))
@@ -190,9 +200,7 @@ def _cmd_chartable(args) -> int:
 
 
 def _cmd_bratteli(args) -> int:
-    cap = _diagram_cap()
-    # Levels 0..n hold C(n+c+1, n) >= 2^min(n, c+1) vertices; the power bound spares a huge binomial.
-    if min(args.n, args.c + 1) > cap.bit_length() or math.comb(args.n + args.c + 1, args.n) > cap:
+    if _binomial_exceeds(args.n, args.c + 1, cap := _diagram_cap()):  # levels 0..n hold C(n+c+1, c+1) vertices
         raise CapExceededError(f"the tower to level {args.n} at c={args.c} has more than {cap} vertices")
     graph = bratteli.build(args.c, args.n)
     payload = bratteli.emit(graph, args.format)

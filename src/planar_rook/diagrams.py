@@ -371,8 +371,8 @@ def sorted_profile(n: int, sizes: tuple[int, ...]) -> Profile:
     return Profile(n, len(sizes) - 1, tuple(parts))
 
 
-def enumerate_planar(n: int, c: int, cap: int = DEFAULT_DIAGRAM_CAP) -> Iterator[Diagram]:
-    """Every planar diagram once, in canonical order; raises at the call, before building any, if |P| > cap."""
+def require_monoid_cap(n: int, c: int, cap: int) -> None:
+    """Raise :class:`CapExceededError` if |P_{n,c}| > cap, building no diagram."""
     require_shape(n, c)
     # |P| >= (c+1)^n, one diagram per column state, so a far-over-cap call is refused before the
     # multinomial sum; the exponent stops where (c+1)^e >= 2^e already exceeds the cap.
@@ -380,6 +380,11 @@ def enumerate_planar(n: int, c: int, cap: int = DEFAULT_DIAGRAM_CAP) -> Iterator
         raise CapExceededError(f"|P_{{{n},{c}}}| >= {bound} exceeds the cap of {cap}")
     if (count := cardinality(n, c)) > cap:
         raise CapExceededError(f"|P_{{{n},{c}}}| = {count} exceeds the cap of {cap}")
+
+
+def enumerate_planar(n: int, c: int, cap: int = DEFAULT_DIAGRAM_CAP) -> Iterator[Diagram]:
+    """Every planar diagram once, in canonical order; raises at the call, before building any, if |P| > cap."""
+    require_monoid_cap(n, c, cap)
     return _enumerate_planar(n, c)
 
 

@@ -8,15 +8,16 @@ classes are labeled by the part-size composition (n_0, ..., n_c), and the
 dimension of a class is its multinomial coefficient.
 
 The two verifiers here, for one module and one table, have callers outside
-``checks``; they return its :class:`CheckResult`, with explicit failure
-witnesses.  Every other claim is verified inside its check in ``checks``.
+``checks``.  Like every check there, each is a generator of case counts and
+failure witnesses that :func:`tallied` turns into a :class:`CheckResult`.
+Every other claim is verified inside its check in ``checks``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Iterable, Iterator, Optional
 
 from .algebra import AlgebraElement, Rational, left_action_x
@@ -61,6 +62,24 @@ class CheckResult:
 
     def as_dict(self) -> dict:
         return {"name": self.name, "ok": self.ok, "checked": self.checked, "witnesses": self.witnesses}
+
+
+def tallied(name: str):
+    """Decorate a generator of case counts (``int``) and witnesses (``str``): each call returns its CheckResult."""
+    def decorate(stream):
+        @wraps(stream)
+        def check(*args, **kwargs) -> CheckResult:
+            total, witnesses = 0, []
+            for item in stream(*args, **kwargs):
+                if type(item) is int:  # exactly int: a bool is refused
+                    total += item
+                elif type(item) is str:
+                    witnesses.append(item)
+                else:
+                    raise TypeError(f"a check yields int case counts and str witnesses, not {item!r}")
+            return CheckResult(name, total, witnesses)
+        return check
+    return decorate
 
 
 @dataclass(frozen=True)
@@ -231,6 +250,7 @@ def action_trace(d: Diagram, space: ModuleSpace) -> int:
 # ---------------------------------------------------------------------------
 # Irreducibility and isomorphism classification.
 
+@tallied("modules.irreducible")
 def verify_irreducible(space: ModuleSpace) -> CheckResult:
     """Check that the module has no proper nonzero invariant subspace.
 
@@ -240,27 +260,24 @@ def verify_irreducible(space: ModuleSpace) -> CheckResult:
     column, each transporter through its action on the one vector it must
     move.
     """
-    witnesses: list[str] = []
-    checked = 0
     for a_idx, a in enumerate(space.basis):
         ta = top_profile(a)
         projector = from_profiles(ta, ta)
         col = diagram_action(projector, space)
         expected = tuple(a_idx if j == a_idx else None for j in range(space.dimension))
-        checked += 1
+        yield 1
         if col != expected:
-            witnesses.append(
+            yield (
                 f"projector {format_diagram(projector)} is not the unit projection at {format_diagram(a)}"
             )
         for b in space.basis:
             transporter = from_profiles(top_profile(b), ta)
-            checked += 1
+            yield 1
             if left_action_x(transporter, a) != b:
-                witnesses.append(
+                yield (
                     f"transport {format_diagram(transporter)} fails to map "
                     f"{format_diagram(a)} to {format_diagram(b)}"
                 )
-    return CheckResult("modules.irreducible", checked, witnesses)
 
 
 @dataclass(frozen=True)
@@ -364,21 +381,19 @@ def character_table_csv(n: int, c: int) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+@tallied("modules.character-table")
 def verify_character_table(n: int, c: int, cap: int = DEFAULT_DIAGRAM_CAP) -> CheckResult:
     """Recompute every table entry as a trace on a representative module."""
     if (total := (c + 1) ** n) > cap:  # the label modules' multinomial dimensions sum to (c + 1)^n
         raise CapExceededError(f"{total} module basis vectors at (n={n}, c={c}) exceed the cap of {cap}")
     rows, labels, values = character_table(n, c)
     spaces = [label_module(label) for label in labels]
-    witnesses: list[str] = []
-    checked = 0
     for row, row_values in zip(rows, values):
         d = vertical_diagram(n, row)
         for label, space, value in zip(labels, spaces, row_values):
-            checked += 1
+            yield 1
             if action_trace(d, space) != value:
-                witnesses.append(f"entry ({row}, {label.encode()}) differs from the trace")
-    return CheckResult("modules.character-table", checked, witnesses)
+                yield f"entry ({row}, {label.encode()}) differs from the trace"
 
 
 # ---------------------------------------------------------------------------

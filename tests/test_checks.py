@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,42 @@ def test_verification_refuses_its_cap_before_building(monkeypatch, n_cap, c_cap,
     assert all(r.ok for r in run_verification(dataclasses.replace(config, diagram_cap=largest)))
 
 
+def test_verification_refuses_its_cap_under_a_lazy_enumeration(monkeypatch):
+    # A wrapper that defers enumerate_planar's body to the first item must not defer the refusal.
+    real = diagrams.enumerate_planar
+    built = []
+
+    def lazy(*args, **kwargs):
+        for d in real(*args, **kwargs):
+            built.append(d)
+            yield d
+
+    monkeypatch.setattr(checks, "enumerate_planar", lazy)
+    monkeypatch.setattr(diagrams, "enumerate_planar", lazy)
+    with pytest.raises(CapExceededError, match=r"^\|P_\{3,2\}\| = 93 exceeds the cap of 92$"):
+        run_verification(VerifyConfig(diagram_cap=92, samples=20))
+    assert built == []
+
+
+def test_every_check_is_a_tallied_generator():
+    made = [getattr(checks, name) for name in dir(checks) if name.startswith("check_")]
+    made += [representations.verify_irreducible, representations.verify_character_table]
+    assert len(made) == 29
+    assert all(inspect.isgeneratorfunction(f.__wrapped__) for f in made)
+
+
+@pytest.mark.parametrize("item", [True, None, (1, "witness")])
+def test_tallied_refuses_anything_but_counts_and_witnesses(item):
+    @representations.tallied("stream")
+    def stream():
+        yield 1
+        yield "witness"
+        yield item
+
+    with pytest.raises(TypeError, match="int case counts and str witnesses"):
+        stream()
+
+
 def _sign_flipped_x_of(d):
     # Mutant: drops the alternation entirely.
     if not is_planar(d):
@@ -143,7 +180,7 @@ def test_a_default_run_enumerates_each_shape_once(monkeypatch):
     real = diagrams._enumerate_planar
     shapes = []
 
-    def counting(n, c):  # counts on the first item, so the run's unread cap probe is not an enumeration
+    def counting(n, c):
         shapes.append((n, c))
         yield from real(n, c)
 

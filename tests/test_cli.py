@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from planar_rook import cli
 from planar_rook.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -42,6 +43,19 @@ def test_count_invalid_flags(capsys):
     code, _, err = run(capsys, "count", "-n", "-1", "-c", "1")
     assert code == 2
     assert "n >= 0" in err
+
+
+def test_count_obeys_the_cap(capsys, monkeypatch):
+    # count sums one squared multinomial per composition of n into c + 1 parts: C(n+c, c) of them.
+    monkeypatch.setattr(cli, "cardinality", lambda n, c: pytest.fail("counted past the cap"))
+    code, out, err = run(capsys, "count", "-n", "300", "-c", "3")  # C(303, 3) = 4,590,551 compositions
+    assert (code, out) == (2, "")
+    assert "1000000" in err and "cap" in err
+    monkeypatch.undo()
+    monkeypatch.setenv("PLANAR_ROOK_CAP", "35")  # C(7, 3) = 35 compositions fit exactly
+    assert run(capsys, "count", "-n", "4", "-c", "3")[:2] == (0, "2716\n")
+    monkeypatch.setenv("PLANAR_ROOK_CAP", "34")
+    assert run(capsys, "count", "-n", "4", "-c", "3")[:2] == (2, "")
 
 
 def test_enumerate(capsys):
@@ -235,6 +249,21 @@ def test_chartable_verify_cap_bounds_the_module_basis(capsys):
     assert code == 2
     assert "256" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("extra", [[], ["--verify"]])
+def test_chartable_obeys_the_cap(capsys, monkeypatch, extra):
+    # C(n+c, c) rows by C(n+c, c) columns, bounded by the environment's cap with or without --verify.
+    monkeypatch.setattr(cli, "character_table_csv", lambda n, c: pytest.fail("built the table past the cap"))
+    code, out, err = run(capsys, "chartable", "-n", "20", "-c", "3", *extra)  # C(23, 3)^2 = 3,136,441 cells
+    assert (code, out) == (2, "")
+    assert "1000000" in err and "cap" in err
+    monkeypatch.undo()
+    monkeypatch.setenv("PLANAR_ROOK_CAP", "1225")  # 35^2 cells fit exactly
+    code, out, _ = run(capsys, "chartable", "-n", "4", "-c", "3", *extra)
+    assert code == 0 and out.startswith("verticals,")
+    monkeypatch.setenv("PLANAR_ROOK_CAP", "1224")
+    assert run(capsys, "chartable", "-n", "4", "-c", "3", *extra)[:2] == (2, "")
 
 
 def test_bratteli_dot(tmp_path, capsys):
