@@ -24,6 +24,7 @@ from .diagrams import (
     cardinality,
     compositions,
     diagram_sort_key,
+    enumerate_literals,
     enumerate_planar,
     format_diagram,
     format_matrix,
@@ -130,16 +131,21 @@ def _write_bytes(path: str | None, payload: bytes) -> None:
 def _cmd_count(args) -> int:
     if _binomial_exceeds(args.n, args.c, cap := _diagram_cap()):  # one multinomial per composition of n
         raise CapExceededError(f"n={args.n} has more than {cap} compositions into {args.c + 1} parts")
-    print(cardinality(args.n, args.c))
-    if args.breakdown:
-        for sizes in compositions(args.n, args.c):
-            print(f"{sizes}: {multinomial(sizes) ** 2}")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # counts print in full, past int's default digit limit, for this output only
+    try:
+        print(cardinality(args.n, args.c))
+        if args.breakdown:
+            for sizes in compositions(args.n, args.c):
+                print(f"{sizes}: {multinomial(sizes) ** 2}")
+    finally:
+        sys.set_int_max_str_digits(limit)
     return 0
 
 
 def _cmd_enumerate(args) -> int:
-    for d in enumerate_planar(args.n, args.c, _diagram_cap(args.cap)):
-        print(format_diagram(d))
+    for literal in enumerate_literals(args.n, args.c, _diagram_cap(args.cap)):
+        print(literal)
     return 0
 
 

@@ -15,6 +15,7 @@ that all higher layers (algebra, modules, towers) are reproducible.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, repeat
@@ -388,20 +389,47 @@ def enumerate_planar(n: int, c: int, cap: int = DEFAULT_DIAGRAM_CAP) -> Iterator
     return _enumerate_planar(n, c)
 
 
-def _enumerate_planar(n: int, c: int) -> Iterator[Diagram]:
+def _profile_pairs(n: int, c: int) -> Iterator[tuple[list[tuple[int, int, int]], list[Profile]]]:
+    """Top profiles with their bottom profiles; slots (t, k, r), t = top.parts[k][r], in top order give sorted edges."""
     for sizes in compositions(n, c):
         profiles = list(profiles_with_sizes(n, c, sizes))
         for top in profiles:
-            for bottom in profiles:
-                d = _matching(top, bottom)
-                if not is_planar(d):
+            yield sorted([(t, k, r) for k in range(1, c + 1) for r, t in enumerate(top.parts[k])]), profiles
+
+
+def _enumerate_planar(n: int, c: int) -> Iterator[Diagram]:
+    for slots, bottoms in _profile_pairs(n, c):
+        for bottom in bottoms:
+            d = Diagram._trusted(n, c, tuple([(t, bottom.parts[k][r], k) for t, k, r in slots]))
+            if not is_planar(d):
+                raise AssertionError("increasing matchings cannot cross")
+            yield d
+
+
+def enumerate_literals(n: int, c: int, cap: int = DEFAULT_DIAGRAM_CAP) -> Iterator[str]:
+    """``format_diagram`` of each diagram of ``enumerate_planar``, in its order and under its cap, building none."""
+    require_monoid_cap(n, c, cap)
+    return _enumerate_literals(n, c)
+
+
+def _enumerate_literals(n: int, c: int) -> Iterator[str]:
+    for slots, bottoms in _profile_pairs(n, c):
+        template = f"n={n} c={c} [{', '.join(f'{t}-%d:{k}' for t, k, _ in slots)}]"
+        for bottom in bottoms:
+            ends = tuple([bottom.parts[k][r] for _, k, r in slots])
+            last = [0] * (c + 1)
+            for (_, k, _), b in zip(slots, ends):  # is_planar on the edges this literal lists
+                if b <= last[k]:
                     raise AssertionError("increasing matchings cannot cross")
-                yield d
+                last[k] = b
+            yield template % ends
 
 
 def cardinality(n: int, c: int) -> int:
-    """Number of planar diagrams: the sum of squared multinomials."""
+    """Number of planar diagrams: the sum of squared multinomials, which is C(2n, n) for one color (Vandermonde)."""
     require_shape(n, c)
+    if c == 1:
+        return math.comb(2 * n, n)
     return sum(multinomial(sizes) ** 2 for sizes in compositions(n, c))
 
 
@@ -464,7 +492,10 @@ class _Scanner:
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an integer", start)
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # past int's digit limit (sys.get_int_max_str_digits)
+            raise ParseError(f"integer of {self.pos - start} digits is too long", start) from None
 
     def done(self):
         self.skip_ws()
@@ -472,8 +503,20 @@ class _Scanner:
             raise ParseError(f"unexpected trailing input {self.text[self.pos:]!r}", self.pos)
 
 
+# The form format_diagram writes, with ASCII digits and single spaces.  Other text goes to the scanner.
+_CANONICAL = re.compile(r"n=([0-9]+) c=([0-9]+) \[((?:[0-9]+-[0-9]+:[0-9]+(?:, [0-9]+-[0-9]+:[0-9]+)*)?)\]")
+
+
 def parse_diagram(text: str) -> Diagram:
     """Parse a diagram literal such as ``n=3 c=2 [1-2:1, 3-1:2]``."""
+    if match := _CANONICAL.fullmatch(text):
+        n, c, body = match.groups()
+        fields = body.replace(", ", "-").replace(":", "-").split("-") if body else []
+        try:
+            n, c, *ends = map(int, [n, c, *fields])
+            return Diagram(n, c, tuple(zip(ends[0::3], ends[1::3], ends[2::3])))
+        except ValueError:  # a bad edge, or an integer past int's digit limit: the scanner below raises the error
+            pass
     s = _Scanner(text)
     s.expect("n=")
     n = s.integer()

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -56,6 +57,37 @@ def test_count_obeys_the_cap(capsys, monkeypatch):
     assert run(capsys, "count", "-n", "4", "-c", "3")[:2] == (0, "2716\n")
     monkeypatch.setenv("PLANAR_ROOK_CAP", "34")
     assert run(capsys, "count", "-n", "4", "-c", "3")[:2] == (2, "")
+
+
+def _decimal(value: int) -> str:
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_count_prints_past_the_int_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "count", "-n", "20000", "-c", "1")  # 12,039 digits
+    assert (code, err) == (0, "")
+    assert out == _decimal(math.comb(40000, 20000)) + "\n"
+    assert sys.get_int_max_str_digits() == limit  # lifted for the output only
+
+
+def test_count_breakdown_prints_past_the_int_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # int's lowest limit, so C(1200, 600)^2 (719 digits) crosses it cheaply
+    try:
+        code, out, _ = run(capsys, "count", "-n", "1200", "-c", "1", "--breakdown")
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 1 + 1201
+    assert lines[0] == _decimal(math.comb(2400, 1200))
+    assert lines[1 + 600] == f"(600, 600): {_decimal(math.comb(1200, 600) ** 2)}"
 
 
 def test_enumerate(capsys):

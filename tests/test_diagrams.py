@@ -1,9 +1,11 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from itertools import combinations, permutations, product
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,6 +25,7 @@ from planar_rook.diagrams import (
     cardinality,
     compositions,
     diagram_sort_key,
+    enumerate_literals,
     enumerate_planar,
     format_diagram,
     format_matrix,
@@ -389,9 +392,32 @@ def test_enumeration_refuses_a_negative_width(call):
 
 
 def test_enumeration_cap_refuses_at_the_call():
-    with pytest.raises(CapExceededError, match=r"\|P_\{4,3\}\| = 2716 exceeds the cap of 2715"):
-        enumerate_planar(4, 3, cap=2715)  # no next(): the refusal comes before any diagram exists
-    assert sum(1 for _ in enumerate_planar(4, 3, cap=2716)) == 2716
+    for enumerate_ in (enumerate_planar, enumerate_literals):
+        with pytest.raises(CapExceededError, match=r"\|P_\{4,3\}\| = 2716 exceeds the cap of 2715"):
+            enumerate_(4, 3, cap=2715)  # no next(): the refusal comes before any diagram exists
+        with pytest.raises(CapExceededError, match=r"\|P_\{4,3\}\| >= 256 exceeds the cap of 10"):
+            enumerate_(4, 3, cap=10)
+        assert sum(1 for _ in enumerate_(4, 3, cap=2716)) == 2716
+
+
+@pytest.mark.parametrize("c", [1, 2, 3])
+def test_literal_stream_is_the_formatted_enumeration(c):
+    for n in range(6):
+        assert list(enumerate_literals(n, c)) == [format_diagram(d) for d in enumerate_planar(n, c)]
+
+
+def test_every_enumerated_item_is_checked_for_planarity(monkeypatch):
+    # Bottom profiles with each part in decreasing order: every pair of same-color edges crosses.
+    pairs = diagrams._profile_pairs
+
+    def corrupt(n, c):
+        for slots, bottoms in pairs(n, c):
+            yield slots, [Profile._trusted(n, c, tuple(part[::-1] for part in b.parts)) for b in bottoms]
+
+    monkeypatch.setattr(diagrams, "_profile_pairs", corrupt)
+    for enumerate_ in (enumerate_planar, enumerate_literals):
+        with pytest.raises(AssertionError, match="cannot cross"):
+            list(enumerate_(2, 1))
 
 
 def test_enumeration_cap_refuses_on_the_lower_bound_without_counting(monkeypatch):
@@ -408,6 +434,11 @@ def test_cardinality_small_values():
     assert cardinality(2, 1) == 6
     assert cardinality(0, 3) == 1
     assert cardinality(1, 4) == 5
+
+
+def test_one_color_cardinality_is_the_central_binomial():
+    for n in range(61):
+        assert cardinality(n, 1) == sum(multinomial(sizes) ** 2 for sizes in compositions(n, 1))
 
 
 def test_cardinality_matches_enumeration_small():
@@ -551,6 +582,103 @@ def test_parse_accepts_ascii_digits_only(text):
     with pytest.raises(ParseError) as excinfo:
         parse_diagram(text)
     assert excinfo.value.position == 2
+
+
+def _outcome(text):
+    try:
+        return parse_diagram(text)
+    except ValueError as exc:  # ParseError and InvalidDiagramError
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+def _scanned(text):
+    """The outcome with every text sent to the scanner: a pattern that never matches."""
+    with mock.patch.object(diagrams, "_CANONICAL", re.compile("(?!)")):
+        return _outcome(text)
+
+
+@st.composite
+def mutated_literals(draw):
+    n, c = draw(st.integers(0, 4)), draw(st.integers(1, 3))
+    edges = [list(e) for e in draw(diagrams_st(n, c)).edges]
+    for _ in range(draw(st.integers(0, 2))):  # edge mutations: unsorted, duplicate, out of range
+        kind = draw(st.sampled_from(["shuffle", "duplicate", "range"]))
+        if kind == "shuffle":
+            edges = draw(st.permutations(edges))
+        elif kind == "duplicate" and edges:
+            edges.append(list(draw(st.sampled_from(edges))))
+        elif edges:
+            draw(st.sampled_from(edges))[draw(st.integers(0, 2))] = draw(st.sampled_from([0, n + 1, c + 1, 99]))
+    text = f"n={n} c={c} [{', '.join(f'{t}-{b}:{k}' for t, b, k in edges)}]"
+    for _ in range(draw(st.integers(0, 2))):  # text mutations
+        kind = draw(st.sampled_from(["space", "digit", "zeros", "truncate"]))
+        if kind == "truncate":
+            text = text[:draw(st.integers(0, len(text)))]
+            continue
+        spots = [i for i, ch in enumerate(text) if (ch == " " if kind == "space" else ch in "0123456789")]
+        if spots:
+            i = draw(st.sampled_from(spots))
+            new = {
+                "space": draw(st.sampled_from(["", "  ", "\t", "\n", "\u00a0", "\u2003", "\u3000"])),
+                "digit": draw(st.sampled_from(["\u00b2", "\u0663", "\uff13"])),
+                "zeros": "0" * draw(st.integers(1, 3)) + text[i],
+            }[kind]
+            text = text[:i] + new + text[i + 1:]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_literals())
+def test_both_parse_paths_agree_on_mutated_literals(text):
+    assert _outcome(text) == _scanned(text)
+
+
+@pytest.mark.parametrize(
+    "text", ["n=3 c=2 []", "n=3 c=2 [1-2:1, 3-1:2]", "n=03 c=2 [1-02:1]", "n=3 c=2 [2-1:1, 1-2:1]"]
+)
+def test_canonical_literals_take_the_pattern(text):
+    with mock.patch.object(diagrams, "_Scanner", side_effect=AssertionError("scanned")):
+        fast = parse_diagram(text)
+    assert fast == _scanned(text)
+
+
+@pytest.mark.parametrize(
+    "text, canonical",
+    [
+        ("n=3  c=2 []", "n=3 c=2 []"),
+        ("n=3\tc=2 []", "n=3 c=2 []"),
+        ("n=3 c=2[]", "n=3 c=2 []"),
+        (" n=3 c=2 []", "n=3 c=2 []"),
+        ("n=3 c=2 [1-2:1,3-1:2]", "n=3 c=2 [1-2:1, 3-1:2]"),
+        ("n=3 c=2 [1-2:1,\u00a03-1:2]", "n=3 c=2 [1-2:1, 3-1:2]"),
+    ],
+)
+def test_other_spacings_take_the_scanner(text, canonical):
+    with mock.patch.object(diagrams, "_Scanner", side_effect=AssertionError("scanned")):
+        with pytest.raises(AssertionError, match="scanned"):
+            parse_diagram(text)
+    assert parse_diagram(text) == parse_diagram(canonical)
+
+
+@pytest.mark.parametrize(
+    "text, digits, position",
+    [
+        ("n=" + "1" * 5000 + " c=1 []", 5000, 2),
+        ("n=2 c=1 [" + "0" * 4400 + "1-1:1]", 4401, 9),
+        ("n=2 c=1 [1-1:1, 2-2:" + "3" * 4301 + "]", 4301, 20),
+    ],
+    ids=["header", "leading-zeros", "color"],
+)
+def test_integers_past_the_digit_limit_are_parse_errors(text, digits, position):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # int's default
+    try:
+        for parse in (_outcome, _scanned):
+            assert parse(text) == (
+                ParseError, f"integer of {digits} digits is too long (at position {position})", position
+            )
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_operator_sugar():
