@@ -27,14 +27,13 @@ from .diagrams import (
     Diagram,
     MismatchError,
     NonPlanarError,
-    bottom_colors,
+    _row_colors,
     diagram_sort_key,
     format_diagram,
     is_planar,
     multiply,
     require_shape,
     tensor,
-    top_colors,
 )
 
 Rational = Fraction | int
@@ -83,16 +82,6 @@ class AlgebraElement:
         object.__setattr__(g, "c", c)
         object.__setattr__(g, "terms", {d: q for d, q in terms.items() if q})
         return g
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero(n: int, c: int) -> "AlgebraElement":
-        return AlgebraElement(n, c, {})
-
-    @staticmethod
-    def from_diagram(d: Diagram, coeff: Rational = 1) -> "AlgebraElement":
-        return AlgebraElement(d.n, d.c, {d: _coeff(coeff)})
 
     # -- structure ---------------------------------------------------------
 
@@ -159,11 +148,11 @@ class AlgebraElement:
 
 
 def zero(n: int, c: int) -> AlgebraElement:
-    return AlgebraElement.zero(n, c)
+    return AlgebraElement(n, c, {})
 
 
 def from_diagram(d: Diagram, coeff: Rational = 1) -> AlgebraElement:
-    return AlgebraElement.from_diagram(d, coeff)
+    return AlgebraElement(d.n, d.c, {d: _coeff(coeff)})
 
 
 def unit_diagram(c: int, color: int) -> Diagram:
@@ -232,7 +221,7 @@ def left_action_x(d: Diagram, a: Diagram) -> Optional[Diagram]:
     None is returned.
     """
     _require_planar_pair(d, a)
-    below = bottom_colors(d)
+    below = _row_colors(d, 1)
     if all(below.get(t) == k for (t, _, k) in a.edges):
         return multiply(d, a)
     return None
@@ -241,7 +230,7 @@ def left_action_x(d: Diagram, a: Diagram) -> Optional[Diagram]:
 def right_action_x(a: Diagram, d: Diagram) -> Optional[Diagram]:
     """Right action mirror of :func:`left_action_x`: ``x_a * d``."""
     _require_planar_pair(d, a)
-    above = top_colors(d)
+    above = _row_colors(d, 0)
     if all(above.get(b) == k for (_, b, k) in a.edges):
         return multiply(a, d)
     return None

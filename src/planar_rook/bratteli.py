@@ -85,14 +85,6 @@ def down_degree_histogram(graph: BratteliGraph, n: int) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 # Exchange formats.  Both byte streams are deterministic for a fixed graph.
 
-def emit(graph: BratteliGraph, fmt: str) -> bytes:
-    if fmt == "dot":
-        return emit_dot(graph)
-    if fmt == "json":
-        return emit_json(graph)
-    raise ValueError(f"unknown format {fmt!r} (expected 'dot' or 'json')")
-
-
 def _node_id(n: int, label: IrrepLabel) -> str:
     return f"W_{n}_({','.join(str(s) for s in label.sizes)})"
 

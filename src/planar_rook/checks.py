@@ -485,11 +485,7 @@ def check_isomorphism_classification(scope: Scope) -> CheckResult:
                         yield f"intertwiner is not a bijection: {p1.parts} vs {p2.parts}"
                         continue
                     for g, act1 in maps1.items():
-                        act2 = maps2[g]
-                        if any(
-                            (None if act1[i] is None else phi[act1[i]]) != act2[phi[i]]
-                            for i in range(len(phi))
-                        ):
+                        if compose_column_maps(phi, act1) != compose_column_maps(maps2[g], phi):
                             yield (
                                 f"intertwiner does not commute with {format_diagram(g)}: "
                                 f"{p1.parts} vs {p2.parts}"

@@ -1,7 +1,8 @@
 """Command-line surface: enumeration, arithmetic, tables, towers, verification.
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 on usage or
-resource-cap errors.  All data output is deterministic for fixed flags.
+resource-cap errors, 3 on an internal error (any other exception).  All data
+output is deterministic for fixed flags.
 """
 
 from __future__ import annotations
@@ -112,8 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-cap", type=integer, default=None)
     p.add_argument("--c-cap", type=integer, default=None)
     p.add_argument("--cap", type=integer, default=None, help="largest monoid to sweep exhaustively")
-    p.add_argument("--samples", type=integer, default=1000)
-    p.add_argument("--seed", type=integer, default=12345)
+    p.add_argument("--samples", type=integer, default=VerifyConfig.samples)
+    p.add_argument("--seed", type=integer, default=VerifyConfig.seed)
     p.add_argument("--json", action="store_true", help="print the JSON report to stdout")
     p.add_argument("--out", default=None, help="write the JSON report to a file")
 
@@ -131,6 +132,10 @@ def _write_bytes(path: str | None, payload: bytes) -> None:
 def _cmd_count(args) -> int:
     if _binomial_exceeds(args.n, args.c, cap := _diagram_cap()):  # one multinomial per composition of n
         raise CapExceededError(f"n={args.n} has more than {cap} compositions into {args.c + 1} parts")
+    # A squared multinomial is at most (c+1)^(2n), so this bounds the digits of the breakdown's lines.
+    digits = math.comb(args.n + args.c, args.c) * (math.floor(2 * args.n * math.log10(args.c + 1)) + 1)
+    if args.breakdown and digits > cap:
+        raise CapExceededError(f"the breakdown of n={args.n} may print {digits} digits, over the cap of {cap}")
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # counts print in full, past int's default digit limit, for this output only
     try:
@@ -209,15 +214,15 @@ def _cmd_bratteli(args) -> int:
     if _binomial_exceeds(args.n, args.c + 1, cap := _diagram_cap()):  # levels 0..n hold C(n+c+1, c+1) vertices
         raise CapExceededError(f"the tower to level {args.n} at c={args.c} has more than {cap} vertices")
     graph = bratteli.build(args.c, args.n)
-    payload = bratteli.emit(graph, args.format)
+    payload = getattr(bratteli, f"emit_{args.format}")(graph)  # read at call time, so a patched emitter is used
     _write_bytes(args.out, payload)
     return 0
 
 
 def _cmd_verify(args) -> int:
     config = VerifyConfig(
-        n_cap=args.n_cap if args.n_cap is not None else _env_int(ENV_N_CAP, 3),
-        c_cap=args.c_cap if args.c_cap is not None else _env_int(ENV_C_CAP, 2),
+        n_cap=args.n_cap if args.n_cap is not None else _env_int(ENV_N_CAP, VerifyConfig.n_cap),
+        c_cap=args.c_cap if args.c_cap is not None else _env_int(ENV_C_CAP, VerifyConfig.c_cap),
         diagram_cap=_diagram_cap(args.cap),
         samples=args.samples,
         seed=args.seed,
@@ -276,6 +281,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # an engine fault, never a usage error; 1 stays a failed check
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -90,6 +90,13 @@ def require_shape(n: int, c: int) -> None:
         raise InvalidDiagramError("color-range", f"c must be a positive int, got {c!r}")
 
 
+def _require_counts(*values: int) -> None:
+    """Refuse a count, size, n or c that is not an int >= 0 (bools too)."""
+    for value in values:
+        if type(value) is not int or value < 0:
+            raise ValueError(f"expected a non-negative int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Diagram:
     """A c-colored rook diagram on two rows of ``n`` vertices.
@@ -181,14 +188,9 @@ class Profile:
 # else here is rebuilt on each call, as cheaply as a cache could hash the
 # diagram, so memory does not grow with the diagrams a session sees.
 
-def top_colors(d: Diagram) -> dict[int, int]:
-    """Map top vertex -> color of its incident edge."""
-    return {t: k for (t, _, k) in d.edges}
-
-
-def bottom_colors(d: Diagram) -> dict[int, int]:
-    """Map bottom vertex -> color of its incident edge."""
-    return {b: k for (_, b, k) in d.edges}
+def _row_colors(d: Diagram, row: int) -> dict[int, int]:
+    """Map each edge's endpoint in the row at edge position ``row`` (0 top, 1 bottom) to the edge's color."""
+    return {edge[row]: edge[2] for edge in d.edges}
 
 
 def is_planar(d: Diagram) -> bool:
@@ -281,6 +283,7 @@ def vertical_color_counts(d: Diagram) -> tuple[int, ...]:
 
 def vertical_diagram(n: int, counts: tuple[int, ...]) -> Diagram:
     """The leftmost-packed diagram with the given vertical color counts."""
+    _require_counts(n, *counts)
     if sum(counts) > n:
         raise ValueError(f"{sum(counts)} vertical edges do not fit in n={n}")
     edges = []
@@ -326,11 +329,16 @@ def _matching(top: Profile, bottom: Profile) -> Diagram:
 
 def compositions(n: int, c: int) -> Iterator[tuple[int, ...]]:
     """All (c+1)-part compositions of n, in colex order."""
+    _require_counts(n, c)
+    return _compositions(n, c)
+
+
+def _compositions(n: int, c: int) -> Iterator[tuple[int, ...]]:
     if c == 0:
         yield (n,)
         return
     for last in range(n + 1):
-        for head in compositions(n - last, c - 1):
+        for head in _compositions(n - last, c - 1):
             yield head + (last,)
 
 
@@ -345,6 +353,7 @@ def multinomial(parts: Iterable[int]) -> int:
 
 def profiles_with_sizes(n: int, c: int, sizes: tuple[int, ...]) -> Iterator[Profile]:
     """All profiles with the given part sizes, in lexicographic order."""
+    _require_counts(n, c, *sizes)
     if len(sizes) != c + 1 or sum(sizes) != n:
         raise ValueError(f"sizes {sizes} is not a (c+1)-part composition of {n}")
 

@@ -28,7 +28,7 @@ from .diagrams import (
     MismatchError,
     NonPlanarError,
     Profile,
-    bottom_colors,
+    _row_colors,
     cardinality,
     compositions,
     format_diagram,
@@ -202,7 +202,7 @@ def diagram_action(d: Diagram, space: ModuleSpace) -> tuple[Optional[int], ...]:
     if not is_planar(d):
         raise NonPlanarError(f"{format_diagram(d)} is not planar")
     idx = space._index
-    below = bottom_colors(d)
+    below = _row_colors(d, 1)
     column: list[Optional[int]] = []
     for a in space.basis:
         if all(below.get(t) == k for (t, _, k) in a.edges):
@@ -307,16 +307,9 @@ def are_isomorphic(space1: ModuleSpace, space2: ModuleSpace) -> IsoResult:
     t, s = space1.bottom, space2.bottom
     if t.sizes == s.sizes:
         return IsoResult(True, intertwiner=from_profiles(t, s))
-    smaller, annihilated = (t, 2) if _first_smaller_part(t, s) else (s, 1)
+    # Equal n, so unequal sizes differ in a color part; the tuple order compares the first that does.
+    smaller, annihilated = (t, 2) if t.sizes[1:] < s.sizes[1:] else (s, 1)
     return IsoResult(False, distinguisher=from_profiles(smaller, smaller), annihilated=annihilated)
-
-
-def _first_smaller_part(t: Profile, s: Profile) -> bool:
-    """True if at the first differing color part, t has the smaller size."""
-    for i in range(1, t.c + 1):
-        if t.sizes[i] != s.sizes[i]:
-            return t.sizes[i] < s.sizes[i]
-    raise AssertionError("profiles with equal color part sizes are equal-sized everywhere")
 
 
 # ---------------------------------------------------------------------------

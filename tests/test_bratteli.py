@@ -7,7 +7,6 @@ from planar_rook.bratteli import (
     adjacency_count,
     build,
     down_degree_histogram,
-    emit,
     emit_dot,
     emit_json,
     graph_from_json,
@@ -135,11 +134,6 @@ def test_emit_json_trivial():
 
     payload = json.loads(emit_json(build(2, 0)))
     assert payload == {"c": 2, "n_max": 0, "levels": [[[0, 0, 0]]], "edges": []}
-
-
-def test_emit_unknown_format():
-    with pytest.raises(ValueError):
-        emit(build(1, 1), "xml")
 
 
 def test_emit_deterministic_and_roundtrips():

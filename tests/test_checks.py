@@ -175,6 +175,25 @@ def test_classification_catches_swapped_distinguisher(monkeypatch):
     assert len(outcome.witnesses) == 168
 
 
+def test_classification_composes_a_reordering_intertwiner(monkeypatch):
+    # Bases listed in one top-profile order make every intertwiner the identity map, and
+    # the check must not rely on that: reverse the basis of each module with vertex 1 isolated.
+    real = checks.module_space
+    reversed_dims = []
+
+    def reordered(n, c, bottom):
+        space = real(n, c, bottom)
+        if 1 in bottom.parts[0]:
+            object.__setattr__(space, "basis", space.basis[::-1])
+            reversed_dims.append(space.dimension)
+        return space
+
+    monkeypatch.setattr(checks, "module_space", reordered)
+    outcome = checks.check_isomorphism_classification((2, 2))
+    assert outcome.ok, outcome.witnesses[:3]
+    assert max(reversed_dims) > 1
+
+
 def test_a_default_run_enumerates_each_shape_once(monkeypatch):
     # clip(5, 3) holds the 8 shapes n <= 3, c <= 2, and every check reads the run's pools.
     real = diagrams._enumerate_planar

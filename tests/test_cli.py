@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from planar_rook import cli
+from planar_rook import checks, cli
+from planar_rook.checks import VerifyConfig
 from planar_rook.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -88,6 +90,20 @@ def test_count_breakdown_prints_past_the_int_digit_limit(capsys):
     assert code == 0 and len(lines) == 1 + 1201
     assert lines[0] == _decimal(math.comb(2400, 1200))
     assert lines[1 + 600] == f"(600, 600): {_decimal(math.comb(1200, 600) ** 2)}"
+
+
+def test_count_breakdown_obeys_a_digit_bound(capsys, monkeypatch):
+    # C(7, 3) = 35 lines, each of at most floor(2 * 4 * log10(4)) + 1 = 5 digits: 175 fit exactly.
+    monkeypatch.setenv("PLANAR_ROOK_CAP", "175")
+    code, out, _ = run(capsys, "count", "-n", "4", "-c", "3", "--breakdown")
+    assert code == 0 and len(out.splitlines()) == 1 + 35
+    monkeypatch.setenv("PLANAR_ROOK_CAP", "174")
+    assert run(capsys, "count", "-n", "4", "-c", "3", "--breakdown")[:2] == (2, "")
+    monkeypatch.delenv("PLANAR_ROOK_CAP")
+    monkeypatch.setattr(cli, "cardinality", lambda n, c: pytest.fail("counted past the bound"))
+    code, out, err = run(capsys, "count", "-n", "20000", "-c", "1", "--breakdown")  # 20,001 x 12,042 digits
+    assert (code, out) == (2, "")
+    assert "240852042" in err and "1000000" in err
 
 
 def test_enumerate(capsys):
@@ -370,11 +386,14 @@ def test_verify_json_report_is_byte_stable(capsys):
     assert digest == "d5bc669a2afcee5e6add4132415da4233ae2480dfeeed11ebde4a1c6a1b706bb"
 
 
-def test_default_verify_json_report_is_byte_stable(capsys):
+def test_default_verify_json_report_is_byte_stable(capsys, monkeypatch):
+    for name in ("PLANAR_ROOK_CAP", "PLANAR_ROOK_N_CAP", "PLANAR_ROOK_C_CAP"):
+        monkeypatch.delenv(name, raising=False)
     code, out, _ = run(capsys, "verify", "--json")
     assert code == 0
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert digest == "2ddfc6109766cb2a0c7b96579c95ade50fb6d67d85fdc3d36661938ac689e2a4"
+    assert json.loads(out)["config"] == dataclasses.asdict(VerifyConfig())  # the CLI restates no default
 
 
 def test_verify_cap_exceeded_is_usage_error(capsys):
@@ -405,6 +424,15 @@ def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
     assert code == 1
     assert "FAIL" in out
     assert "witness" in out
+
+
+def test_engine_fault_exits_three(capsys, monkeypatch):
+    def faulty(scope):
+        raise AssertionError("planted fault")
+
+    monkeypatch.setattr(checks, "check_rook_closure", faulty)
+    code, out, err = run(capsys, "verify", "--n-cap", "1", "--c-cap", "1", "--samples", "10", "--json")
+    assert (code, out, err) == (3, "", "internal error: AssertionError: planted fault\n")
 
 
 def test_determinism_of_outputs(tmp_path, capsys):

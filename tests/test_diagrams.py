@@ -40,6 +40,7 @@ from planar_rook.diagrams import (
     to_matrix,
     top_profile,
     vertical_color_counts,
+    vertical_diagram,
     vertical_subdiagram,
 )
 
@@ -453,6 +454,12 @@ def test_compositions_colex_order():
     ]
 
 
+@pytest.mark.parametrize("n, c", [(2, -1), (-1, 1), (True, 1), (2, 1.0)])
+def test_compositions_refuse_bad_counts(n, c):
+    with pytest.raises(ValueError):
+        list(compositions(n, c))
+
+
 def test_multinomial():
     assert multinomial((1, 1, 1)) == 6
     assert multinomial((2, 0, 2)) == 6
@@ -462,6 +469,12 @@ def test_multinomial():
 def test_profiles_with_sizes_lex_order():
     parts = [p.parts for p in profiles_with_sizes(2, 1, (1, 1))]
     assert parts == [((1,), (2,)), ((2,), (1,))]
+
+
+@pytest.mark.parametrize("n, c, sizes", [(3, 1, (4, -1)), (-1, 1, (0, -1)), (2, 1, (True, 1)), (2, True, (1, 1))])
+def test_profiles_with_sizes_refuse_bad_counts(n, c, sizes):
+    with pytest.raises(ValueError):
+        list(profiles_with_sizes(n, c, sizes))
 
 
 def _all_rook_diagrams(n, c):
@@ -540,6 +553,12 @@ def test_vertical_subdiagram():
     assert vertical_subdiagram(ident) == ident
     assert vertical_subdiagram(Diagram(2, 1, [(1, 2, 1)])) == Diagram(2, 1, [])
     assert vertical_subdiagram(FIVE_VERTEX) == Diagram(5, 2, [(3, 3, 2), (5, 5, 1)])
+
+
+@pytest.mark.parametrize("n, counts", [(3, (-1, 2)), (-1, ()), (3, (False, 1)), (3, (1.0,)), (3.0, (1,))])
+def test_vertical_diagram_refuses_bad_counts(n, counts):
+    with pytest.raises(ValueError):
+        vertical_diagram(n, counts)
 
 
 def test_vertical_color_counts():
