@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .diagrams import require_shape
+from .diagrams import CapExceededError, _binomial_exceeds, require_shape
 from .representations import IrrepLabel, all_labels
 
 #: An edge joins (level, index) of a parent to (level - 1, index) of a child.
@@ -57,6 +57,12 @@ def build(c: int, n_max: int) -> BratteliGraph:
                 edges.append(((n, parent_idx), (n - 1, index_at[n - 1][child])))
     edges.sort()
     return BratteliGraph(c, n_max, levels, tuple(edges))
+
+
+def require_tower_cap(c: int, n_max: int, cap: int) -> None:
+    """Raise :class:`CapExceededError` if levels 0..n_max, C(n_max+c+1, c+1) vertices in all, exceed the cap."""
+    if _binomial_exceeds(n_max, c + 1, cap):
+        raise CapExceededError(f"the tower to level {n_max} at c={c} has more than {cap} vertices")
 
 
 def vertex_count(n: int, c: int) -> int:

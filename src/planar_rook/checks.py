@@ -9,7 +9,9 @@ runs at the call into its :class:`CheckResult`.  All arithmetic is exact, so
 a check either passes identically or names a counterexample.
 
 No check takes a diagram cap: :func:`run_verification` compares its cap
-with |P| at the largest shape it sweeps once, before any check runs.
+with |P| at the largest shape it sweeps and with the Pascal-triangle tower
+once, before any check runs.  It runs each check in a guard, so a check
+that raises is reported as a failed result with its error.
 """
 
 from __future__ import annotations
@@ -696,8 +698,16 @@ def check_pascal_triangle(n_max: int) -> CheckResult:
 # ---------------------------------------------------------------------------
 # The full suite.
 
+def _guarded(check, *args) -> CheckResult:
+    """Run one check; an exception it raises, an engine fault, becomes its failed result with the error."""
+    try:
+        return check(*args)
+    except Exception as exc:
+        return CheckResult(getattr(check, "name", check.__name__), 0, [], f"{type(exc).__name__}: {exc}")
+
+
 def run_verification(config: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
-    """Run every check, exhaustive ranges clipped to the configured caps."""
+    """Run every check, exhaustive ranges clipped to the configured caps, each in a guard against faults."""
 
     def clip(n_max: int, c_max: int) -> Scope:
         return (min(n_max, config.n_cap), min(c_max, config.c_cap))
@@ -707,37 +717,38 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> list[CheckResult]
     # Every scope below that builds a monoid lies inside the enumeration check's, and |P| grows
     # with n and c: this refuses an over-cap run before any diagram.
     require_monoid_cap(*clip(5, 3), config.diagram_cap)
+    bratteli.require_tower_cap(1, config.n_cap, config.diagram_cap)  # the Pascal-triangle check's tower
     global _tables
     _tables = {}
     try:
         results = [
-            check_enumeration_count(clip(5, 3)),
-            check_associativity(clip(2, 2), clip(4, 3), samples, seed),
-            check_rook_closure(clip(3, 2)),
-            check_planarity_closure(clip(3, 2)),
-            check_size_monotonicity(clip(3, 2)),
-            check_profile_roundtrip(clip(4, 2)),
-            check_matrix_semantics(clip(3, 2)),
-            check_identity_unit(clip(4, 3)),
-            check_x_inversion(clip(3, 2), samples, seed),
-            check_left_action(clip(2, 2), clip(3, 2), samples, seed),
-            check_right_action(clip(2, 2), clip(3, 2), samples, seed),
-            check_block_preservation(clip(3, 2)),
-            check_embed(clip(2, 2), samples, seed),
-            check_rho_homomorphism(clip(3, 2)),
-            check_column_structure(clip(3, 2)),
-            check_character(clip(4, 2)),
-            check_multiplicity_count(clip(4, 2)),
-            check_irreducibility(clip(3, 2)),
-            check_isomorphism_classification(clip(3, 2)),
-            check_matrix_algebra(clip(2, 2)),
-            check_regular_decomposition(clip(3, 2)),
-            check_restriction(clip(3, 2)),
-            check_tower_levels(clip(6, 4)),
-            check_tower_degrees(clip(6, 4)),
-            check_tower_recursion(clip(12, 4)),
-            check_tower_restriction_consistency(clip(4, 2)),
-            check_pascal_triangle(config.n_cap),
+            _guarded(check_enumeration_count, clip(5, 3)),
+            _guarded(check_associativity, clip(2, 2), clip(4, 3), samples, seed),
+            _guarded(check_rook_closure, clip(3, 2)),
+            _guarded(check_planarity_closure, clip(3, 2)),
+            _guarded(check_size_monotonicity, clip(3, 2)),
+            _guarded(check_profile_roundtrip, clip(4, 2)),
+            _guarded(check_matrix_semantics, clip(3, 2)),
+            _guarded(check_identity_unit, clip(4, 3)),
+            _guarded(check_x_inversion, clip(3, 2), samples, seed),
+            _guarded(check_left_action, clip(2, 2), clip(3, 2), samples, seed),
+            _guarded(check_right_action, clip(2, 2), clip(3, 2), samples, seed),
+            _guarded(check_block_preservation, clip(3, 2)),
+            _guarded(check_embed, clip(2, 2), samples, seed),
+            _guarded(check_rho_homomorphism, clip(3, 2)),
+            _guarded(check_column_structure, clip(3, 2)),
+            _guarded(check_character, clip(4, 2)),
+            _guarded(check_multiplicity_count, clip(4, 2)),
+            _guarded(check_irreducibility, clip(3, 2)),
+            _guarded(check_isomorphism_classification, clip(3, 2)),
+            _guarded(check_matrix_algebra, clip(2, 2)),
+            _guarded(check_regular_decomposition, clip(3, 2)),
+            _guarded(check_restriction, clip(3, 2)),
+            _guarded(check_tower_levels, clip(6, 4)),
+            _guarded(check_tower_degrees, clip(6, 4)),
+            _guarded(check_tower_recursion, clip(12, 4)),
+            _guarded(check_tower_restriction_consistency, clip(4, 2)),
+            _guarded(check_pascal_triangle, config.n_cap),
         ]
     finally:  # the pools, the product table and the action table live for one run only
         _tables = None

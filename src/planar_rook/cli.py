@@ -1,7 +1,8 @@
 """Command-line surface: enumeration, arithmetic, tables, towers, verification.
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 on usage or
-resource-cap errors, 3 on an internal error (any other exception).  All data
+resource-cap errors, 3 on an internal error (any other exception; for
+``verify``, a check that raised, reported in a complete report).  All data
 output is deterministic for fixed flags.
 """
 
@@ -22,6 +23,7 @@ from .checks import VerifyConfig, run_verification
 from .diagrams import (
     DEFAULT_DIAGRAM_CAP,
     CapExceededError,
+    _binomial_exceeds,
     cardinality,
     compositions,
     diagram_sort_key,
@@ -58,11 +60,6 @@ def _env_int(name: str, fallback: int) -> int:
 def _diagram_cap(option: int | None = None) -> int:
     """The diagram cap: the command's ``--cap``, else ``PLANAR_ROOK_CAP``, else the default."""
     return option if option is not None else _env_int(ENV_DIAGRAM_CAP, DEFAULT_DIAGRAM_CAP)
-
-
-def _binomial_exceeds(a: int, b: int, cap: int) -> bool:
-    """Whether C(a+b, b) > cap; C(a+b, b) >= 2^min(a, b), and that power bound spares a huge binomial."""
-    return min(a, b) > cap.bit_length() or math.comb(a + b, b) > cap
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -211,8 +208,7 @@ def _cmd_chartable(args) -> int:
 
 
 def _cmd_bratteli(args) -> int:
-    if _binomial_exceeds(args.n, args.c + 1, cap := _diagram_cap()):  # levels 0..n hold C(n+c+1, c+1) vertices
-        raise CapExceededError(f"the tower to level {args.n} at c={args.c} has more than {cap} vertices")
+    bratteli.require_tower_cap(args.c, args.n, _diagram_cap())
     graph = bratteli.build(args.c, args.n)
     payload = getattr(bratteli, f"emit_{args.format}")(graph)  # read at call time, so a patched emitter is used
     _write_bytes(args.out, payload)
@@ -245,9 +241,16 @@ def _cmd_verify(args) -> int:
         for r in results:
             status = "PASS" if r.ok else "FAIL"
             print(f"{status} {r.name} (checked {r.checked})")
+            if r.error is not None:
+                print(f"     error: {r.error}")
             for witness in r.witnesses[:5]:
                 print(f"     witness: {witness}")
-    return 0 if report["ok"] else 1
+            if len(r.witnesses) > 5:
+                print(f"     … and {len(r.witnesses) - 5} more")
+    faults = [r for r in results if r.error is not None]
+    for r in faults:
+        print(f"internal error in {r.name}: {r.error}", file=sys.stderr)
+    return 3 if faults else 0 if report["ok"] else 1
 
 
 _COMMANDS = {

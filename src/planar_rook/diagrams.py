@@ -381,6 +381,11 @@ def sorted_profile(n: int, sizes: tuple[int, ...]) -> Profile:
     return Profile(n, len(sizes) - 1, tuple(parts))
 
 
+def _binomial_exceeds(a: int, b: int, cap: int) -> bool:
+    """Whether C(a+b, b) > cap; C(a+b, b) >= 2^min(a, b), and that power bound spares a huge binomial."""
+    return min(a, b) > cap.bit_length() or math.comb(a + b, b) > cap
+
+
 def require_monoid_cap(n: int, c: int, cap: int) -> None:
     """Raise :class:`CapExceededError` if |P_{n,c}| > cap, building no diagram."""
     require_shape(n, c)

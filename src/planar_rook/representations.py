@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
+from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
 from .algebra import AlgebraElement, Rational, left_action_x
@@ -28,14 +29,12 @@ from .diagrams import (
     MismatchError,
     NonPlanarError,
     Profile,
-    _row_colors,
     cardinality,
     compositions,
     format_diagram,
     from_profiles,
     is_planar,
     multinomial,
-    multiply,
     profiles_with_sizes,
     require_shape,
     sorted_profile,
@@ -47,21 +46,23 @@ from .diagrams import (
 
 @dataclass
 class CheckResult:
-    """Outcome of a finite verification: passes exactly when no witness was found."""
+    """Outcome of a finite verification: passes exactly when no witness was found and no fault was raised."""
 
     name: str
     checked: int
     witnesses: list[str]
+    error: Optional[str] = None  # "<type>: <message>" of an exception that stopped the check
     ok: bool = field(init=False)
 
     def __post_init__(self):
-        self.ok = not self.witnesses
+        self.ok = not self.witnesses and self.error is None
 
     def __bool__(self) -> bool:
         return self.ok
 
     def as_dict(self) -> dict:
-        return {"name": self.name, "ok": self.ok, "checked": self.checked, "witnesses": self.witnesses}
+        entry = {"name": self.name, "ok": self.ok, "checked": self.checked, "witnesses": self.witnesses}
+        return entry if self.error is None else {**entry, "error": self.error}
 
 
 def tallied(name: str):
@@ -78,6 +79,7 @@ def tallied(name: str):
                 else:
                     raise TypeError(f"a check yields int case counts and str witnesses, not {item!r}")
             return CheckResult(name, total, witnesses)
+        check.name = name  # for a guard that reports the check when it raises
         return check
     return decorate
 
@@ -131,21 +133,28 @@ def all_labels(n: int, c: int) -> tuple[IrrepLabel, ...]:
 class ModuleSpace:
     """The irreducible module with bottom profile T, over its ordered x-basis.
 
-    The basis runs over all top profiles with T's part sizes, in enumeration
-    order, realized as the planar diagrams from_profiles(S, T).
+    Basis vector j is x_(S_j, T) for the j-th top profile S_j with T's part
+    sizes, in ``profiles_with_sizes`` order.  ``tops[j]`` packs S_j into one
+    int, with bit (k-1)*n + v-1 set when top vertex v is in color part k;
+    the diagrams from_profiles(S_j, T) of ``basis`` are built on first use.
     """
 
     bottom: Profile
-    basis: tuple[Diagram, ...] = field(init=False, repr=False, compare=False)
+    tops: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.bottom, Profile):
             raise TypeError(f"a module is built from a bottom Profile, not {self.bottom!r}")
-        sizes = self.bottom.sizes
-        basis = tuple(from_profiles(top, self.bottom) for top in profiles_with_sizes(self.n, self.c, sizes))
-        if len(basis) != multinomial(sizes):
+        n, c, sizes = self.n, self.c, self.bottom.sizes
+        require_shape(n, c)  # a Profile may have c = 0, a module may not
+        states = [((1 << n) - 1, 0)]  # profiles_with_sizes' recursion, a level per part: (vertex bits left, packed)
+        for k, size in enumerate(sizes[:-1]):
+            states = [(left ^ part, bits | part << (k - 1) * n if k else bits) for left, bits in states
+                      for part in map(sum, combinations([1 << v for v in range(n) if left >> v & 1], size))]
+        tops = tuple(bits | left << (c - 1) * n for left, bits in states)  # the last part takes what is left
+        if len(tops) != multinomial(sizes):
             raise AssertionError("a module basis has multinomially many vectors")
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "tops", tops)
 
     @property
     def n(self) -> int:
@@ -157,10 +166,17 @@ class ModuleSpace:
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self.tops)
 
     def label(self) -> IrrepLabel:
         return IrrepLabel(self.bottom.sizes)
+
+    @cached_property
+    def basis(self) -> tuple[Diagram, ...]:
+        n, c, span = self.n, self.c, range(1, self.n + 1)
+        colored = ([tuple(v for v in span if top & _bit(n, v, k)) for k in range(1, c + 1)] for top in self.tops)
+        tops = (Profile._trusted(n, c, (tuple(v for v in span if all(v not in p for p in ps)), *ps)) for ps in colored)
+        return tuple(from_profiles(top, self.bottom) for top in tops)
 
     def index_of(self, d: Diagram) -> int:
         return self._index[d]
@@ -168,6 +184,15 @@ class ModuleSpace:
     @cached_property
     def _index(self) -> dict[Diagram, int]:
         return {a: i for i, a in enumerate(self.basis)}
+
+    @cached_property
+    def _slot(self) -> dict[int, int]:
+        return {top: j for j, top in enumerate(self.tops)}
+
+
+def _bit(n: int, v: int, k: int) -> int:
+    """The bit of a packed top profile that is set when vertex v is in color part k."""
+    return 1 << ((k - 1) * n + v - 1)
 
 
 def module_space(n: int, c: int, bottom: Profile) -> ModuleSpace:
@@ -194,28 +219,29 @@ def all_bottom_profiles(n: int, c: int) -> Iterator[Profile]:
 def diagram_action(d: Diagram, space: ModuleSpace) -> tuple[Optional[int], ...]:
     """Column map of a diagram action: basis index -> image index or None.
 
-    Column j is the basis index of d * x_(a_j) when the per-color endpoint
-    containment holds, else None (the zero column).
+    Column j is None unless, color by color, the top profile S_j lies inside
+    d's bottom ends; then d * x_(S_j, T) is x_(S', T), with S' the vertices
+    that d's edges carry S_j up to.  The bottom profile T is never read.
     """
     if d.n != space.n or d.c != space.c:
         raise MismatchError("diagram does not match the module's (n, c)")
     if not is_planar(d):
         raise NonPlanarError(f"{format_diagram(d)} is not planar")
-    idx = space._index
-    below = _row_colors(d, 1)
-    column: list[Optional[int]] = []
-    for a in space.basis:
-        if all(below.get(t) == k for (t, _, k) in a.edges):
-            image = multiply(d, a)
-            try:
-                column.append(idx[image])
-            except KeyError:  # containment keeps every edge of a, so d * a keeps bottom T
-                raise AssertionError(
-                    f"action of {format_diagram(d)} leaves the span at basis vector {format_diagram(a)}"
-                )
-        else:
-            column.append(None)
-    return tuple(column)
+    up = {_bit(d.n, b, k): _bit(d.n, t, k) for t, b, k in d.edges}  # d's bottom ends, each to its top end
+    outside, slot = ~sum(up), space._slot
+
+    def image_slot(top: int) -> int:
+        image, rest = 0, top
+        while rest:
+            low = rest & -rest
+            image |= up[low]
+            rest ^= low
+        if image not in slot:  # d's edges keep each color's count, so S' has T's part sizes
+            basis_vector = format_diagram(space.basis[slot[top]])
+            raise AssertionError(f"action of {format_diagram(d)} leaves the span at basis vector {basis_vector}")
+        return slot[image]
+
+    return tuple([None if top & outside else image_slot(top) for top in space.tops])
 
 
 def compose_column_maps(
@@ -392,18 +418,15 @@ def verify_character_table(n: int, c: int, cap: int = DEFAULT_DIAGRAM_CAP) -> Ch
 # ---------------------------------------------------------------------------
 # Restriction to one column fewer.
 
-def _last_vertex_part(a: Diagram) -> int:
-    """Index of the top-profile part holding vertex n; edges are sorted by top, so only the last can."""
-    return a.edges[-1][2] if a.edges and a.edges[-1][0] == a.n else 0
-
-
 def restriction_groups(space: ModuleSpace) -> list[tuple[int, list[int]]]:
     """Basis indices grouped by where the last top vertex sits, part index ascending."""
     if space.n < 1:
         raise ValueError("restriction needs n >= 1")
+    part_of = {_bit(space.n, space.n, k): k for k in range(1, space.c + 1)}  # the bit of vertex n in part k
+    last, part_of[0] = sum(part_of), 0
     groups: dict[int, list[int]] = {}
-    for idx, a in enumerate(space.basis):
-        groups.setdefault(_last_vertex_part(a), []).append(idx)
+    for idx, top in enumerate(space.tops):
+        groups.setdefault(part_of[top & last], []).append(idx)
     return sorted(groups.items())
 
 

@@ -10,9 +10,11 @@ from planar_rook.bratteli import (
     emit_dot,
     emit_json,
     graph_from_json,
+    require_tower_cap,
     vertex_count,
 )
 from planar_rook.checks import check_tower_recursion
+from planar_rook.diagrams import CapExceededError
 from planar_rook.representations import IrrepLabel
 
 # The two-color tower up to level 2: 1 + 3 + 6 vertices and 12 edges.
@@ -158,3 +160,11 @@ def test_build_refuses_a_bad_shape(c, n_max):
 
 def test_vertex_count_takes_zero_colors():
     assert [vertex_count(n, 0) for n in range(4)] == [1, 1, 1, 1]
+
+
+def test_tower_cap_counts_every_vertex_to_the_top_level():
+    # Levels 0..n at c colors hold C(n+c+1, c+1) vertices: C(3002, 2) = 4,504,501 for the Pascal triangle to 3000.
+    assert sum(vertex_count(n, 1) for n in range(11)) == math.comb(12, 2)
+    require_tower_cap(1, 3000, 4504501)
+    with pytest.raises(CapExceededError, match="the tower to level 3000 at c=1 has more than 4504500 vertices"):
+        require_tower_cap(1, 3000, 4504500)

@@ -176,15 +176,16 @@ def test_classification_catches_swapped_distinguisher(monkeypatch):
 
 
 def test_classification_composes_a_reordering_intertwiner(monkeypatch):
-    # Bases listed in one top-profile order make every intertwiner the identity map, and
-    # the check must not rely on that: reverse the basis of each module with vertex 1 isolated.
+    # Bases listed in one top-profile order make every intertwiner the identity map, and the
+    # check must not rely on that: reverse the stored order, ``tops``, of each module with
+    # vertex 1 isolated, before its basis diagrams and slots are built from it.
     real = checks.module_space
     reversed_dims = []
 
     def reordered(n, c, bottom):
         space = real(n, c, bottom)
         if 1 in bottom.parts[0]:
-            object.__setattr__(space, "basis", space.basis[::-1])
+            object.__setattr__(space, "tops", space.tops[::-1])
             reversed_dims.append(space.dimension)
         return space
 
@@ -322,3 +323,18 @@ def test_a_lone_check_keeps_no_table(monkeypatch):
     assert checks.check_rook_closure((2, 1)).ok
     monkeypatch.setattr(checks, "multiply", _stacked)
     assert not checks.check_rook_closure((2, 1)).ok
+
+
+def test_a_fault_inside_a_verifier_is_an_engine_fault(monkeypatch):
+    # verify_irreducible runs inside the irreducibility check; its exception must not become a
+    # witness of that check but the check's error, while every other check still runs and passes.
+    def planted(d, a):
+        raise AssertionError("planted fault")
+
+    monkeypatch.setattr(representations, "left_action_x", planted)
+    results = {r.name: r for r in run_verification(VerifyConfig(n_cap=2, c_cap=1, samples=10))}
+    fault = results.pop("modules.irreducibility")
+    assert (fault.ok, fault.checked, fault.witnesses, fault.error) == (False, 0, [], "AssertionError: planted fault")
+    assert fault.as_dict()["error"] == "AssertionError: planted fault"
+    assert len(results) == 26
+    assert all(r.ok and r.error is None and "error" not in r.as_dict() for r in results.values())

@@ -12,6 +12,7 @@ import pytest
 from planar_rook import checks, cli
 from planar_rook.checks import VerifyConfig
 from planar_rook.cli import main
+from planar_rook.representations import tallied
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -427,12 +428,53 @@ def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
 
 
 def test_engine_fault_exits_three(capsys, monkeypatch):
+    # A check that raises is an engine fault, not a failed claim: its entry carries the error,
+    # every other check still runs, the complete report is printed, and verify exits 3.
+    argv = ["verify", "--n-cap", "1", "--c-cap", "1", "--samples", "10", "--json"]
+    clean = json.loads(run(capsys, *argv)[1])
+
+    @tallied("diagram.rook-closure")
     def faulty(scope):
+        yield 1
         raise AssertionError("planted fault")
 
     monkeypatch.setattr(checks, "check_rook_closure", faulty)
-    code, out, err = run(capsys, "verify", "--n-cap", "1", "--c-cap", "1", "--samples", "10", "--json")
-    assert (code, out, err) == (3, "", "internal error: AssertionError: planted fault\n")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (3, "internal error in diagram.rook-closure: AssertionError: planted fault\n")
+    report = json.loads(out)
+    assert report["ok"] is False
+    fault = {"name": "diagram.rook-closure", "ok": False, "checked": 0, "witnesses": [],
+             "error": "AssertionError: planted fault"}
+    assert report["checks"] == [fault if e["name"] == fault["name"] else e for e in clean["checks"]]
+    code, out, _ = run(capsys, *argv[:-1])
+    assert code == 3
+    assert "FAIL diagram.rook-closure (checked 0)\n     error: AssertionError: planted fault\n" in out
+
+
+def test_verify_text_counts_the_witnesses_it_cuts(capsys, monkeypatch):
+    @tallied("diagram.rook-closure")
+    def failing(scope):
+        yield 1
+        yield from (f"w{i}" for i in range(8))
+
+    monkeypatch.setattr(checks, "check_rook_closure", failing)
+    code, out, _ = run(capsys, "verify", "--n-cap", "1", "--c-cap", "1", "--samples", "10")
+    assert code == 1
+    shown = "".join(f"     witness: w{i}\n" for i in range(5))
+    assert f"FAIL diagram.rook-closure (checked 1)\n{shown}     … and 3 more\n" in out
+    assert "more" not in out.replace("… and 3 more", "")
+
+
+def test_verify_refuses_a_pascal_tower_over_the_cap_before_any_check(capsys, monkeypatch):
+    # The Pascal-triangle check builds the one-color tower to level n-cap: C(3002, 2) = 4,504,501
+    # vertices exceed the default cap of 10^6, so verify is refused before any check or tower.
+    ran = []
+    for name in [name for name in vars(checks) if name.startswith("check_")]:
+        monkeypatch.setattr(checks, name, lambda *args, name=name: ran.append(name))
+    monkeypatch.setattr(checks.bratteli, "build", lambda *args: ran.append("build"))
+    code, out, err = run(capsys, "verify", "--n-cap", "3000", "--c-cap", "1")
+    assert (code, out, ran) == (2, "", [])
+    assert err == "resource cap exceeded: the tower to level 3000 at c=1 has more than 1000000 vertices\n"
 
 
 def test_determinism_of_outputs(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import math
+import random
+from collections import Counter
 
 import pytest
 
@@ -29,7 +31,6 @@ from planar_rook.diagrams import (
 from planar_rook.representations import (
     IrrepLabel,
     ModuleSpace,
-    _last_vertex_part,
     action_trace,
     all_bottom_profiles,
     all_labels,
@@ -214,11 +215,52 @@ def test_module_space_builds_its_basis_from_the_bottom_profile():
                 assert hash(twin) == hash(space)
 
 
-def test_an_action_leaving_the_basis_is_an_engine_fault(monkeypatch):
-    space = label_module(IrrepLabel((1, 1)))
-    monkeypatch.setattr(representations, "multiply", lambda d, a: Diagram(a.n, a.c, []))
+def test_an_action_leaving_the_basis_is_an_engine_fault():
+    # Built without validation, d joins top vertex 1 to both bottom vertices, so it carries the
+    # one basis vector of the (0, 2) module, top profile {1, 2}, to {1}: outside the module.
+    space = label_module(IrrepLabel((0, 2)))
+    d = Diagram._trusted(2, 1, ((1, 1, 1), (1, 2, 1)))
     with pytest.raises(AssertionError, match="leaves the span"):
-        diagram_action(Diagram(2, 1, [(1, 1, 1), (2, 2, 1)]), space)
+        diagram_action(d, space)
+
+
+def _action_by_definition(d, space):
+    """The column map read off the diagram-level action ``left_action_x(d, a)`` on each basis diagram."""
+    return tuple(None if (image := left_action_x(d, a)) is None else space.index_of(image) for a in space.basis)
+
+
+def _random_profile(rng, n, sizes):
+    colors = [k for k, size in enumerate(sizes) for _ in range(size)]
+    rng.shuffle(colors)
+    parts = tuple(tuple(v for v in range(1, n + 1) if colors[v - 1] == k) for k in range(len(sizes)))
+    return Profile(n, len(sizes) - 1, parts)
+
+
+def test_diagram_action_matches_the_diagram_level_action():
+    for n, c in [(n, c) for n in range(5) for c in (1, 2)] + [(3, 3)]:
+        spaces = [ModuleSpace(p) for p in all_bottom_profiles(n, c)]
+        for d in pool(n, c):
+            for space in spaces:
+                assert diagram_action(d, space) == _action_by_definition(d, space)
+    rng = random.Random(20121)
+    spaces = {}  # per class, the module at a random bottom profile: d acts on its own class, so not only as zero
+    for _ in range(200):
+        sizes = tuple(map(Counter(rng.randrange(4) for _ in range(7)).__getitem__, range(4)))
+        d = from_profiles(_random_profile(rng, 7, sizes), _random_profile(rng, 7, sizes))
+        if sizes not in spaces:
+            spaces[sizes] = ModuleSpace(_random_profile(rng, 7, sizes))
+        assert diagram_action(d, spaces[sizes]) == _action_by_definition(d, spaces[sizes])
+
+
+def test_module_tops_follow_the_profile_order():
+    for c in (1, 2, 3):
+        for n in range(7):
+            for sizes in compositions(n, c):
+                packed = tuple(
+                    sum(1 << ((k - 1) * n + v - 1) for k in range(1, c + 1) for v in s.parts[k])
+                    for s in profiles_with_sizes(n, c, sizes)
+                )
+                assert ModuleSpace(IrrepLabel(sizes).representative()).tops == packed
 
 
 def test_a_last_vertex_outside_its_restriction_part_is_an_engine_fault():
@@ -398,11 +440,13 @@ def test_last_edge_and_profiles_match_their_definitions():
                 ends = {e[row]: e[2] for e in a.edges}
                 expected = tuple(tuple(v for v in range(1, n + 1) if ends.get(v, 0) == k) for k in range(c + 1))
                 assert (profile.n, profile.c, profile.parts) == (n, c, expected)
-            if n:
-                for part_index, part in enumerate(top_profile(a).parts):
-                    if n in part:
-                        break
-                assert _last_vertex_part(a) == part_index
+        for bottom in all_bottom_profiles(n, c) if n else ():
+            space = ModuleSpace(bottom)
+            groups = restriction_groups(space)
+            assert [j for j, _ in groups] == sorted({j for j, _ in groups})
+            assert sorted(i for _, indices in groups for i in indices) == list(range(space.dimension))
+            for j, indices in groups:
+                assert all(n in top_profile(space.basis[i]).parts[j] for i in indices)
 
 
 def test_products_and_module_queries_leave_the_diagram_caches_empty():
