@@ -1,7 +1,9 @@
 """Exact linear combinations of planar diagrams.
 
 Elements are finite formal sums of planar diagrams with rational
-coefficients; the diagram product extends bilinearly.  Only ``int`` and
+coefficients; the diagram product extends bilinearly.  Products, tensors and
+x-coordinates sum coefficients by edge tuple, testing every product term pair
+for planarity, and build one Diagram per nonzero term.  Only ``int`` and
 ``Fraction`` inputs are accepted, so every identity the suite checks is
 bit-exact.  Integral inputs are stored as ``int`` (a ``Fraction`` with
 denominator 1 becomes its numerator) and all others as ``Fraction``; the
@@ -20,14 +22,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import Iterator, Mapping, Optional
 
 from .diagrams import (
     Diagram,
+    Edge,
     MismatchError,
     NonPlanarError,
     _row_colors,
+    compose_edges,
     diagram_sort_key,
     format_diagram,
     is_planar,
@@ -127,21 +131,25 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return self.scale(other)
         self._require_compatible(other)
-        return self._bilinear(other, multiply, self.n)
+        lowers = [({e[0]: e for e in d2.edges}, q2) for d2, q2 in other.terms.items()]
+        terms: dict[tuple[Edge, ...], Rational] = {}
+        for d1, q1 in self.terms.items():
+            for lower, q2 in lowers:
+                edges, planar = compose_edges(d1.edges, lower)
+                if not planar:  # every pair, also one whose key cancels: terms are planar
+                    raise AssertionError("product of planar diagrams must be planar")
+                terms[edges] = terms.get(edges, 0) + q1 * q2
+        n, c = self.n, self.c  # one Diagram per nonzero key
+        return AlgebraElement._trusted(n, c, {Diagram._trusted(n, c, edges): q for edges, q in terms.items() if q})
 
     def tensor(self, other: "AlgebraElement") -> "AlgebraElement":
         if self.c != other.c:
             raise MismatchError(f"color counts differ: {self.c} vs {other.c}")
-        return self._bilinear(other, tensor, self.n + other.n)
-
-    def _bilinear(self, other: "AlgebraElement", product, n: int) -> "AlgebraElement":
-        """Extend a diagram ``product`` bilinearly; it maps planar diagrams to planar width-n ones."""
-        terms: dict[Diagram, Rational] = {}
-        for d1, q1 in self.terms.items():
-            for d2, q2 in other.terms.items():
-                prod = product(d1, d2)
-                terms[prod] = terms.get(prod, 0) + q1 * q2
-        return AlgebraElement._trusted(n, self.c, terms)
+        blank = Diagram._trusted(self.n, self.c, ())  # blank @ d2 is d2 shifted right, the tensor rule stated once
+        rights = [(tensor(blank, d2).edges, q2) for d2, q2 in other.terms.items()]
+        n, c = self.n + other.n, self.c  # each pair gives a distinct product, its coefficient nonzero
+        terms = {Diagram._trusted(n, c, d1.edges + e2): q1 * q2 for d1, q1 in self.terms.items() for e2, q2 in rights}
+        return AlgebraElement._trusted(n, c, terms)
 
     def __str__(self) -> str:
         return format_element(self)
@@ -182,11 +190,14 @@ def identity(n: int, c: int) -> AlgebraElement:
 # ---------------------------------------------------------------------------
 # The x-basis.
 
+def _edge_subsets(edges: tuple[Edge, ...]) -> Iterator[tuple[Edge, ...]]:
+    """Every sub-tuple of ``edges`` by size, each in the canonical order (combinations keep it)."""
+    return chain.from_iterable(combinations(edges, r) for r in range(len(edges) + 1))
+
+
 def subdiagrams(d: Diagram) -> Iterator[Diagram]:
     """All diagrams obtained by deleting edges of ``d`` (including d itself)."""
-    for r in range(d.size + 1):
-        for chosen in combinations(d.edges, r):
-            yield Diagram._trusted(d.n, d.c, chosen)  # combinations keep the canonical order
+    return (Diagram._trusted(d.n, d.c, chosen) for chosen in _edge_subsets(d.edges))
 
 
 def x_of(d: Diagram) -> AlgebraElement:
@@ -205,11 +216,11 @@ def to_x_coordinates(g: AlgebraElement) -> dict[Diagram, Rational]:
     the x-coordinate at ``a`` is the sum of the diagram coefficients of all
     supports containing ``a``.
     """
-    coords: dict[Diagram, Rational] = {}
+    coords: dict[tuple[Edge, ...], Rational] = {}
     for d, coeff in g.terms.items():
-        for sub in subdiagrams(d):
+        for sub in _edge_subsets(d.edges):
             coords[sub] = coords.get(sub, 0) + coeff
-    return {a: q for a, q in coords.items() if q}
+    return {Diagram._trusted(g.n, g.c, a): q for a, q in coords.items() if q}
 
 
 def left_action_x(d: Diagram, a: Diagram) -> Optional[Diagram]:

@@ -242,21 +242,24 @@ def multiply(d1: Diagram, d2: Diagram) -> Diagram:
         raise MismatchError(f"vertex counts differ: {d1.n} vs {d2.n}")
     if d1.c != d2.c:
         raise MismatchError(f"color counts differ: {d1.c} vs {d2.c}")
-    lower = {m: (b, k) for m, b, k in d2.edges}
+    edges, planar = compose_edges(d1.edges, {e[0]: e for e in d2.edges})
+    if not planar and is_planar(d1) and is_planar(d2):
+        raise AssertionError("product of planar diagrams must be planar")
+    return Diagram._trusted(d1.n, d1.c, edges)
+
+
+def compose_edges(upper: tuple[Edge, ...], lower: dict[int, Edge]) -> tuple[tuple[Edge, ...], bool]:
+    """The edges of ``upper`` stacked over ``lower`` (edges by top vertex), in top order, and whether none cross."""
     edges = []
     last_bottom: dict[int, int] = {}  # is_planar(product), run as the edges come out
     planar = True
-    for t, m, k in d1.edges:
+    for t, m, k in upper:
         hit = lower.get(m)
-        if hit is not None and hit[1] == k:
-            planar &= hit[0] > last_bottom.get(k, 0)
-            last_bottom[k] = hit[0]
-            edges.append((t, hit[0], k))
-    # In d1's top order, with distinct tops (from d1) and bottoms (from d2).
-    product = Diagram._trusted(d1.n, d1.c, tuple(edges))
-    if not planar and is_planar(d1) and is_planar(d2):
-        raise AssertionError("product of planar diagrams must be planar")
-    return product
+        if hit is not None and hit[2] == k:
+            planar &= hit[1] > last_bottom.get(k, 0)
+            last_bottom[k] = hit[1]
+            edges.append((t, hit[1], k))
+    return tuple(edges), planar
 
 
 def tensor(d1: Diagram, d2: Diagram) -> Diagram:

@@ -1,8 +1,10 @@
 from fractions import Fraction
 from functools import lru_cache
 
+import pytest
 from hypothesis import strategies as st
 
+from planar_rook import diagrams
 from planar_rook.algebra import AlgebraElement
 from planar_rook.diagrams import enumerate_planar
 
@@ -10,6 +12,22 @@ from planar_rook.diagrams import enumerate_planar
 @lru_cache(maxsize=None)
 def pool(n: int, c: int):
     return tuple(enumerate_planar(n, c))
+
+
+@pytest.fixture
+def profile_builds(monkeypatch):
+    """The rows of every profile built from a diagram while the test runs.
+
+    Calls are counted at ``diagrams._profile``.  ``top_profile`` and
+    ``bottom_profile`` are swapped for uncached ones, so that a profile a
+    cache already holds is counted too.
+    """
+    rows = []
+    build = diagrams._profile
+    monkeypatch.setattr(diagrams, "_profile", lambda d, row: rows.append(row) or build(d, row))
+    monkeypatch.setattr(diagrams, "top_profile", lambda d: diagrams._profile(d, 0))
+    monkeypatch.setattr(diagrams, "bottom_profile", lambda d: diagrams._profile(d, 1))
+    return rows
 
 
 def diagrams_st(n: int, c: int):

@@ -1,8 +1,11 @@
+import random
 from decimal import Decimal
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planar_rook.algebra import (
     AlgebraElement,
@@ -31,7 +34,7 @@ from planar_rook.diagrams import (
     profiles_with_sizes,
 )
 
-from conftest import coefficients_st, elements_st, pool
+from conftest import coefficients_st, diagrams_st, elements_st, pool
 
 
 def test_add_scale_and_zero_cleanup():
@@ -306,12 +309,63 @@ def test_embed_is_homomorphism(g1, g2):
     assert embed(g1) == g1.tensor(identity(1, 2))
 
 
+def _assert_canonical(g1, g2, q):
+    # Each key must equal the Diagram its edges validate to: a keyed path emitting a tuple out of top order fails.
+    results = (g1 * g2, g1 + g2, g1 - g2, g1.scale(q), g1.tensor(g2), embed(g1), *map(x_of, pool(3, 2)))
+    for r in results:
+        assert r == AlgebraElement(r.n, r.c, dict(r.terms))
+    for r, terms in [(r, r.terms) for r in results] + [(g, to_x_coordinates(g)) for g in (g1, g1 * g2)]:
+        assert all(terms.values())
+        assert all(key == Diagram(r.n, r.c, key.edges) for key in terms)
+
+
 @settings(max_examples=60, deadline=None)
 @given(elements_st(2, 2), elements_st(2, 2), coefficients_st())
 def test_engine_built_elements_are_canonical(g1, g2, q):
-    for r in (g1 * g2, g1 + g2, g1 - g2, g1.scale(q), g1.tensor(g2), *map(x_of, pool(3, 2))):
-        assert r == AlgebraElement(r.n, r.c, dict(r.terms))
-        assert all(r.terms.values())
+    _assert_canonical(g1, g2, q)
+
+
+def test_engine_built_elements_are_canonical_at_4_3():
+    rng = random.Random(16)
+    g1, g2 = (AlgebraElement(4, 3, {rng.choice(pool(4, 3)): rng.randint(-3, 3) for _ in range(8)}) for _ in "gh")
+    _assert_canonical(g1, g2, Fraction(2, 3))
+
+
+def test_products_and_x_coordinates_build_one_diagram_per_nonzero_term(monkeypatch):
+    d = Diagram(4, 3, [(1, 1, 1), (2, 3, 2), (3, 4, 1), (4, 2, 3)])
+    unit, g, x = identity(4, 3), from_diagram(d), x_of(d)
+    built = []
+    trusted = Diagram._trusted
+    monkeypatch.setattr(Diagram, "_trusted", staticmethod(lambda *args: built.append(args) or trusted(*args)))
+    for build, expected in [(lambda: unit * g, g), (lambda: g * unit, g), (lambda: to_x_coordinates(x), {d: 1})]:
+        built.clear()
+        assert build() == expected
+        assert built == [(4, 3, d.edges)]  # 256 products, 81 subsets: one nonzero term
+
+
+def _x_coordinates_by_containment(terms: dict) -> dict:
+    """x-coordinates of plain edge-tuple terms: at a, the sum of the coefficients of the supports containing a."""
+    candidates = {sub for edges in terms for r in range(len(edges) + 1) for sub in combinations(edges, r)}
+    coords = {a: sum(q for edges, q in terms.items() if set(a) <= set(edges)) for a in candidates}
+    return {a: q for a, q in coords.items() if q}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_x_coordinates_match_a_containment_reference(data):
+    n, c = data.draw(st.sampled_from([(2, 2), (3, 2), (4, 3)]))
+    picks = data.draw(st.lists(st.tuples(diagrams_st(n, c), coefficients_st(), st.booleans()), min_size=1, max_size=5))
+    picks += [(d, -q, x) for d, q, x in picks[: data.draw(st.integers(0, len(picks)))]]  # cancel some outright
+    terms: dict = {}
+    for d, q, expand in picks:
+        # An expanded pick adds q * x_d as plain tuples: its subsets cancel in the x-coordinates.
+        for r in range(0 if expand else len(d.edges), len(d.edges) + 1):
+            for sub in combinations(d.edges, r):
+                terms[sub] = terms.get(sub, 0) + q * (-1) ** (len(d.edges) - r)
+    g = AlgebraElement(n, c, {Diagram(n, c, edges): q for edges, q in terms.items()})
+    coords = to_x_coordinates(g)
+    assert {a.edges: q for a, q in coords.items()} == _x_coordinates_by_containment(terms)
+    assert all(a == Diagram(n, c, a.edges) for a in coords)
 
 
 def test_unit_diagram():

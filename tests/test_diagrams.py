@@ -344,6 +344,31 @@ def test_multiply_invariant_survives_optimized_mode():
     assert _exit_code_under_optimization(script) == 0
 
 
+@pytest.mark.parametrize("cancels", [False, True])
+def test_element_product_invariant_survives_optimized_mode(cancels):
+    # The corrupt term (edges out of top order) passes is_planar; straight columns over it compose to a crossing.
+    # When it cancels, two left terms give the crossing key with coefficients 1 and -1: the product is zero,
+    # and the pairs must still be tested.
+    script = (
+        "from planar_rook import diagrams\n"
+        "from planar_rook.algebra import AlgebraElement\n"
+        "D = diagrams.Diagram\n"
+        "corrupt = D._trusted(3, 1, ((2, 1, 1), (1, 2, 1)))\n"
+        "two, three = D(3, 1, ((1, 1, 1), (2, 2, 1))), D(3, 1, ((1, 1, 1), (2, 2, 1), (3, 3, 1)))\n"
+        f"left = AlgebraElement(3, 1, {{two: 1, three: -1}} if {cancels} else {{two: 1}})\n"
+        "lower = {e[0]: e for e in corrupt.edges}\n"
+        "keys = {diagrams.compose_edges(d.edges, lower) for d in left.terms}\n"
+        "if keys != {(((1, 2, 1), (2, 1, 1)), False)} or not diagrams.is_planar(corrupt):\n"
+        "    raise SystemExit(2)\n"
+        "try:\n"
+        "    left * AlgebraElement(3, 1, {corrupt: 1})\n"
+        "except AssertionError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    assert _exit_code_under_optimization(script) == 0
+
+
 @pytest.mark.parametrize("c", [1, 2, 3, 4])
 def test_enumerate_width_one(c):
     assert len(pool(1, c)) == c + 1
@@ -379,11 +404,10 @@ def test_sort_key_orders_as_the_profiles_do(c):
         assert sorted(shuffled, key=diagram_sort_key) == sorted(shuffled, key=_profile_sort_key) == list(pool(n, c))
 
 
-def test_sort_key_builds_no_profile():
-    before = top_profile.cache_info().currsize, bottom_profile.cache_info().currsize
+def test_sort_key_builds_no_profile(profile_builds):
     key = diagram_sort_key(Diagram(10**6, 1, [(3, 5, 1)]))
     assert key[0] == (1, 10**6 - 1)
-    assert (top_profile.cache_info().currsize, bottom_profile.cache_info().currsize) == before
+    assert profile_builds == []
 
 
 @pytest.mark.parametrize("call", [lambda: enumerate_planar(-1, 2), lambda: cardinality(-1, 2)])
