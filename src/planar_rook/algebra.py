@@ -139,8 +139,7 @@ class AlgebraElement:
                 if not planar:  # every pair, also one whose key cancels: terms are planar
                     raise AssertionError("product of planar diagrams must be planar")
                 terms[edges] = terms.get(edges, 0) + q1 * q2
-        n, c = self.n, self.c  # one Diagram per nonzero key
-        return AlgebraElement._trusted(n, c, {Diagram._trusted(n, c, edges): q for edges, q in terms.items() if q})
+        return AlgebraElement._trusted(self.n, self.c, {Diagram._trusted(self.n, self.c, e): q for e, q in terms.items() if q})
 
     def tensor(self, other: "AlgebraElement") -> "AlgebraElement":
         if self.c != other.c:

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -18,15 +19,24 @@ def pool(n: int, c: int):
 def profile_builds(monkeypatch):
     """The rows of every profile built from a diagram while the test runs.
 
-    Calls are counted at ``diagrams._profile``.  ``top_profile`` and
-    ``bottom_profile`` are swapped for uncached ones, so that a profile a
-    cache already holds is counted too.
+    Calls are counted at ``diagrams._profile``.  Every name in a loaded
+    ``planar_rook`` module that is bound to the cached ``top_profile`` or
+    ``bottom_profile`` is swapped for an uncached lookup, so that a profile a
+    cache already holds is counted too, whichever module asks for it.
     """
     rows = []
     build = diagrams._profile
     monkeypatch.setattr(diagrams, "_profile", lambda d, row: rows.append(row) or build(d, row))
-    monkeypatch.setattr(diagrams, "top_profile", lambda d: diagrams._profile(d, 0))
-    monkeypatch.setattr(diagrams, "bottom_profile", lambda d: diagrams._profile(d, 1))
+    uncached = [
+        (diagrams.top_profile, lambda d: diagrams._profile(d, 0)),
+        (diagrams.bottom_profile, lambda d: diagrams._profile(d, 1)),
+    ]
+    for name, module in list(sys.modules.items()):
+        if name == "planar_rook" or name.startswith("planar_rook."):
+            for attr, value in list(vars(module).items()):
+                for cached, lookup in uncached:
+                    if value is cached:
+                        monkeypatch.setattr(module, attr, lookup)
     return rows
 
 
