@@ -1,9 +1,9 @@
 """Command-line surface: enumeration, arithmetic, tables, towers, verification.
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 on usage or
-resource-cap errors, 3 on an internal error (any other exception; for
-``verify``, a check that raised, reported in a complete report).  All data
-output is deterministic for fixed flags.
+resource-cap errors and on any ``OSError`` (``i/o error:``), 3 on an internal
+error (any other exception; for ``verify``, a check that raised, reported in
+a complete report).  All data output is deterministic for fixed flags.
 """
 
 from __future__ import annotations
@@ -146,8 +146,11 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    for literal in enumerate_literals(args.n, args.c, _diagram_cap(args.cap)):
-        print(literal)
+    literals = enumerate_literals(args.n, args.c, _diagram_cap(args.cap))  # a refused cap prints nothing
+    write = sys.stdout.write  # looked up per run, so a redirected stdout is used
+    for literal in literals:
+        write(literal)
+        write("\n")
     return 0
 
 

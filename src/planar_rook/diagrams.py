@@ -18,7 +18,8 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, repeat
+from itertools import accumulate, combinations, repeat
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 #: Refuse exhaustive sweeps over monoids larger than this many diagrams.
@@ -406,40 +407,56 @@ def enumerate_planar(n: int, c: int, cap: int = DEFAULT_DIAGRAM_CAP) -> Iterator
     return _enumerate_planar(n, c)
 
 
-def _profile_pairs(n: int, c: int) -> Iterator[tuple[list[tuple[int, int, int]], list[Profile]]]:
-    """Top profiles with their bottom profiles; slots (t, k, r), t = top.parts[k][r], in top order give sorted edges."""
+def _profile_pairs(n: int, c: int) -> Iterator[tuple[list[Profile], list[Profile]]]:
+    """Each composition's top profiles and bottom profiles: one list, yielded as both so a test can corrupt either."""
     for sizes in compositions(n, c):
         profiles = list(profiles_with_sizes(n, c, sizes))
-        for top in profiles:
-            yield sorted([(t, k, r) for k in range(1, c + 1) for r, t in enumerate(top.parts[k])]), profiles
+        yield profiles, profiles
+
+
+def _slots(top: Profile) -> list[tuple[int, int, int]]:
+    """Slots (t, k, r), t = top.parts[k][r], in top order: filled from a bottom profile they give sorted edges."""
+    return sorted([(t, k, r) for k in range(1, top.c + 1) for r, t in enumerate(top.parts[k])])
 
 
 def _enumerate_planar(n: int, c: int) -> Iterator[Diagram]:
-    for slots, bottoms in _profile_pairs(n, c):
-        for bottom in bottoms:
-            d = Diagram._trusted(n, c, tuple([(t, bottom.parts[k][r], k) for t, k, r in slots]))
-            if not is_planar(d):
-                raise AssertionError("increasing matchings cannot cross")
-            yield d
+    for tops, bottoms in _profile_pairs(n, c):
+        for slots in map(_slots, tops):
+            for bottom in bottoms:
+                d = Diagram._trusted(n, c, tuple([(t, bottom.parts[k][r], k) for t, k, r in slots]))
+                if not is_planar(d):
+                    raise AssertionError("increasing matchings cannot cross")
+                yield d
 
 
 def enumerate_literals(n: int, c: int, cap: int = DEFAULT_DIAGRAM_CAP) -> Iterator[str]:
-    """``format_diagram`` of each diagram of ``enumerate_planar``, in its order and under its cap, building none."""
+    """``format_diagram`` of each diagram of ``enumerate_planar``, in its order and under its cap, building none.
+
+    Planarity is checked once per profile, not per literal: every colored part of every bottom profile
+    strictly increases, and in each top profile's slots each color's r runs 0, 1, 2, ...  So each color's
+    edges, in top order, take that color's bottom part in increasing order, and every literal is_planar.
+    """
     require_monoid_cap(n, c, cap)
     return _enumerate_literals(n, c)
 
 
 def _enumerate_literals(n: int, c: int) -> Iterator[str]:
-    for slots, bottoms in _profile_pairs(n, c):
-        template = f"n={n} c={c} [{', '.join(f'{t}-%d:{k}' for t, k, _ in slots)}]"
-        for bottom in bottoms:
-            ends = tuple([bottom.parts[k][r] for _, k, r in slots])
-            last = [0] * (c + 1)
-            for (_, k, _), b in zip(slots, ends):  # is_planar on the edges this literal lists
-                if b <= last[k]:
+    for tops, bottoms in _profile_pairs(n, c):
+        if any(a >= b for bottom in bottoms for part in bottom.parts[1:] for a, b in zip(part, part[1:])):
+            raise AssertionError("increasing matchings cannot cross")
+        flats = [tuple(map(str, sum(bottom.parts[1:], ()))) for bottom in bottoms]  # colored parts, color 1 first
+        starts = [0, *accumulate(map(len, bottoms[0].parts[1:]))]  # color k's part begins at starts[k - 1]
+        for top in tops:
+            slots, seen = _slots(top), [0] * (c + 1)
+            for _, k, r in slots:  # each color's r runs 0, 1, 2, ... in top order
+                if r != seen[k]:
                     raise AssertionError("increasing matchings cannot cross")
-                last[k] = b
-            yield template % ends
+                seen[k] += 1
+            template = f"n={n} c={c} [{', '.join(f'{t}-%s:{k}' for t, k, _ in slots)}]"
+            # One slot: itemgetter returns the bare end, which % takes as it takes a 1-tuple.
+            pick = itemgetter(*[starts[k - 1] + r for _, k, r in slots]) if slots else lambda flat: ()
+            for flat in flats:
+                yield template % pick(flat)
 
 
 def cardinality(n: int, c: int) -> int:

@@ -11,6 +11,7 @@ import pytest
 
 from planar_rook import checks, cli
 from planar_rook.checks import VerifyConfig
+from planar_rook.diagrams import enumerate_literals
 from planar_rook.cli import main
 from planar_rook.representations import tallied
 
@@ -116,9 +117,19 @@ def test_enumerate(capsys):
 
 
 def test_enumerate_cap(capsys):
-    code, _, err = run(capsys, "enumerate", "-n", "4", "-c", "3", "--cap", "10")
+    code, out, err = run(capsys, "enumerate", "-n", "4", "-c", "3", "--cap", "10")
     assert code == 2
+    assert out == ""
     assert "cap" in err
+
+
+@pytest.mark.parametrize("c", [1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_enumerate_prints_each_literal_on_its_own_line(capsys, n, c):
+    # n = 0 gives the one empty literal, n = 1 single-edge templates.
+    code, out, _ = run(capsys, "enumerate", "-n", str(n), "-c", str(c))
+    assert code == 0
+    assert out == "".join(literal + "\n" for literal in enumerate_literals(n, c))
 
 
 def test_enumerate_order_is_pinned(capsys):
@@ -172,9 +183,20 @@ def test_environment_integers_take_ascii_digits_only(capsys, monkeypatch):
 
 def test_enumerate_env_cap(capsys, monkeypatch):
     monkeypatch.setenv("PLANAR_ROOK_CAP", "2")
-    code, _, err = run(capsys, "enumerate", "-n", "2", "-c", "1")
+    code, out, err = run(capsys, "enumerate", "-n", "2", "-c", "1")
     assert code == 2
+    assert out == ""
     assert "cap" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n-cap", "1", "--c-cap", "1"],
+    ["bratteli", "-c", "1", "-n", "2"],
+])
+def test_an_unwritable_out_path_is_an_io_error(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / "report"))
+    assert (code, out) == (2, "")
+    assert err.startswith("i/o error:")
 
 
 def test_mul_worked_example(capsys):

@@ -1,3 +1,4 @@
+import inspect
 import os
 import random
 import re
@@ -431,18 +432,45 @@ def test_literal_stream_is_the_formatted_enumeration(c):
         assert list(enumerate_literals(n, c)) == [format_diagram(d) for d in enumerate_planar(n, c)]
 
 
-def test_every_enumerated_item_is_checked_for_planarity(monkeypatch):
-    # Bottom profiles with each part in decreasing order: every pair of same-color edges crosses.
-    pairs = diagrams._profile_pairs
-
+def _corrupt_profile_pairs(side, pairs=diagrams._profile_pairs):
+    """A ``_profile_pairs`` whose ``side`` profiles have every part decreasing: same-color edges all cross."""
     def corrupt(n, c):
-        for slots, bottoms in pairs(n, c):
-            yield slots, [Profile._trusted(n, c, tuple(part[::-1] for part in b.parts)) for b in bottoms]
+        for tops, bottoms in pairs(n, c):
+            profiles = {"top": tops, "bottom": bottoms}
+            profiles[side] = [diagrams.Profile._trusted(n, c, tuple(x[::-1] for x in p.parts)) for p in profiles[side]]
+            yield profiles["top"], profiles["bottom"]
+    return corrupt
 
-    monkeypatch.setattr(diagrams, "_profile_pairs", corrupt)
+
+def test_every_enumerated_item_is_checked_for_planarity(monkeypatch):
+    monkeypatch.setattr(diagrams, "_profile_pairs", _corrupt_profile_pairs("bottom"))
     for enumerate_ in (enumerate_planar, enumerate_literals):
         with pytest.raises(AssertionError, match="cannot cross"):
             list(enumerate_(2, 1))
+
+
+def test_every_enumerated_top_profile_is_checked_for_planarity(monkeypatch):
+    # In a reversed top profile's slots each color's r runs ..., 1, 0 in top order.
+    monkeypatch.setattr(diagrams, "_profile_pairs", _corrupt_profile_pairs("top"))
+    for enumerate_ in (enumerate_planar, enumerate_literals):
+        with pytest.raises(AssertionError, match="cannot cross"):
+            list(enumerate_(2, 1))
+
+
+@pytest.mark.parametrize("side", ["top", "bottom"])
+def test_enumeration_invariant_survives_optimized_mode(side):
+    script = "from planar_rook import diagrams\n" + inspect.getsource(_corrupt_profile_pairs) + (
+        f"diagrams._profile_pairs = _corrupt_profile_pairs({side!r})\n"
+        "for enumerate_ in (diagrams.enumerate_planar, diagrams.enumerate_literals):\n"
+        "    try:\n"
+        "        list(enumerate_(2, 1))\n"
+        "    except AssertionError as exc:\n"
+        "        if 'cannot cross' not in str(exc):\n"
+        "            raise SystemExit(2)\n"
+        "    else:\n"
+        "        raise SystemExit(1)\n"
+    )
+    assert _exit_code_under_optimization(script) == 0
 
 
 def test_enumeration_cap_refuses_on_the_lower_bound_without_counting(monkeypatch):
