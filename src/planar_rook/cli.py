@@ -24,6 +24,7 @@ from .diagrams import (
     DEFAULT_DIAGRAM_CAP,
     CapExceededError,
     _binomial_exceeds,
+    _clipped_power,
     cardinality,
     compositions,
     diagram_sort_key,
@@ -184,8 +185,8 @@ def _cmd_mul(args) -> int:
 def _cmd_xbasis(args) -> int:
     d = parse_diagram(args.diagram)
     cap = _diagram_cap()
-    if 2 ** d.size > cap:  # both directions build every subdiagram
-        raise CapExceededError(f"{2 ** d.size} subdiagrams of a {d.size}-edge diagram exceed the cap of {cap}")
+    if (count := _clipped_power(2, d.size, cap)) > cap:  # both directions build every subdiagram
+        raise CapExceededError(f"at least {count} subdiagrams of a {d.size}-edge diagram exceed the cap of {cap}")
     if args.invert:
         coords = to_x_coordinates(from_diagram(d))
         terms = sorted(coords.items(), key=lambda item: diagram_sort_key(item[0]))

@@ -18,8 +18,8 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations, repeat
-from operator import itemgetter
+from itertools import accumulate, chain, combinations, combinations_with_replacement, product, repeat
+from operator import itemgetter, sub
 from typing import Iterable, Iterator
 
 #: Refuse exhaustive sweeps over monoids larger than this many diagrams.
@@ -338,12 +338,11 @@ def compositions(n: int, c: int) -> Iterator[tuple[int, ...]]:
 
 
 def _compositions(n: int, c: int) -> Iterator[tuple[int, ...]]:
-    if c == 0:
-        yield (n,)
-        return
-    for last in range(n + 1):
-        for head in _compositions(n - last, c - 1):
-            yield head + (last,)
+    # A composition is fixed by its partial sums 0 <= s_1 <= ... <= s_c <= n, which come in lex order; differenced
+    # from the right, they give the parts in colex order.
+    for sums in combinations_with_replacement(range(n + 1), c):
+        sums = sums[::-1]
+        yield tuple(map(sub, (n,) + sums, sums + (0,)))
 
 
 def multinomial(parts: Iterable[int]) -> int:
@@ -361,18 +360,17 @@ def profiles_with_sizes(n: int, c: int, sizes: tuple[int, ...]) -> Iterator[Prof
     if len(sizes) != c + 1 or sum(sizes) != n:
         raise ValueError(f"sizes {sizes} is not a (c+1)-part composition of {n}")
 
-    def rec(remaining: tuple[int, ...], left: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if not left:
-            yield ()
-            return
-        for part in combinations(remaining, left[0]):
-            chosen = set(part)
-            rest = tuple(v for v in remaining if v not in chosen)
-            for tail in rec(rest, left[1:]):
-                yield (part,) + tail
-
-    for parts in rec(tuple(range(1, n + 1)), tuple(sizes)):
-        yield Profile._trusted(n, c, parts)  # combinations of a sorted tuple come out sorted
+    # Part k picks positions among the vertices that parts 0..k-1 left, so the picks are independent and their
+    # product, in lex order, is the profiles' lex order.  An empty part has one pick, (), and is skipped.
+    widths = accumulate(sizes, sub, initial=n)
+    picked = [(k, combinations(range(width), size)) for k, (width, size) in enumerate(zip(widths, sizes)) if size]
+    for picks in product(*[options for _, options in picked]):
+        left, parts = list(range(1, n + 1)), [()] * (c + 1)
+        for (k, _), pick in zip(picked, picks):
+            parts[k] = tuple(left[i] for i in pick)  # positions in a sorted list pick a sorted part
+            for i in reversed(pick):
+                del left[i]
+        yield Profile._trusted(n, c, tuple(parts))
 
 
 def sorted_profile(n: int, sizes: tuple[int, ...]) -> Profile:
@@ -390,12 +388,16 @@ def _binomial_exceeds(a: int, b: int, cap: int) -> bool:
     return min(a, b) > cap.bit_length() or math.comb(a + b, b) > cap
 
 
+def _clipped_power(base: int, exp: int, cap: int) -> int:
+    """base^exp, its exponent stopped where base^e >= 2^e > cap: past the cap iff base^exp is, and never huge."""
+    return base ** min(exp, cap.bit_length() + 1)
+
+
 def require_monoid_cap(n: int, c: int, cap: int) -> None:
     """Raise :class:`CapExceededError` if |P_{n,c}| > cap, building no diagram."""
     require_shape(n, c)
-    # |P| >= (c+1)^n, one diagram per column state, so a far-over-cap call is refused before the
-    # multinomial sum; the exponent stops where (c+1)^e >= 2^e already exceeds the cap.
-    if (bound := (c + 1) ** min(n, cap.bit_length() + 1)) > cap:
+    # |P| >= (c+1)^n, one diagram per column state, so a far-over-cap call is refused before the multinomial sum.
+    if (bound := _clipped_power(c + 1, n, cap)) > cap:
         raise CapExceededError(f"|P_{{{n},{c}}}| >= {bound} exceeds the cap of {cap}")
     if (count := cardinality(n, c)) > cap:
         raise CapExceededError(f"|P_{{{n},{c}}}| = {count} exceeds the cap of {cap}")
@@ -414,49 +416,43 @@ def _profile_pairs(n: int, c: int) -> Iterator[tuple[list[Profile], list[Profile
         yield profiles, profiles
 
 
-def _slots(top: Profile) -> list[tuple[int, int, int]]:
-    """Slots (t, k, r), t = top.parts[k][r], in top order: filled from a bottom profile they give sorted edges."""
-    return sorted([(t, k, r) for k in range(1, top.c + 1) for r, t in enumerate(top.parts[k])])
-
-
 def _enumerate_planar(n: int, c: int) -> Iterator[Diagram]:
-    for tops, bottoms in _profile_pairs(n, c):
-        for slots in map(_slots, tops):
-            for bottom in bottoms:
-                d = Diagram._trusted(n, c, tuple([(t, bottom.parts[k][r], k) for t, k, r in slots]))
-                if not is_planar(d):
-                    raise AssertionError("increasing matchings cannot cross")
-                yield d
+    for tops, colors, fills in _fills(n, c, int):
+        for ends in fills:
+            yield Diagram._trusted(n, c, tuple(zip(tops, ends, colors)))
 
 
 def enumerate_literals(n: int, c: int, cap: int = DEFAULT_DIAGRAM_CAP) -> Iterator[str]:
-    """``format_diagram`` of each diagram of ``enumerate_planar``, in its order and under its cap, building none.
-
-    Planarity is checked once per profile, not per literal: every colored part of every bottom profile
-    strictly increases, and in each top profile's slots each color's r runs 0, 1, 2, ...  So each color's
-    edges, in top order, take that color's bottom part in increasing order, and every literal is_planar.
-    """
+    """``format_diagram`` of each diagram of ``enumerate_planar``, in its order and under its cap, building none."""
     require_monoid_cap(n, c, cap)
     return _enumerate_literals(n, c)
 
 
 def _enumerate_literals(n: int, c: int) -> Iterator[str]:
+    for tops, colors, fills in _fills(n, c, str):
+        template = format_diagram(Diagram._trusted(n, c, tuple(zip(tops, repeat("%s"), colors))))
+        for ends in fills:
+            yield template % ends
+
+
+def _fills(n: int, c: int, end: type) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], Iterator[tuple]]]:
+    """Per top profile, in enumeration order: its colored vertices in top order, their colors, and per bottom profile
+    the ``end`` of each bottom vertex they join, in the same order.
+
+    The r-th color-k top vertex joins the r-th color-k bottom vertex, so these edges never cross exactly when every
+    colored part of both profiles strictly increases.  That is checked once per profile, not once per diagram.
+    """
     for tops, bottoms in _profile_pairs(n, c):
-        if any(a >= b for bottom in bottoms for part in bottom.parts[1:] for a, b in zip(part, part[1:])):
+        parts = (part for p in chain(tops, bottoms) for part in p.parts[1:] if len(part) > 1)  # shorter ones increase
+        if any(a >= b for part in parts for a, b in zip(part, part[1:])):
             raise AssertionError("increasing matchings cannot cross")
-        flats = [tuple(map(str, sum(bottom.parts[1:], ()))) for bottom in bottoms]  # colored parts, color 1 first
-        starts = [0, *accumulate(map(len, bottoms[0].parts[1:]))]  # color k's part begins at starts[k - 1]
+        flats = [tuple(map(end, sum(bottom.parts[1:], ()))) for bottom in bottoms]  # colored parts, color 1 first
         for top in tops:
-            slots, seen = _slots(top), [0] * (c + 1)
-            for _, k, r in slots:  # each color's r runs 0, 1, 2, ... in top order
-                if r != seen[k]:
-                    raise AssertionError("increasing matchings cannot cross")
-                seen[k] += 1
-            template = f"n={n} c={c} [{', '.join(f'{t}-%s:{k}' for t, k, _ in slots)}]"
-            # One slot: itemgetter returns the bare end, which % takes as it takes a 1-tuple.
-            pick = itemgetter(*[starts[k - 1] + r for _, k, r in slots]) if slots else lambda flat: ()
-            for flat in flats:
-                yield template % pick(flat)
+            flat = sum(top.parts[1:], ())  # as the bottoms' flats: the r-th color-k vertex at the same offset
+            order = sorted(range(len(flat)), key=flat.__getitem__)
+            # One slot: itemgetter would return the bare item, so tuple stands in (as it does for no slot).
+            pick = itemgetter(*order) if len(order) > 1 else tuple
+            yield pick(flat), pick([k for k in range(1, c + 1) for _ in top.parts[k]]), map(pick, flats)
 
 
 def cardinality(n: int, c: int) -> int:

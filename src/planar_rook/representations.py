@@ -29,6 +29,7 @@ from .diagrams import (
     MismatchError,
     NonPlanarError,
     Profile,
+    _clipped_power,
     cardinality,
     compositions,
     format_diagram,
@@ -112,13 +113,13 @@ class IrrepLabel:
 
     def children(self) -> tuple["IrrepLabel", ...]:
         """Restriction summands one level down: decrement each nonzero part."""
-        out = []
-        for j, s in enumerate(self.sizes):
-            if s > 0:
-                reduced = list(self.sizes)
-                reduced[j] -= 1
-                out.append(IrrepLabel(tuple(reduced)))
-        return tuple(out)
+        return tuple(self.child(j) for j, s in enumerate(self.sizes) if s > 0)
+
+    def child(self, j: int) -> "IrrepLabel":
+        """The class one level down with part j decremented."""
+        reduced = list(self.sizes)
+        reduced[j] -= 1
+        return IrrepLabel(tuple(reduced))
 
     def encode(self) -> str:
         return "|".join(str(s) for s in self.sizes)
@@ -147,7 +148,7 @@ class ModuleSpace:
             raise TypeError(f"a module is built from a bottom Profile, not {self.bottom!r}")
         n, c, sizes = self.n, self.c, self.bottom.sizes
         require_shape(n, c)  # a Profile may have c = 0, a module may not
-        states = [((1 << n) - 1, 0)]  # profiles_with_sizes' recursion, a level per part: (vertex bits left, packed)
+        states = [((1 << n) - 1, 0)]  # profiles_with_sizes' order, a level per part: (vertex bits left, packed)
         for k, size in enumerate(sizes[:-1]):
             states = [(left ^ part, bits | part << (k - 1) * n if k else bits) for left, bits in states
                       for part in map(sum, combinations([1 << v for v in range(n) if left >> v & 1], size))]
@@ -403,8 +404,8 @@ def character_table_csv(n: int, c: int) -> bytes:
 @tallied("modules.character-table")
 def verify_character_table(n: int, c: int, cap: int = DEFAULT_DIAGRAM_CAP) -> CheckResult:
     """Recompute every table entry as a trace on a representative module."""
-    if (total := (c + 1) ** n) > cap:  # the label modules' multinomial dimensions sum to (c + 1)^n
-        raise CapExceededError(f"{total} module basis vectors at (n={n}, c={c}) exceed the cap of {cap}")
+    if (total := _clipped_power(c + 1, n, cap)) > cap:  # the label modules' multinomial dimensions sum to (c + 1)^n
+        raise CapExceededError(f"at least {total} module basis vectors at (n={n}, c={c}) exceed the cap of {cap}")
     rows, labels, values = character_table(n, c)
     spaces = [label_module(label) for label in labels]
     for row, row_values in zip(rows, values):
@@ -441,9 +442,7 @@ def restriction_decomposition(space: ModuleSpace) -> list[IrrepLabel]:
     label = space.label()
     out = []
     for j, indices in restriction_groups(space):
-        reduced = list(label.sizes)
-        reduced[j] -= 1
-        child = IrrepLabel(tuple(reduced))
+        child = label.child(j)
         if len(indices) != child.dimension():
             raise AssertionError("a restriction group must span its child class")
         out.append(child)

@@ -273,15 +273,23 @@ def test_xbasis_invert(capsys):
 
 @pytest.mark.parametrize("extra", [[], ["--invert"]])
 def test_xbasis_obeys_the_cap(capsys, monkeypatch, extra):
-    # The 14-edge identity at (14, 1) has 2^14 = 16384 subdiagrams.
+    # The 14-edge identity at (14, 1) has 2^14 = 16384 subdiagrams; 2^5 = 32 already exceeds a cap of 10.
     literal = "n=14 c=1 [" + ", ".join(f"{i}-{i}:1" for i in range(1, 15)) + "]"
     monkeypatch.setenv("PLANAR_ROOK_CAP", "10")
     code, out, err = run(capsys, "xbasis", literal, *extra)
     assert code == 2
     assert out == ""
-    assert "16384" in err and "cap" in err
+    assert err == "resource cap exceeded: at least 32 subdiagrams of a 14-edge diagram exceed the cap of 10\n"
     monkeypatch.setenv("PLANAR_ROOK_CAP", "8")  # 2^3 subdiagrams fit exactly
     assert run(capsys, "xbasis", "n=3 c=1 [1-1:1, 2-2:1, 3-3:1]", *extra)[0] == 0
+
+
+def test_xbasis_refuses_past_the_int_digit_limit(capsys):
+    # 2^15000 has 4,516 digits, past Python's int-to-string limit: the refusal must not print it.
+    literal = "n=15000 c=1 [" + ", ".join(f"{i}-{i}:1" for i in range(1, 15001)) + "]"
+    code, out, err = run(capsys, "xbasis", literal)
+    assert (code, out) == (2, "")
+    assert err == "resource cap exceeded: at least 2097152 subdiagrams of a 15000-edge diagram exceed the cap of 1000000\n"
 
 
 def test_verify_never_imports_the_matrix_module():
@@ -368,6 +376,25 @@ def test_bratteli_obeys_the_cap(capsys, monkeypatch):
     code, out, err = run(capsys, "bratteli", "-c", "2", "-n", "-1")
     assert (code, out) == (2, "")
     assert "n >= 0" in err
+
+
+# Compositions and profiles are generated without recursion: no call depth grows with c.
+def test_count_many_colors(capsys):
+    assert run(capsys, "count", "-n", "0", "-c", "1100") == (0, "1\n", "")
+
+
+def test_enumerate_many_colors(capsys):
+    code, out, err = run(capsys, "enumerate", "-n", "1", "-c", "1100")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["n=1 c=1100 []"] + [f"n=1 c=1100 [1-1:{k}]" for k in range(1, 1101)]
+
+
+def test_bratteli_many_colors(capsys):
+    code, out, err = run(capsys, "bratteli", "-c", "1100", "-n", "1", "--format", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert [len(level) for level in payload["levels"]] == [1, 1101]
+    assert payload["edges"] == [[[1, i], [0, 0]] for i in range(1101)]
 
 
 def test_bratteli_unknown_format(capsys):

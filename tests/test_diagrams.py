@@ -450,11 +450,19 @@ def test_every_enumerated_item_is_checked_for_planarity(monkeypatch):
 
 
 def test_every_enumerated_top_profile_is_checked_for_planarity(monkeypatch):
-    # In a reversed top profile's slots each color's r runs ..., 1, 0 in top order.
+    # Reversed top parts decrease, so the r-th color-k top vertex lies right of the (r+1)-th and their edges cross.
     monkeypatch.setattr(diagrams, "_profile_pairs", _corrupt_profile_pairs("top"))
     for enumerate_ in (enumerate_planar, enumerate_literals):
         with pytest.raises(AssertionError, match="cannot cross"):
             list(enumerate_(2, 1))
+
+
+def test_enumeration_checks_planarity_per_profile_not_per_diagram(monkeypatch):
+    def refuse(d):
+        raise AssertionError("tested a built diagram")
+
+    monkeypatch.setattr(diagrams, "is_planar", refuse)
+    assert sum(1 for _ in enumerate_planar(4, 3)) == sum(1 for _ in enumerate_literals(4, 3)) == 2716
 
 
 @pytest.mark.parametrize("side", ["top", "bottom"])
@@ -506,6 +514,13 @@ def test_compositions_colex_order():
     ]
 
 
+@pytest.mark.parametrize("c", [0, 1, 2, 3, 4])
+def test_compositions_are_every_composition_in_colex_order(c):
+    for n in range(7):
+        every = [sizes for sizes in product(range(n + 1), repeat=c + 1) if sum(sizes) == n]
+        assert list(compositions(n, c)) == sorted(every, key=lambda sizes: sizes[::-1])
+
+
 @pytest.mark.parametrize("n, c", [(2, -1), (-1, 1), (True, 1), (2, 1.0)])
 def test_compositions_refuse_bad_counts(n, c):
     with pytest.raises(ValueError):
@@ -521,6 +536,17 @@ def test_multinomial():
 def test_profiles_with_sizes_lex_order():
     parts = [p.parts for p in profiles_with_sizes(2, 1, (1, 1))]
     assert parts == [((1,), (2,)), ((2,), (1,))]
+
+
+@pytest.mark.parametrize("c", [1, 2, 3])
+def test_profiles_with_sizes_are_every_profile_in_lex_order(c):
+    for n in range(6):
+        for sizes in compositions(n, c):
+            # Every assignment of the vertices to parts that has these part sizes, as sorted parts.
+            every = {tuple(tuple(v for v in range(1, n + 1) if where[v - 1] == k) for k in range(c + 1))
+                     for where in product(range(c + 1), repeat=n)}
+            every = sorted(parts for parts in every if tuple(map(len, parts)) == sizes)
+            assert [p.parts for p in profiles_with_sizes(n, c, sizes)] == every
 
 
 @pytest.mark.parametrize("n, c, sizes", [(3, 1, (4, -1)), (-1, 1, (0, -1)), (2, 1, (True, 1)), (2, True, (1, 1))])

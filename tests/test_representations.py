@@ -69,6 +69,17 @@ def test_label_rejects_non_int_sizes():
             IrrepLabel(sizes)
 
 
+def test_label_child_decrements_one_part():
+    assert IrrepLabel((2, 0, 1)).child(2) == IrrepLabel((2, 0, 0))
+    assert IrrepLabel((2, 0, 1)).children() == (IrrepLabel((1, 0, 1)), IrrepLabel((2, 0, 0)))
+
+
+def test_character_table_cap_refuses_without_the_full_power():
+    # 4^100000 has 60,206 digits, past Python's int-to-string limit; 4^5 already exceeds a cap of 10.
+    with pytest.raises(CapExceededError, match=r"^at least 1024 module basis vectors at \(n=100000, c=3\) exceed"):
+        verify_character_table(10**5, 3, cap=10)
+
+
 def test_label_children_drop_empty_parts():
     assert [child.sizes for child in IrrepLabel((1, 0, 0)).children()] == [(0, 0, 0)]
 
