@@ -98,18 +98,16 @@ def _node_id(n: int, label: IrrepLabel) -> str:
 def emit_dot(graph: BratteliGraph) -> bytes:
     """DOT rendering: one node per class with its dimension, ranked by level."""
     lines = ["digraph tower {", "  rankdir=TB;", '  node [shape=ellipse];']
-    for n, level in enumerate(graph.levels):
-        for label in level:
-            node = _node_id(n, label)
+    ids = [[_node_id(n, label) for label in level] for n, level in enumerate(graph.levels)]
+    for level, nodes in zip(graph.levels, ids):
+        for label, node in zip(level, nodes):
             dim = label.dimension()
             lines.append(f'  "{node}" [label="{node} dim={dim}", dim={dim}];')
-    for n, level in enumerate(graph.levels):
-        ids = " ".join(f'"{_node_id(n, label)}";' for label in level)
-        lines.append(f"  {{ rank=same; {ids} }}")
+    for nodes in ids:
+        ranked = " ".join(f'"{node}";' for node in nodes)
+        lines.append(f"  {{ rank=same; {ranked} }}")
     for (pn, pi), (cn, ci) in graph.edges:
-        parent = _node_id(pn, graph.levels[pn][pi])
-        child = _node_id(cn, graph.levels[cn][ci])
-        lines.append(f'  "{parent}" -> "{child}";')
+        lines.append(f'  "{ids[pn][pi]}" -> "{ids[cn][ci]}";')
     lines.append("}")
     return ("\n".join(lines) + "\n").encode("utf-8")
 

@@ -381,14 +381,18 @@ def check_rho_homomorphism(scope: Scope) -> CheckResult:
             columns = weighted_columns(((q, maps[d]) for d, q in unit.terms.items()), space.dimension)
             if columns != [{j: 1} for j in range(space.dimension)]:
                 yield f"unit does not act as identity on bottom {profile.parts}"
+        pool = _all_planar(n, c)
+        index = {d: i for i, d in enumerate(pool)}
+        triples = [(index[d1], index[d2], index[d12]) for (d1, d2), d12 in _products(n, c).items()]
         for label in all_labels(n, c):
-            maps = actions[label.representative()][1]
-            for (d1, d2), d12 in _products(n, c).items():
-                yield 1
-                if compose_column_maps(maps[d1], maps[d2]) != maps[d12]:
+            by_diagram = actions[label.representative()][1]
+            maps = [by_diagram[d] for d in pool]
+            yield len(triples)
+            for i, j, k in triples:
+                if compose_column_maps(maps[i], maps[j]) != maps[k]:
                     yield (
                         f"action of product differs from composed actions: "
-                        f"{format_diagram(d1)}, {format_diagram(d2)} on {label.encode()}"
+                        f"{format_diagram(pool[i])}, {format_diagram(pool[j])} on {label.encode()}"
                     )
 
 

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, combinations, combinations_with_replacement, product, repeat
 from operator import itemgetter, sub
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 #: Refuse exhaustive sweeps over monoids larger than this many diagrams.
 DEFAULT_DIAGRAM_CAP = 10**6
@@ -98,31 +97,47 @@ def _require_counts(*values: int) -> None:
             raise ValueError(f"expected a non-negative int, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Diagram:
+class _Record(tuple):
+    """A tuple of named fields that refuses the tuple arithmetic and ordering that would otherwise silently succeed."""
+
+    __slots__ = ()
+
+    def _refuse(self, other):
+        raise TypeError(f"a {type(self).__name__} is a record: it does not concatenate, repeat or order")
+
+    __add__ = __radd__ = __mul__ = __rmul__ = __lt__ = __le__ = __gt__ = __ge__ = _refuse
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "_Record":
+        """Build through the validating constructor, so ``_replace`` validates too."""
+        return cls(*fields)
+
+
+class _DiagramFields(NamedTuple):
+    n: int
+    c: int
+    edges: tuple[Edge, ...]
+
+
+class Diagram(_Record, _DiagramFields):
     """A c-colored rook diagram on two rows of ``n`` vertices.
 
     Edges are stored canonically, sorted by top index, so equality, hashing
     and serialization are deterministic.  Vertices are 1-based, colors run
-    1..c; an absent edge is simply absent (there is no color 0).
+    1..c; an absent edge is simply absent (there is no color 0).  A diagram
+    is the tuple ``(n, c, edges)``: it equals and hashes as that tuple.
     """
 
-    n: int
-    c: int
-    edges: tuple[Edge, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        require_shape(self.n, self.c)
-        object.__setattr__(self, "edges", _canonical_edges(self.n, self.c, self.edges))
+    def __new__(cls, n: int, c: int, edges: Iterable[Edge] = ()) -> "Diagram":
+        require_shape(n, c)
+        return tuple.__new__(cls, (n, c, _canonical_edges(n, c, edges)))
 
     @classmethod
     def _trusted(cls, n: int, c: int, edges: tuple[Edge, ...]) -> "Diagram":
         """Skip validation: only for edges derived from valid diagrams or profiles, already canonical."""
-        d = object.__new__(cls)
-        object.__setattr__(d, "n", n)  # a __dict__.update would cost ~144 B more per diagram
-        object.__setattr__(d, "c", c)
-        object.__setattr__(d, "edges", edges)
-        return d
+        return tuple.__new__(cls, (n, c, edges))
 
     @property
     def size(self) -> int:
@@ -138,45 +153,45 @@ class Diagram:
         return format_diagram(self)
 
 
-@dataclass(frozen=True)
-class Profile:
-    """A partition of one row's vertices into isolated and per-color parts.
-
-    ``parts[0]`` holds the isolated vertices, ``parts[k]`` the endpoints of
-    color-k edges.  Parts are disjoint and together cover {1..n}.
-    """
-
+class _ProfileFields(NamedTuple):
     n: int
     c: int
     parts: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if type(self.n) is not int or type(self.c) is not int:
-            raise ValueError(f"n and c must be ints, got {self.n!r} and {self.c!r}")
-        parts = tuple(tuple(sorted(p)) for p in self.parts)
-        if len(parts) != self.c + 1:
-            raise ValueError(f"expected {self.c + 1} parts, got {len(parts)}")
+
+class Profile(_Record, _ProfileFields):
+    """A partition of one row's vertices into isolated and per-color parts.
+
+    ``parts[0]`` holds the isolated vertices, ``parts[k]`` the endpoints of
+    color-k edges.  Parts are disjoint and together cover {1..n}.  A profile
+    is the tuple ``(n, c, parts)``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, c: int, parts: Iterable[Iterable[int]]) -> "Profile":
+        if type(n) is not int or type(c) is not int:
+            raise ValueError(f"n and c must be ints, got {n!r} and {c!r}")
+        parts = tuple(tuple(sorted(p)) for p in parts)
+        if len(parts) != c + 1:
+            raise ValueError(f"expected {c + 1} parts, got {len(parts)}")
         seen: set[int] = set()
         for part in parts:
             for v in part:
-                if type(v) is not int or not 1 <= v <= self.n:
-                    raise ValueError(f"vertex {v!r} is not an int in 1..{self.n}")
+                if type(v) is not int or not 1 <= v <= n:
+                    raise ValueError(f"vertex {v!r} is not an int in 1..{n}")
                 if v in seen:
                     raise ValueError(f"vertex {v} appears in two parts")
                 seen.add(v)
-        if len(seen) != self.n:
-            missing = sorted(set(range(1, self.n + 1)) - seen)
+        if len(seen) != n:
+            missing = sorted(set(range(1, n + 1)) - seen)
             raise ValueError(f"parts do not cover vertices {missing}")
-        object.__setattr__(self, "parts", parts)
+        return tuple.__new__(cls, (n, c, parts))
 
     @classmethod
     def _trusted(cls, n: int, c: int, parts: tuple[tuple[int, ...], ...]) -> "Profile":
         """Skip validation: only for c + 1 sorted parts that partition 1..n."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "n", n)
-        object.__setattr__(p, "c", c)
-        object.__setattr__(p, "parts", parts)
-        return p
+        return tuple.__new__(cls, (n, c, parts))
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -359,7 +374,10 @@ def profiles_with_sizes(n: int, c: int, sizes: tuple[int, ...]) -> Iterator[Prof
     _require_counts(n, c, *sizes)
     if len(sizes) != c + 1 or sum(sizes) != n:
         raise ValueError(f"sizes {sizes} is not a (c+1)-part composition of {n}")
+    return _profiles_with_sizes(n, c, sizes)
 
+
+def _profiles_with_sizes(n: int, c: int, sizes: tuple[int, ...]) -> Iterator[Profile]:
     # Part k picks positions among the vertices that parts 0..k-1 left, so the picks are independent and their
     # product, in lex order, is the profiles' lex order.  An empty part has one pick, (), and is skipped.
     widths = accumulate(sizes, sub, initial=n)

@@ -257,10 +257,7 @@ def test_pascal_triangle_names_every_vertex_missing_a_child(monkeypatch):
 def _stacked(a, b):
     # Mutant product: keeps the edges of both operands, unvalidated, so it
     # grows, crosses itself and can put two edges on one vertex.
-    d = object.__new__(Diagram)
-    for field, value in (("n", a.n), ("c", a.c), ("edges", tuple(sorted(a.edges + b.edges)))):
-        object.__setattr__(d, field, value)
-    return d
+    return Diagram._trusted(a.n, a.c, tuple(sorted(a.edges + b.edges)))
 
 
 @pytest.mark.parametrize(
@@ -296,6 +293,25 @@ def test_rho_unit_check_catches_a_wrong_unit(monkeypatch):
     assert outcome.witnesses == [
         f"unit does not act as identity on bottom {parts}"
         for parts in (((), (1,)), ((1,), (2,)), ((2,), (1,)), ((), (1, 2)))
+    ]
+
+
+def test_rho_product_check_names_each_pair_a_wrong_map_breaks(monkeypatch):
+    # Mutant action: one diagram's column map on the representative of class 1|1 is reversed.
+    real = representations.diagram_action
+    planted = Diagram(2, 1, [(1, 2, 1)])
+    bottom = representations.IrrepLabel((1, 1)).representative()
+
+    def reversed_once(d, space):
+        columns = real(d, space)
+        return columns[::-1] if d == planted and space.bottom == bottom else columns
+
+    monkeypatch.setattr(checks, "diagram_action", reversed_once)
+    outcome = checks.check_rho_homomorphism((2, 1))
+    assert outcome.checked == 124
+    assert outcome.witnesses == [
+        f"action of product differs from composed actions: n=2 c=1 [{d1}], n=2 c=1 [{d2}] on 1|1"
+        for d1, d2 in (("2-1:1", "1-2:1"), ("1-2:1", "2-2:1"), ("1-2:1", "2-1:1"), ("1-2:1", "1-2:1"), ("1-2:1", "1-1:1"))
     ]
 
 

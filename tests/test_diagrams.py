@@ -97,6 +97,81 @@ def test_constructor_rejects_non_int_shape(n, c, reason):
     assert excinfo.value.reason == reason
 
 
+RECORDS = [Diagram(2, 1, [(1, 2, 1)]), Profile(2, 1, [(1,), (2,)])]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=["diagram", "profile"])
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda r: r + (1,),
+        lambda r: (1,) + r,
+        lambda r: r + r,
+        lambda r: 2 * r,
+        lambda r: r < r,
+        lambda r: r <= (1,),
+        lambda r: (9,) > r,
+        lambda r: r >= r,
+    ],
+    ids=["add", "radd", "add-self", "rmul", "lt", "le-tuple", "gt-reflected", "ge"],
+)
+def test_records_refuse_tuple_arithmetic_and_order(op, record):
+    with pytest.raises(TypeError):
+        op(record)
+
+
+def test_a_profile_refuses_repetition():
+    with pytest.raises(TypeError):
+        RECORDS[1] * 2
+
+
+def test_records_are_their_field_tuples():
+    d, p = RECORDS
+    assert hash(d) == hash((d.n, d.c, d.edges)) and d == (2, 1, ((1, 2, 1),))
+    assert hash(p) == hash((p.n, p.c, p.parts)) and p == (2, 1, ((1,), (2,)))
+    assert len(d) == 3 and tuple(d) == (d.n, d.c, d.edges)
+    assert Diagram(n=2, c=1, edges=[(1, 2, 1)]) == Diagram._trusted(2, 1, ((1, 2, 1),)) == d
+
+
+def test_replacing_a_field_validates():
+    d, p = RECORDS
+    assert d._replace(edges=[(2, 1, 1), (1, 2, 1)]).edges == ((1, 2, 1), (2, 1, 1))
+    with pytest.raises(InvalidDiagramError):
+        d._replace(edges=[(1, 1, 9)])
+    with pytest.raises(ValueError):
+        p._replace(parts=[(1,), (1,)])
+
+
+def test_set_order_of_a_pool_is_pinned():
+    # Sets and dicts order diagrams by the hash of (n, c, edges); this order is the frozen dataclass's too.
+    assert [format_diagram(d) for d in set(pool(2, 1))] == [
+        "n=2 c=1 []",
+        "n=2 c=1 [1-1:1]",
+        "n=2 c=1 [1-1:1, 2-2:1]",
+        "n=2 c=1 [2-2:1]",
+        "n=2 c=1 [1-2:1]",
+        "n=2 c=1 [2-1:1]",
+    ]
+
+
+@pytest.mark.parametrize(
+    "record",
+    [*RECORDS, Diagram._trusted(1, 1, ()), Profile._trusted(1, 1, ((1,), ())), multiply(D1, D2)],
+    ids=["diagram", "profile", "trusted-diagram", "trusted-profile", "product"],
+)
+def test_records_have_no_instance_dict(record):
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        record.n = 3
+
+
+def test_record_constructors_validate_keyword_calls_too():
+    with pytest.raises(InvalidDiagramError):
+        Diagram(n=2, c=1, edges=[(1.5, 1, 1)])
+    with pytest.raises(ValueError):
+        Profile(n=2, c=1, parts=[(1.5,), (2,)])
+
+
 @st.composite
 def rook_edge_lists(draw, min_size: int = 0, max_n: int = 6, max_c: int = 3):
     """(n, c, edges): a rook edge list in random order, planar or not."""
@@ -553,6 +628,12 @@ def test_profiles_with_sizes_are_every_profile_in_lex_order(c):
 def test_profiles_with_sizes_refuse_bad_counts(n, c, sizes):
     with pytest.raises(ValueError):
         list(profiles_with_sizes(n, c, sizes))
+
+
+@pytest.mark.parametrize("n, c, sizes", [(2, 1, (4, -1)), (2, 1, (1, 0)), (2, 1, (True, 1))])
+def test_profiles_with_sizes_refuse_at_the_call(n, c, sizes):
+    with pytest.raises(ValueError):
+        profiles_with_sizes(n, c, sizes)
 
 
 def _all_rook_diagrams(n, c):
