@@ -55,6 +55,7 @@ from .representations import (
     compose_column_maps,
     diagram_action,
     element_action_columns,
+    fixed_points,
     label_module,
     module_space,
     regular_decomposition,
@@ -412,19 +413,25 @@ def check_column_structure(scope: Scope) -> CheckResult:
 
 @tallied("modules.character-trace")
 def check_character(scope: Scope) -> CheckResult:
-    """Closed form equals trace; traces see only vertical edges, via their counts."""
+    """Closed form and ``action_trace`` equal the trace; traces see only vertical edges, via their counts.
+
+    Each trace is the fixed-point count of ``diagram_action``'s column map,
+    so the vertical-edge rule is tested, not assumed.
+    """
     for n, c in _shapes(scope):
         pool = _all_planar(n, c)
         labels = all_labels(n, c)
         spaces = [label_module(label) for label in labels]
-        traces = {d: tuple(action_trace(d, space) for space in spaces) for d in pool}
+        traces = {d: tuple(fixed_points(diagram_action(d, space)) for space in spaces) for d in pool}
         by_verticals: dict[tuple[int, ...], tuple[int, ...]] = {}
         for d in pool:
             row = traces[d]
-            for label, value in zip(labels, row):
+            for label, space, value in zip(labels, spaces, row):
                 yield 1
                 if representations.character(d, label) != value:
                     yield f"character of {format_diagram(d)} at {label.encode()}"
+                if action_trace(d, space) != value:
+                    yield f"action_trace of {format_diagram(d)} at {label.encode()} differs from the fixed points"
             if traces[vertical_subdiagram(d)] != row:
                 yield f"trace of {format_diagram(d)} changes when non-vertical edges drop"
             key = vertical_color_counts(d)

@@ -116,10 +116,15 @@ class IrrepLabel:
         return tuple(self.child(j) for j, s in enumerate(self.sizes) if s > 0)
 
     def child(self, j: int) -> "IrrepLabel":
-        """The class one level down with part j decremented."""
-        reduced = list(self.sizes)
-        reduced[j] -= 1
-        return IrrepLabel(tuple(reduced))
+        """The class one level down with part j decremented; only that part is checked."""
+        if type(j) is not int or not 0 <= j < len(self.sizes):
+            raise ValueError(f"no part {j!r} in composition {self.sizes}")
+        reduced = self.sizes[:j] + (self.sizes[j] - 1,) + self.sizes[j + 1:]
+        if not self.sizes[j]:
+            raise ValueError(f"invalid composition {reduced}")
+        child = object.__new__(IrrepLabel)  # every other part is already a checked int >= 0
+        object.__setattr__(child, "sizes", reduced)
+        return child
 
     def encode(self) -> str:
         return "|".join(str(s) for s in self.sizes)
@@ -224,10 +229,7 @@ def diagram_action(d: Diagram, space: ModuleSpace) -> tuple[Optional[int], ...]:
     d's bottom ends; then d * x_(S_j, T) is x_(S', T), with S' the vertices
     that d's edges carry S_j up to.  The bottom profile T is never read.
     """
-    if d.n != space.n or d.c != space.c:
-        raise MismatchError("diagram does not match the module's (n, c)")
-    if not is_planar(d):
-        raise NonPlanarError(f"{format_diagram(d)} is not planar")
+    _require_acting(d, space)
     up = {_bit(d.n, b, k): _bit(d.n, t, k) for t, b, k in d.edges}  # d's bottom ends, each to its top end
     outside, slot = ~sum(up), space._slot
 
@@ -243,6 +245,14 @@ def diagram_action(d: Diagram, space: ModuleSpace) -> tuple[Optional[int], ...]:
         return slot[image]
 
     return tuple([None if top & outside else image_slot(top) for top in space.tops])
+
+
+def _require_acting(d: Diagram, space: ModuleSpace) -> None:
+    """Refuse a diagram of another (n, c) than the module's, or a non-planar one."""
+    if d.n != space.n or d.c != space.c:
+        raise MismatchError("diagram does not match the module's (n, c)")
+    if not is_planar(d):
+        raise NonPlanarError(f"{format_diagram(d)} is not planar")
 
 
 def compose_column_maps(
@@ -270,8 +280,22 @@ def weighted_columns(
 
 
 def action_trace(d: Diagram, space: ModuleSpace) -> int:
-    """Trace of the diagram action: the number of fixed basis vectors."""
-    return sum(1 for j, i in enumerate(diagram_action(d, space)) if i == j)
+    """Trace of the diagram action: the number of fixed basis vectors.
+
+    d fixes x_(S, T) exactly when, color by color, S lies on d's vertical
+    edges (t == b): a planar d carries each color's bottom ends up in order,
+    so S' = S only if every vertex of S goes straight up.  The trace counts
+    the packed tops inside the mask of d's vertical edges; no column map is
+    built.  Shape and planarity are refused as in :func:`diagram_action`.
+    """
+    _require_acting(d, space)
+    vertical = sum(_bit(d.n, t, k) for t, b, k in d.edges if t == b)
+    return sum(1 for top in space.tops if top & vertical == top)
+
+
+def fixed_points(column: tuple[Optional[int], ...]) -> int:
+    """The number of basis vectors a column map fixes: the trace of the action it describes."""
+    return sum(1 for j, i in enumerate(column) if i == j)
 
 
 # ---------------------------------------------------------------------------
@@ -368,11 +392,12 @@ def character(d: Diagram, label: IrrepLabel) -> int:
         raise MismatchError(f"diagram shape does not match label {label.sizes}")
     if not is_planar(d):
         raise NonPlanarError(f"{format_diagram(d)} is not planar")
-    verticals = vertical_color_counts(d)
-    out = 1
-    for l_i, n_i in zip(verticals, label.sizes[1:]):
-        out *= math.comb(l_i, n_i)
-    return out
+    return _character(vertical_color_counts(d), label.sizes)
+
+
+def _character(verticals: tuple[int, ...], sizes: tuple[int, ...]) -> int:
+    """Product over colors i of C(l_i, n_i): l_i from ``verticals``, n_i from ``sizes`` without its part 0."""
+    return math.prod(map(math.comb, verticals, sizes[1:]))
 
 
 def vertical_count_rows(n: int, c: int) -> list[tuple[int, ...]]:
@@ -384,11 +409,18 @@ def vertical_count_rows(n: int, c: int) -> list[tuple[int, ...]]:
 
 
 def character_table(n: int, c: int) -> tuple[list[tuple[int, ...]], list[IrrepLabel], list[list[int]]]:
-    """Rows (vertical-count vectors), columns (labels), and values."""
+    """Rows (vertical-count vectors), columns (labels), and values.
+
+    A row's vertical diagram and its vertical counts are built once per row;
+    every cell of the row is then the closed form :func:`character` uses.
+    """
     require_shape(n, c)
     rows = vertical_count_rows(n, c)
     labels = list(all_labels(n, c))
-    values = [[character(vertical_diagram(n, row), label) for label in labels] for row in rows]
+    values = []
+    for row in rows:
+        verticals = vertical_color_counts(vertical_diagram(n, row))
+        values.append([_character(verticals, label.sizes) for label in labels])
     return rows, labels, values
 
 
@@ -403,7 +435,11 @@ def character_table_csv(n: int, c: int) -> bytes:
 
 @tallied("modules.character-table")
 def verify_character_table(n: int, c: int, cap: int = DEFAULT_DIAGRAM_CAP) -> CheckResult:
-    """Recompute every table entry as a trace on a representative module."""
+    """Recompute every table entry as the fixed points of an action on a representative module.
+
+    The trace is read off ``diagram_action``'s column map, and
+    :func:`action_trace` must give the same count.
+    """
     if (total := _clipped_power(c + 1, n, cap)) > cap:  # the label modules' multinomial dimensions sum to (c + 1)^n
         raise CapExceededError(f"at least {total} module basis vectors at (n={n}, c={c}) exceed the cap of {cap}")
     rows, labels, values = character_table(n, c)
@@ -412,8 +448,11 @@ def verify_character_table(n: int, c: int, cap: int = DEFAULT_DIAGRAM_CAP) -> Ch
         d = vertical_diagram(n, row)
         for label, space, value in zip(labels, spaces, row_values):
             yield 1
-            if action_trace(d, space) != value:
+            trace = fixed_points(diagram_action(d, space))
+            if trace != value:
                 yield f"entry ({row}, {label.encode()}) differs from the trace"
+            if action_trace(d, space) != trace:
+                yield f"action_trace at ({row}, {label.encode()}) differs from the fixed points"
 
 
 # ---------------------------------------------------------------------------

@@ -315,6 +315,45 @@ def test_rho_product_check_names_each_pair_a_wrong_map_breaks(monkeypatch):
     ]
 
 
+def _all_edge_trace(d, space):
+    # Mutant trace: the mask holds the top ends of all of d's edges, not only the vertical ones.
+    mask = sum(representations._bit(d.n, t, k) for t, _, k in d.edges)
+    return sum(1 for top in space.tops if top & mask == top)
+
+
+def test_character_check_compares_action_trace_with_the_fixed_points(monkeypatch):
+    checked = checks.check_character((3, 2)).checked
+    monkeypatch.setattr(checks, "action_trace", _all_edge_trace)
+    outcome = checks.check_character((3, 2))
+    assert outcome.checked == checked
+    assert outcome.witnesses
+    assert all(w.startswith("action_trace of ") and w.endswith(" differs from the fixed points") for w in outcome.witnesses)
+    assert "action_trace of n=3 c=2 [1-2:1] at 2|1|0 differs from the fixed points" in outcome.witnesses
+
+
+def test_character_check_reads_the_vertical_drop_off_the_action(monkeypatch):
+    # Mutant action: a diagram with no vertical edge fixes basis vector 0 of every module.
+    real = representations.diagram_action
+
+    def fixing(d, space):
+        columns = real(d, space)
+        return (0, *columns[1:]) if d.edges and all(t != b for t, b, _ in d.edges) else columns
+
+    monkeypatch.setattr(checks, "diagram_action", fixing)
+    outcome = checks.check_character((2, 1))
+    assert "trace of n=2 c=1 [1-2:1] changes when non-vertical edges drop" in outcome.witnesses
+    assert "character of n=2 c=1 [1-2:1] at 1|1" in outcome.witnesses
+
+
+def test_character_table_check_compares_action_trace_with_the_fixed_points(monkeypatch):
+    monkeypatch.setattr(representations, "action_trace", _all_edge_trace)
+    assert representations.verify_character_table(3, 2)  # a vertical diagram's edges are all vertical
+    monkeypatch.setattr(representations, "vertical_diagram", lambda n, row: Diagram(n, len(row), [(1, 2, 1)]))
+    outcome = representations.verify_character_table(2, 1)
+    assert outcome.checked == 9
+    assert outcome.witnesses == [f"action_trace at (({v},), 1|1) differs from the fixed points" for v in range(3)]
+
+
 def test_column_structure_catches_out_of_range_images(monkeypatch):
     # Mutant action: every nonzero column points one past the last basis index.
     real = representations.diagram_action

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -16,11 +18,13 @@ from planar_rook.checks import (
 from planar_rook.diagrams import (
     CapExceededError,
     Diagram,
+    MismatchError,
     NonPlanarError,
     Profile,
     bottom_profile,
     cardinality,
     compositions,
+    format_diagram,
     from_profiles,
     multinomial,
     multiply,
@@ -41,6 +45,7 @@ from planar_rook.representations import (
     compose_column_maps,
     diagram_action,
     element_action_columns,
+    fixed_points,
     label_module,
     module_space,
     regular_decomposition,
@@ -72,6 +77,18 @@ def test_label_rejects_non_int_sizes():
 def test_label_child_decrements_one_part():
     assert IrrepLabel((2, 0, 1)).child(2) == IrrepLabel((2, 0, 0))
     assert IrrepLabel((2, 0, 1)).children() == (IrrepLabel((1, 0, 1)), IrrepLabel((2, 0, 0)))
+
+
+def test_label_child_checks_only_the_decremented_part():
+    label = IrrepLabel((2, 0, 1))
+    with pytest.raises(ValueError, match=r"^invalid composition \(2, -1, 1\)$"):
+        label.child(1)
+    for j in (3, -1, 1.0, True):
+        with pytest.raises(ValueError, match="no part"):
+            label.child(j)
+    child = label.child(0)
+    assert child == IrrepLabel((1, 0, 1)) and hash(child) == hash(IrrepLabel((1, 0, 1)))
+    assert type(child.sizes) is tuple
 
 
 def test_character_table_cap_refuses_without_the_full_power():
@@ -378,6 +395,28 @@ def test_character_matches_trace_and_vertical_drop():
             assert action_trace(vertical_subdiagram(d), space) == action_trace(d, space)
 
 
+@pytest.mark.parametrize("n, c", [(n, c) for n in range(5) for c in (1, 2)] + [(3, 3)])
+def test_action_trace_is_the_fixed_point_count_of_the_action(n, c):
+    for label in all_labels(n, c):
+        space = label_module(label)
+        for d in pool(n, c):
+            assert action_trace(d, space) == fixed_points(diagram_action(d, space)), (format_diagram(d), label)
+
+
+def test_action_trace_refuses_as_the_action_does():
+    space = module_space(2, 1, Profile(2, 1, ((1, 2), ())))
+    refused = [
+        Diagram(2, 1, [(1, 2, 1), (2, 1, 1)]),  # not planar
+        Diagram(2, 2, [(1, 1, 2)]),  # another c
+        Diagram(3, 1, [(1, 1, 1)]),  # another n
+    ]
+    for d in refused:
+        with pytest.raises((MismatchError, NonPlanarError)) as by_action:
+            diagram_action(d, space)
+        with pytest.raises(by_action.type, match=f"^{re.escape(str(by_action.value))}$"):
+            action_trace(d, space)
+
+
 def test_character_table_two_by_one():
     rows, labels, values = character_table(2, 1)
     assert rows == [(0,), (1,), (2,)]
@@ -392,6 +431,22 @@ def test_character_table_csv_frozen():
     expected = b"verticals,2|0,1|1,0|2\n0,1,0,0\n1,1,1,0\n2,1,2,1\n"
     assert character_table_csv(2, 1) == expected
     assert character_table_csv(2, 1) == character_table_csv(2, 1)
+
+
+@pytest.mark.parametrize("n, c, digest", [
+    (4, 3, "3aaefa89680dad23e2985c5b66a2d2b2136d12799e14b751563fff3e8d6c4fe9"),
+    (7, 3, "eb3a5c733316a69c181dee09bd97133c59ec9040c8420f751d25337a608c4519"),
+])
+def test_character_table_csv_digest(n, c, digest):
+    assert hashlib.sha256(character_table_csv(n, c)).hexdigest() == digest
+
+
+def test_character_table_builds_one_vertical_diagram_per_row(monkeypatch):
+    calls = []
+    build = representations.vertical_diagram
+    monkeypatch.setattr(representations, "vertical_diagram", lambda n, row: calls.append(row) or build(n, row))
+    rows, labels, _ = character_table(5, 3)
+    assert calls == rows and len(labels) > 1
 
 
 def test_character_table_refuses_zero_colors():
