@@ -108,14 +108,11 @@ def _products(n: int, c: int) -> dict[tuple[Diagram, Diagram], Diagram]:
 
 
 @_per_run
-def _actions(n: int, c: int) -> dict[Profile, tuple[ModuleSpace, dict[Diagram, tuple]]]:
-    """Each bottom profile's module and the column map of every monoid diagram on it, for the module sweeps."""
+def _actions(n: int, c: int) -> dict[tuple[int, ...], tuple[ModuleSpace, dict[Diagram, tuple]]]:
+    """Each class's module and the column map of every monoid diagram on it, by part sizes: T is never read."""
     pool = _all_planar(n, c)
-    table = {}
-    for profile in all_bottom_profiles(n, c):
-        space = module_space(n, c, profile)
-        table[profile] = space, {d: diagram_action(d, space) for d in pool}
-    return table
+    spaces = (label_module(label) for label in all_labels(n, c))
+    return {space.bottom.sizes: (space, {d: diagram_action(d, space) for d in pool}) for space in spaces}
 
 
 def _draws(scope: Scope, samples: int, seed: int, k: int) -> list[tuple[Diagram, ...]]:
@@ -377,16 +374,17 @@ def check_rho_homomorphism(scope: Scope) -> CheckResult:
     for n, c in _shapes(scope):
         actions = _actions(n, c)
         unit = algebra.identity(n, c)
-        for profile, (space, maps) in actions.items():
-            yield 1
+        for sizes, (space, maps) in actions.items():
             columns = weighted_columns(((q, maps[d]) for d, q in unit.terms.items()), space.dimension)
-            if columns != [{j: 1} for j in range(space.dimension)]:
-                yield f"unit does not act as identity on bottom {profile.parts}"
+            for profile in profiles_with_sizes(n, c, sizes):  # the class's columns, counted for each bottom profile
+                yield 1
+                if columns != [{j: 1} for j in range(space.dimension)]:
+                    yield f"unit does not act as identity on bottom {profile.parts}"
         pool = _all_planar(n, c)
         index = {d: i for i, d in enumerate(pool)}
         triples = [(index[d1], index[d2], index[d12]) for (d1, d2), d12 in _products(n, c).items()]
         for label in all_labels(n, c):
-            by_diagram = actions[label.representative()][1]
+            by_diagram = actions[label.sizes][1]
             maps = [by_diagram[d] for d in pool]
             yield len(triples)
             for i, j, k in triples:
@@ -401,14 +399,12 @@ def check_rho_homomorphism(scope: Scope) -> CheckResult:
 def check_column_structure(scope: Scope) -> CheckResult:
     """A single diagram sends each basis vector to one basis vector or to zero."""
     for n, c in _shapes(scope):
-        actions = _actions(n, c)
-        for label in all_labels(n, c):
-            space, maps = actions[label.representative()]
+        for space, maps in _actions(n, c).values():  # one per class, in label order
             for d, column in maps.items():
                 yield 1
                 for j, i in enumerate(column):
                     if i is not None and not (type(i) is int and 0 <= i < space.dimension):
-                        yield f"{format_diagram(d)} on {label.encode()} column {j}"
+                        yield f"{format_diagram(d)} on {space.label().encode()} column {j}"
 
 
 @tallied("modules.character-trace")
@@ -421,8 +417,8 @@ def check_character(scope: Scope) -> CheckResult:
     for n, c in _shapes(scope):
         pool = _all_planar(n, c)
         labels = all_labels(n, c)
-        spaces = [label_module(label) for label in labels]
-        traces = {d: tuple(fixed_points(diagram_action(d, space)) for space in spaces) for d in pool}
+        spaces, tables = zip(*_actions(n, c).values())  # one module and column-map table per class, in label order
+        traces = {d: tuple(fixed_points(maps[d]) for maps in tables) for d in pool}
         by_verticals: dict[tuple[int, ...], tuple[int, ...]] = {}
         for d in pool:
             row = traces[d]
@@ -479,9 +475,10 @@ def check_irreducibility(scope: Scope) -> CheckResult:
 def check_isomorphism_classification(scope: Scope) -> CheckResult:
     """Isomorphism holds iff part sizes match, and every witness validates."""
     for n, c in _shapes(scope):
-        actions = _actions(n, c)
-        for p1, (space1, maps1) in actions.items():
-            for p2, (space2, maps2) in actions.items():
+        actions = _actions(n, c)  # the intertwiner and the distinguisher read T, so each profile has its own module
+        modules = [(p, module_space(n, c, p), actions[p.sizes][1]) for p in all_bottom_profiles(n, c)]
+        for p1, space1, maps1 in modules:
+            for p2, space2, maps2 in modules:
                 yield 1
                 result = are_isomorphic(space1, space2)
                 if result.isomorphic != (p1.sizes == p2.sizes):

@@ -164,8 +164,10 @@ def _cmd_mul(args) -> int:
     product = multiply(left, right)
     if args.as_matrix and (cells := product.n ** 2) > (cap := _diagram_cap()):
         raise CapExceededError(f"the {product.n}x{product.n} matrix has {cells} cells, more than the cap of {cap}")
-    if args.spot_check:  # built before any output, so a refused cap prints nothing
-        pool = list(enumerate_planar(left.n, left.c, _diagram_cap()))
+    if args.spot_check:  # K and the pool are refused before any output; K triples take 4K products
+        if args.spot_check > (cap := _diagram_cap()):
+            raise CapExceededError(f"--spot-check {args.spot_check} exceeds the cap of {cap} triples")
+        pool = list(enumerate_planar(left.n, left.c, cap))
     if args.as_matrix:
         print(format_matrix(product))
     else:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import re
 from functools import lru_cache
-from itertools import accumulate, chain, combinations, combinations_with_replacement, product, repeat
+from itertools import chain, combinations, combinations_with_replacement, repeat
 from operator import itemgetter, sub
 from typing import Iterable, Iterator, NamedTuple
 
@@ -370,7 +370,7 @@ def multinomial(parts: Iterable[int]) -> int:
 
 
 def profiles_with_sizes(n: int, c: int, sizes: tuple[int, ...]) -> Iterator[Profile]:
-    """All profiles with the given part sizes, in lexicographic order."""
+    """All profiles with the given part sizes, in lexicographic order: :func:`_packed_profiles`, unpacked."""
     _require_counts(n, c, *sizes)
     if len(sizes) != c + 1 or sum(sizes) != n:
         raise ValueError(f"sizes {sizes} is not a (c+1)-part composition of {n}")
@@ -378,17 +378,30 @@ def profiles_with_sizes(n: int, c: int, sizes: tuple[int, ...]) -> Iterator[Prof
 
 
 def _profiles_with_sizes(n: int, c: int, sizes: tuple[int, ...]) -> Iterator[Profile]:
-    # Part k picks positions among the vertices that parts 0..k-1 left, so the picks are independent and their
-    # product, in lex order, is the profiles' lex order.  An empty part has one pick, (), and is skipped.
-    widths = accumulate(sizes, sub, initial=n)
-    picked = [(k, combinations(range(width), size)) for k, (width, size) in enumerate(zip(widths, sizes)) if size]
-    for picks in product(*[options for _, options in picked]):
-        left, parts = list(range(1, n + 1)), [()] * (c + 1)
-        for (k, _), pick in zip(picked, picks):
-            parts[k] = tuple(left[i] for i in pick)  # positions in a sorted list pick a sorted part
-            for i in reversed(pick):
-                del left[i]
+    # Only nonempty color parts are read, off a table of the C(n, size) vertex sets of a size; part 0 is the rest.
+    vertices = {sum(1 << v - 1 for v in part): part
+                for size in set(sizes) for part in combinations(range(1, n + 1), size)}
+    full, colored = (1 << n) - 1, [k for k in range(1, c + 1) if sizes[k]]
+    for top in _packed_profiles(n, c, sizes):
+        masks = [top >> (k - 1) * n & full for k in colored]
+        parts = [vertices[full ^ sum(masks)]] + [()] * c
+        for k, mask in zip(colored, masks):
+            parts[k] = vertices[mask]
         yield Profile._trusted(n, c, tuple(parts))
+
+
+def _bit(n: int, v: int, k: int) -> int:
+    """The bit of a packed profile that is set when vertex v is in color part k."""
+    return 1 << ((k - 1) * n + v - 1)
+
+
+def _packed_profiles(n: int, c: int, sizes: tuple[int, ...]) -> tuple[int, ...]:
+    """The profiles with the given (checked) part sizes, in lex order, each the sum of its colored vertices' _bit."""
+    states = [((1 << n) - 1, 0)]  # (vertex bits left, packed); part k picks in lex order among what parts < k left
+    for k in [k for k, size in enumerate(sizes[:-1]) if size]:  # an empty part picks nothing: no level
+        states = [(left ^ part, bits | part << (k - 1) * n if k else bits) for left, bits in states
+                  for part in map(sum, combinations([1 << v for v in range(n) if left >> v & 1], sizes[k]))]
+    return tuple(bits | left << (c - 1) * n if c else bits for left, bits in states)  # at c = 0 the last is part 0
 
 
 def sorted_profile(n: int, sizes: tuple[int, ...]) -> Profile:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
-from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
 from .algebra import AlgebraElement, Rational, left_action_x
@@ -29,7 +28,9 @@ from .diagrams import (
     MismatchError,
     NonPlanarError,
     Profile,
+    _bit,
     _clipped_power,
+    _packed_profiles,
     cardinality,
     compositions,
     format_diagram,
@@ -140,9 +141,9 @@ class ModuleSpace:
     """The irreducible module with bottom profile T, over its ordered x-basis.
 
     Basis vector j is x_(S_j, T) for the j-th top profile S_j with T's part
-    sizes, in ``profiles_with_sizes`` order.  ``tops[j]`` packs S_j into one
-    int, with bit (k-1)*n + v-1 set when top vertex v is in color part k;
-    the diagrams from_profiles(S_j, T) of ``basis`` are built on first use.
+    sizes, in ``profiles_with_sizes`` order; ``tops[j]`` is S_j packed by
+    ``diagrams._packed_profiles``, which reads T's sizes alone.  The diagrams
+    from_profiles(S_j, T) of ``basis`` are built on first use.
     """
 
     bottom: Profile
@@ -151,14 +152,9 @@ class ModuleSpace:
     def __post_init__(self):
         if not isinstance(self.bottom, Profile):
             raise TypeError(f"a module is built from a bottom Profile, not {self.bottom!r}")
-        n, c, sizes = self.n, self.c, self.bottom.sizes
-        require_shape(n, c)  # a Profile may have c = 0, a module may not
-        states = [((1 << n) - 1, 0)]  # profiles_with_sizes' order, a level per part: (vertex bits left, packed)
-        for k, size in enumerate(sizes[:-1]):
-            states = [(left ^ part, bits | part << (k - 1) * n if k else bits) for left, bits in states
-                      for part in map(sum, combinations([1 << v for v in range(n) if left >> v & 1], size))]
-        tops = tuple(bits | left << (c - 1) * n for left, bits in states)  # the last part takes what is left
-        if len(tops) != multinomial(sizes):
+        require_shape(self.n, self.c)  # a Profile may have c = 0, a module may not
+        tops = _packed_profiles(self.n, self.c, self.bottom.sizes)
+        if len(tops) != multinomial(self.bottom.sizes):
             raise AssertionError("a module basis has multinomially many vectors")
         object.__setattr__(self, "tops", tops)
 
@@ -179,10 +175,7 @@ class ModuleSpace:
 
     @cached_property
     def basis(self) -> tuple[Diagram, ...]:
-        n, c, span = self.n, self.c, range(1, self.n + 1)
-        colored = ([tuple(v for v in span if top & _bit(n, v, k)) for k in range(1, c + 1)] for top in self.tops)
-        tops = (Profile._trusted(n, c, (tuple(v for v in span if all(v not in p for p in ps)), *ps)) for ps in colored)
-        return tuple(from_profiles(top, self.bottom) for top in tops)
+        return tuple(from_profiles(top, self.bottom) for top in profiles_with_sizes(self.n, self.c, self.bottom.sizes))
 
     def index_of(self, d: Diagram) -> int:
         return self._index[d]
@@ -194,11 +187,6 @@ class ModuleSpace:
     @cached_property
     def _slot(self) -> dict[int, int]:
         return {top: j for j, top in enumerate(self.tops)}
-
-
-def _bit(n: int, v: int, k: int) -> int:
-    """The bit of a packed top profile that is set when vertex v is in color part k."""
-    return 1 << ((k - 1) * n + v - 1)
 
 
 def module_space(n: int, c: int, bottom: Profile) -> ModuleSpace:

@@ -8,7 +8,7 @@ from planar_rook import algebra, bratteli, checks, diagrams, representations
 from planar_rook.algebra import AlgebraElement, subdiagrams, unit_diagram
 from planar_rook.checks import VerifyConfig, run_verification
 from planar_rook.diagrams import CapExceededError, Diagram, from_profiles, is_planar
-from planar_rook.representations import IsoResult
+from planar_rook.representations import IrrepLabel, IsoResult, all_bottom_profiles, all_labels, label_module
 
 # Per-check case counts of the default caps with 200 samples.
 DEFAULT_CHECKED = {
@@ -176,23 +176,44 @@ def test_classification_catches_swapped_distinguisher(monkeypatch):
 
 
 def test_classification_composes_a_reordering_intertwiner(monkeypatch):
-    # Bases listed in one top-profile order make every intertwiner the identity map, and the
-    # check must not rely on that: reverse the stored order, ``tops``, of each module with
-    # vertex 1 isolated, before its basis diagrams and slots are built from it.
+    # One action table per class serves every module of the class, in the one basis order of the
+    # walk, so the check must compose each pair's intertwiner and not take it for the identity map:
+    # list the basis of each module with vertex 1 isolated in reverse, and exactly the pairs of one
+    # reversed and one unreversed module of a class no longer commute with the class's table.
     real = checks.module_space
-    reversed_dims = []
+    reversed_bottoms = set()
 
     def reordered(n, c, bottom):
         space = real(n, c, bottom)
-        if 1 in bottom.parts[0]:
-            object.__setattr__(space, "tops", space.tops[::-1])
-            reversed_dims.append(space.dimension)
+        if 1 in bottom.parts[0] and space.dimension > 1:
+            object.__setattr__(space, "basis", space.basis[::-1])  # index_of follows the basis
+            reversed_bottoms.add(bottom)
         return space
 
     monkeypatch.setattr(checks, "module_space", reordered)
     outcome = checks.check_isomorphism_classification((2, 2))
-    assert outcome.ok, outcome.witnesses[:3]
-    assert max(reversed_dims) > 1
+    mixed = [
+        f"{p1.parts} vs {p2.parts}"
+        for c in (1, 2) for n in range(3)
+        for p1 in all_bottom_profiles(n, c) for p2 in all_bottom_profiles(n, c)
+        if p1.sizes == p2.sizes and (p1 in reversed_bottoms) != (p2 in reversed_bottoms)
+    ]
+    assert len(mixed) == 6  # the two orders of each class 1|1, 1|1|0 and 1|0|1
+    assert outcome.checked == 112
+    assert [w.split(": ", 1)[1] for w in outcome.witnesses] == mixed
+    assert all(w.startswith("intertwiner does not commute with ") for w in outcome.witnesses)
+
+
+def test_action_tables_hold_one_table_per_class(monkeypatch):
+    # A column map never reads the bottom profile, so (3, 2) needs C(5, 2) = 10 tables of |P_{3,2}| = 93 maps,
+    # not one per bottom profile, 27.
+    real = checks.diagram_action
+    calls = []
+    monkeypatch.setattr(checks, "diagram_action", lambda d, space: calls.append(d) or real(d, space))
+    tables = checks._actions(3, 2)
+    assert list(tables) == [label.sizes for label in all_labels(3, 2)]
+    assert len(calls) == 10 * 93
+    assert all(space == label_module(IrrepLabel(sizes)) for sizes, (space, _) in tables.items())
 
 
 def test_a_default_run_enumerates_each_shape_once(monkeypatch):
@@ -207,6 +228,16 @@ def test_a_default_run_enumerates_each_shape_once(monkeypatch):
     monkeypatch.setattr(diagrams, "_enumerate_planar", counting)
     assert all(r.ok for r in run_verification())
     assert len(shapes) <= 8
+
+
+def test_a_default_run_builds_each_column_map_once(monkeypatch):
+    # One column map per class and diagram of the shapes n <= 3, c <= 2, read by the rho, column
+    # structure, character and classification checks: as many as column_structure checks, 1,133.
+    real = checks.diagram_action
+    calls = []
+    monkeypatch.setattr(checks, "diagram_action", lambda d, space: calls.append(d) or real(d, space))
+    assert all(r.ok for r in run_verification(VerifyConfig(samples=10)))
+    assert len(calls) == DEFAULT_CHECKED["modules.column-structure"] == 1133
 
 
 def test_restriction_catches_one_color_embedding(monkeypatch):

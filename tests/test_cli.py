@@ -139,6 +139,22 @@ def test_enumerate_order_is_pinned(capsys):
     assert digest == "f18ec7e9dd5f948682e465dced1c1cd360a063db566a87e2281b778407c9daa2"
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("chartable -n 5 -c 2 --verify", "a3a6b7a878d4f12b941983c86e8ee6b11d0be384b2b5724f0f903ec7d9c70ff2"),
+        ("bratteli -c 3 -n 3 --format json", "6d2e1905410d4917bbeb0edfdc46c631aa335067457b67c89c936bff88c1adc6"),
+        ("bratteli -c 2 -n 4", "e23289932ad015be43e74748c59fd576a3b2c00a966dbdeb16a719183435dd8b"),
+        ("enumerate -n 6 -c 3", "a746d8938fe8e97bce57482385e882d48377a830f538df77477ce54f29dec3f5"),
+    ],
+)
+def test_cli_outputs_are_pinned(capsys, monkeypatch, argv, digest):
+    monkeypatch.delenv("PLANAR_ROOK_CAP", raising=False)
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_numeric_options_take_ascii_digits_only(capsys):
     code, out, err = run(capsys, "count", "-n", "\u0663", "-c", "1")  # ARABIC-INDIC DIGIT THREE
     assert code == 2
@@ -245,6 +261,19 @@ def test_mul_spot_check_pool_obeys_the_cap(capsys, monkeypatch):
     assert code == 2
     assert "cap" in err
     assert out == ""
+
+
+def test_mul_spot_check_count_obeys_the_cap(capsys, monkeypatch):
+    # K triples cost 4K products: K past the cap is refused before the product is printed, as --as-matrix is.
+    monkeypatch.setattr(cli, "enumerate_planar", lambda *args: pytest.fail("built the pool past the cap"))
+    code, out, err = run(capsys, "mul", "n=2 c=1 [1-1:1]", "n=2 c=1 []", "--spot-check", "100000000")
+    assert (code, out) == (2, "")
+    assert "100000000" in err and "1000000" in err and "cap" in err
+    monkeypatch.undo()
+    monkeypatch.setenv("PLANAR_ROOK_CAP", "10")  # |P_{2,1}| = 6, so only K meets the cap
+    code, out, _ = run(capsys, "mul", "n=2 c=1 [1-1:1]", "n=2 c=1 []", "--spot-check", "10")
+    assert (code, out) == (0, "n=2 c=1 []\nassociativity spot-check passed on 10 triples\n")
+    assert run(capsys, "mul", "n=2 c=1 [1-1:1]", "n=2 c=1 []", "--spot-check", "11")[:2] == (2, "")
 
 
 def test_mul_parse_error(capsys):

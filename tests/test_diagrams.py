@@ -613,7 +613,7 @@ def test_profiles_with_sizes_lex_order():
     assert parts == [((1,), (2,)), ((2,), (1,))]
 
 
-@pytest.mark.parametrize("c", [1, 2, 3])
+@pytest.mark.parametrize("c", [0, 1, 2, 3])
 def test_profiles_with_sizes_are_every_profile_in_lex_order(c):
     for n in range(6):
         for sizes in compositions(n, c):
