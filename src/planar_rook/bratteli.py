@@ -123,12 +123,13 @@ def emit_json(graph: BratteliGraph) -> bytes:
 
 
 def graph_from_json(raw: bytes) -> BratteliGraph:
-    """Rebuild a graph from its JSON byte stream (inverse of emit_json)."""
+    """Rebuild a graph from its JSON byte stream (inverse of emit_json); refuse a payload that is not the tower."""
     payload = json.loads(raw.decode("utf-8"))
-    levels = tuple(
-        tuple(IrrepLabel(tuple(sizes)) for sizes in level) for level in payload["levels"]
-    )
-    edges = tuple(
-        ((parent[0], parent[1]), (child[0], child[1])) for parent, child in payload["edges"]
-    )
-    return BratteliGraph(payload["c"], payload["n_max"], levels, edges)
+    c, n_max, levels = payload["c"], payload["n_max"], payload["levels"]
+    parts = sum(len(sizes) for level in levels for sizes in level)  # checked first: build is no larger than the payload
+    if len(levels) != n_max + 1 or parts != (c + 1) * math.comb(n_max + c + 1, c + 1):  # c + 1 parts per vertex
+        raise ValueError(f"the payload's levels do not have the size of the tower to level {n_max} at c={c}")
+    graph = build(c, n_max)
+    if json.loads(emit_json(graph)) != payload:
+        raise ValueError(f"the payload's levels or edges differ from the tower to level {n_max} at c={c}")
+    return graph

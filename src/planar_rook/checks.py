@@ -54,7 +54,6 @@ from .representations import (
     are_isomorphic,
     compose_column_maps,
     diagram_action,
-    element_action_columns,
     fixed_points,
     label_module,
     module_space,
@@ -575,8 +574,8 @@ def _strip_last_top_vertex(profile: Profile, part_index: int) -> Profile:
     return Profile(profile.n - 1, profile.c, tuple(parts))
 
 
-def _restriction_witnesses(space: ModuleSpace, pool) -> Iterator[str]:
-    """Restriction failures of a module under the width-(n-1) ``pool``, per group: invariance, intertwining."""
+def _restriction_witnesses(space: ModuleSpace, pool, columns) -> Iterator[str]:
+    """Restriction failures of a module under ``pool``, width n-1, embedded as ``columns``: invariance, intertwining."""
     label = space.label()
     groups = restriction_groups(space)
     targets: dict[int, ModuleSpace] = {}
@@ -587,8 +586,7 @@ def _restriction_witnesses(space: ModuleSpace, pool) -> Iterator[str]:
             stripped = _strip_last_top_vertex(top_profile(space.basis[idx]), j)
             phi[idx] = from_profiles(stripped, child_space.bottom)
     members = {j: set(indices) for j, indices in groups}
-    for d in pool:
-        cols = element_action_columns(algebra.embed(algebra.from_diagram(d)), space)
+    for d, cols in zip(pool, columns):
         for j, indices in groups:
             child_space = targets[j]
             for idx in indices:
@@ -613,10 +611,14 @@ def check_restriction(scope: Scope) -> CheckResult:
         if n < 1:
             continue
         pool = _all_planar(n - 1, c)
-        for profile in all_bottom_profiles(n, c):
-            yield 1
-            if (first := next(_restriction_witnesses(module_space(n, c, profile), pool), None)) is not None:
-                yield f"bottom {profile.parts}: {[first]}"
+        embedded = [algebra.embed(algebra.from_diagram(d)).terms for d in pool]
+        for sizes, (space, maps) in _actions(n, c).items():  # label order, so profiles in all_bottom_profiles order
+            columns = [weighted_columns(((q, maps[e]) for e, q in g.items()), space.dimension) for g in embedded]
+            for profile in profiles_with_sizes(n, c, sizes):  # each reads its own T through its module's basis
+                yield 1
+                witnesses = _restriction_witnesses(module_space(n, c, profile), pool, columns)
+                if (first := next(witnesses, None)) is not None:
+                    yield f"bottom {profile.parts}: {[first]}"
 
 
 # ---------------------------------------------------------------------------

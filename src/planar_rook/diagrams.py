@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import re
 from functools import lru_cache
-from itertools import chain, combinations, combinations_with_replacement, repeat
+from itertools import combinations, combinations_with_replacement, repeat
 from operator import itemgetter, sub
 from typing import Iterable, Iterator, NamedTuple
 
@@ -374,15 +374,15 @@ def profiles_with_sizes(n: int, c: int, sizes: tuple[int, ...]) -> Iterator[Prof
     _require_counts(n, c, *sizes)
     if len(sizes) != c + 1 or sum(sizes) != n:
         raise ValueError(f"sizes {sizes} is not a (c+1)-part composition of {n}")
-    return _profiles_with_sizes(n, c, sizes)
+    return _profiles_with_sizes(n, c, sizes, _packed_profiles(n, c, sizes))
 
 
-def _profiles_with_sizes(n: int, c: int, sizes: tuple[int, ...]) -> Iterator[Profile]:
+def _profiles_with_sizes(n: int, c: int, sizes: tuple[int, ...], packed: Iterable[int]) -> Iterator[Profile]:
     # Only nonempty color parts are read, off a table of the C(n, size) vertex sets of a size; part 0 is the rest.
     vertices = {sum(1 << v - 1 for v in part): part
                 for size in set(sizes) for part in combinations(range(1, n + 1), size)}
     full, colored = (1 << n) - 1, [k for k in range(1, c + 1) if sizes[k]]
-    for top in _packed_profiles(n, c, sizes):
+    for top in packed:
         masks = [top >> (k - 1) * n & full for k in colored]
         parts = [vertices[full ^ sum(masks)]] + [()] * c
         for k, mask in zip(colored, masks):
@@ -440,13 +440,6 @@ def enumerate_planar(n: int, c: int, cap: int = DEFAULT_DIAGRAM_CAP) -> Iterator
     return _enumerate_planar(n, c)
 
 
-def _profile_pairs(n: int, c: int) -> Iterator[tuple[list[Profile], list[Profile]]]:
-    """Each composition's top profiles and bottom profiles: one list, yielded as both so a test can corrupt either."""
-    for sizes in compositions(n, c):
-        profiles = list(profiles_with_sizes(n, c, sizes))
-        yield profiles, profiles
-
-
 def _enumerate_planar(n: int, c: int) -> Iterator[Diagram]:
     for tops, colors, fills in _fills(n, c, int):
         for ends in fills:
@@ -471,14 +464,15 @@ def _fills(n: int, c: int, end: type) -> Iterator[tuple[tuple[int, ...], tuple[i
     the ``end`` of each bottom vertex they join, in the same order.
 
     The r-th color-k top vertex joins the r-th color-k bottom vertex, so these edges never cross exactly when every
-    colored part of both profiles strictly increases.  That is checked once per profile, not once per diagram.
+    colored part of each profile strictly increases.  Tops and bottoms are one list, so each profile is checked once.
     """
-    for tops, bottoms in _profile_pairs(n, c):
-        parts = (part for p in chain(tops, bottoms) for part in p.parts[1:] if len(part) > 1)  # shorter ones increase
+    for sizes in compositions(n, c):
+        profiles = list(profiles_with_sizes(n, c, sizes))
+        parts = (part for p in profiles for part in p.parts[1:] if len(part) > 1)  # shorter ones increase
         if any(a >= b for part in parts for a, b in zip(part, part[1:])):
             raise AssertionError("increasing matchings cannot cross")
-        flats = [tuple(map(end, sum(bottom.parts[1:], ()))) for bottom in bottoms]  # colored parts, color 1 first
-        for top in tops:
+        flats = [tuple(map(end, sum(bottom.parts[1:], ()))) for bottom in profiles]  # colored parts, color 1 first
+        for top in profiles:
             flat = sum(top.parts[1:], ())  # as the bottoms' flats: the r-th color-k vertex at the same offset
             order = sorted(range(len(flat)), key=flat.__getitem__)
             # One slot: itemgetter would return the bare item, so tuple stands in (as it does for no slot).

@@ -31,6 +31,7 @@ from .diagrams import (
     _bit,
     _clipped_power,
     _packed_profiles,
+    _profiles_with_sizes,
     cardinality,
     compositions,
     format_diagram,
@@ -143,7 +144,7 @@ class ModuleSpace:
     Basis vector j is x_(S_j, T) for the j-th top profile S_j with T's part
     sizes, in ``profiles_with_sizes`` order; ``tops[j]`` is S_j packed by
     ``diagrams._packed_profiles``, which reads T's sizes alone.  The diagrams
-    from_profiles(S_j, T) of ``basis`` are built on first use.
+    from_profiles(S_j, T) of ``basis`` are unpacked from ``tops`` on first use.
     """
 
     bottom: Profile
@@ -175,7 +176,8 @@ class ModuleSpace:
 
     @cached_property
     def basis(self) -> tuple[Diagram, ...]:
-        return tuple(from_profiles(top, self.bottom) for top in profiles_with_sizes(self.n, self.c, self.bottom.sizes))
+        tops = _profiles_with_sizes(self.n, self.c, self.bottom.sizes, self.tops)
+        return tuple(from_profiles(top, self.bottom) for top in tops)
 
     def index_of(self, d: Diagram) -> int:
         return self._index[d]

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from planar_rook import bratteli
 from planar_rook.bratteli import (
     BratteliGraph,
     adjacency_count,
@@ -150,6 +151,32 @@ def test_rebuild_from_parsed_parameters():
     raw = emit_json(build(3, 2))
     parsed = graph_from_json(raw)
     assert emit_json(build(parsed.c, parsed.n_max)) == raw
+
+
+def _edited_payload(edit):
+    import json
+
+    payload = json.loads(emit_json(build(2, 2)))
+    edit(payload)
+    return json.dumps(payload).encode("utf-8")
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda payload: payload["edges"].append([[2, 0], [1, 99]]), id="edge-to-no-vertex"),
+    pytest.param(lambda payload: payload["levels"][1].__setitem__(0, [5, 0, 0]), id="relabelled-vertex"),
+])
+def test_graph_from_json_refuses_a_payload_that_is_not_the_tower(edit):
+    with pytest.raises(ValueError, match=r"^the payload's levels or edges differ from the tower to level 2 at c=2$"):
+        graph_from_json(_edited_payload(edit))
+
+
+@pytest.mark.parametrize("c, n_max", [(2, 10**6), (10**9, 2)])
+def test_graph_from_json_checks_the_payload_size_before_building(monkeypatch, c, n_max):
+    # A small payload that names a huge tower is refused before any vertex is built.
+    monkeypatch.setattr(bratteli, "build", lambda *args: pytest.fail("built a tower"))
+    raw = _edited_payload(lambda payload: payload.update(c=c, n_max=n_max))
+    with pytest.raises(ValueError, match=rf"^the payload's levels do not have the size of the tower to level {n_max} at c={c}$"):
+        graph_from_json(raw)
 
 
 @pytest.mark.parametrize("c, n_max", [(True, 2), (2, False), (0, 2), (2, -1), (2.0, 2)])

@@ -240,6 +240,31 @@ def test_a_default_run_builds_each_column_map_once(monkeypatch):
     assert len(calls) == DEFAULT_CHECKED["modules.column-structure"] == 1133
 
 
+def test_a_default_run_reads_the_restriction_columns_off_the_class_tables(monkeypatch):
+    # Beside the 1,133 maps of the action tables, the only column maps are verify_irreducible's projectors, one per
+    # basis vector of every bottom profile's module, 141: the restriction check sums its columns from the tables.
+    calls = []
+    for module in (checks, representations):
+        real = module.diagram_action
+        monkeypatch.setattr(module, "diagram_action", lambda d, space, real=real: calls.append(d) or real(d, space))
+    assert all(r.ok for r in run_verification(VerifyConfig(samples=10)))
+    assert len(calls) == 1133 + 141
+
+
+def test_restriction_sums_columns_per_class_and_reads_every_bottom_profile_in_order(monkeypatch):
+    # Each embedded width-(n-1) diagram's columns are summed once per class, not once per bottom profile (203 sums,
+    # not 493), and each profile still gets its own module, whose basis reads T, in all_bottom_profiles order.
+    seen, sums = [], []
+    real_space, real_sum = checks.module_space, checks.weighted_columns
+    monkeypatch.setattr(checks, "module_space", lambda n, c, bottom: seen.append(bottom) or real_space(n, c, bottom))
+    monkeypatch.setattr(checks, "weighted_columns", lambda *args: sums.append(args) or real_sum(*args))
+    outcome = checks.check_restriction((3, 2))
+    shapes = [(n, c) for c in (1, 2) for n in range(1, 4)]
+    assert len(sums) == sum(len(all_labels(n, c)) * diagrams.cardinality(n - 1, c) for n, c in shapes) == 203
+    assert outcome.ok and outcome.checked == len(seen) == DEFAULT_CHECKED["modules.restriction-blocks"]
+    assert seen == [p for n, c in shapes for p in all_bottom_profiles(n, c)]
+
+
 def test_restriction_catches_one_color_embedding(monkeypatch):
     # Mutant: append only a color-1 vertical edge instead of the width-1 unit.
     monkeypatch.setattr(algebra, "embed", lambda g: g.tensor(algebra.from_diagram(unit_diagram(g.c, 1))))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from planar_rook import checks, cli
+from planar_rook import checks, cli, representations
 from planar_rook.checks import VerifyConfig
 from planar_rook.diagrams import enumerate_literals
 from planar_rook.cli import main
@@ -276,6 +276,15 @@ def test_mul_spot_check_count_obeys_the_cap(capsys, monkeypatch):
     assert run(capsys, "mul", "n=2 c=1 [1-1:1]", "n=2 c=1 []", "--spot-check", "11")[:2] == (2, "")
 
 
+def test_mul_spot_check_failure_exits_one(capsys, monkeypatch):
+    # Fault: a product that swaps its factors when the left one has an odd number of edges is not associative.
+    real = cli.multiply
+    monkeypatch.setattr(cli, "multiply", lambda a, b: real(b, a) if a.size % 2 else real(a, b))
+    code, out, err = run(capsys, "mul", "n=3 c=2 []", "n=3 c=2 []", "--spot-check", "25")
+    assert (code, out) == (1, "n=3 c=2 []\n")
+    assert err.startswith("associativity failed on n=3 c=2 [") and err.count("\n") == 1
+
+
 def test_mul_parse_error(capsys):
     code, _, err = run(capsys, "mul", "n=2 c=1 [oops]", "n=2 c=1 []")
     assert code == 2
@@ -345,6 +354,16 @@ def test_chartable_verify_and_file(tmp_path, capsys):
     assert code == 0
     content = out_path.read_bytes()
     assert content.startswith(b"verticals,")
+
+
+def test_chartable_verify_failure_exits_one_with_the_witnesses(capsys, monkeypatch):
+    # Fault: every closed-form entry reads 7, which no trace of a width-1 module is; no table is written.
+    monkeypatch.setattr(representations, "_character", lambda verticals, sizes: 7)
+    code, out, err = run(capsys, "chartable", "-n", "1", "-c", "1", "--verify")
+    assert (code, out) == (1, "")
+    assert err == "".join(
+        f"entry ({row}, {label}) differs from the trace\n" for row in ("(0,)", "(1,)") for label in ("1|0", "0|1")
+    )
 
 
 def test_chartable_verify_cap_bounds_the_module_basis(capsys):
@@ -527,6 +546,14 @@ def test_engine_fault_exits_three(capsys, monkeypatch):
     code, out, _ = run(capsys, *argv[:-1])
     assert code == 3
     assert "FAIL diagram.rook-closure (checked 0)\n     error: AssertionError: planted fault\n" in out
+
+
+def test_an_engine_fault_outside_verify_exits_three(capsys, monkeypatch):
+    def fault(n, c):
+        raise AssertionError("planted fault")
+
+    monkeypatch.setattr(cli, "cardinality", fault)
+    assert run(capsys, "count", "-n", "2", "-c", "1") == (3, "", "internal error: AssertionError: planted fault\n")
 
 
 def test_verify_text_counts_the_witnesses_it_cuts(capsys, monkeypatch):

@@ -507,29 +507,20 @@ def test_literal_stream_is_the_formatted_enumeration(c):
         assert list(enumerate_literals(n, c)) == [format_diagram(d) for d in enumerate_planar(n, c)]
 
 
-def _corrupt_profile_pairs(side, pairs=diagrams._profile_pairs):
-    """A ``_profile_pairs`` whose ``side`` profiles have every part decreasing: same-color edges all cross."""
-    def corrupt(n, c):
-        for tops, bottoms in pairs(n, c):
-            profiles = {"top": tops, "bottom": bottoms}
-            profiles[side] = [diagrams.Profile._trusted(n, c, tuple(x[::-1] for x in p.parts)) for p in profiles[side]]
-            yield profiles["top"], profiles["bottom"]
+def _corrupt_profiles(walk=diagrams.profiles_with_sizes):
+    """A ``profiles_with_sizes`` whose profiles have every part decreasing: same-color edges all cross."""
+    def corrupt(n, c, sizes):
+        return [diagrams.Profile._trusted(n, c, tuple(x[::-1] for x in p.parts)) for p in walk(n, c, sizes)]
     return corrupt
 
 
-def test_every_enumerated_item_is_checked_for_planarity(monkeypatch):
-    monkeypatch.setattr(diagrams, "_profile_pairs", _corrupt_profile_pairs("bottom"))
-    for enumerate_ in (enumerate_planar, enumerate_literals):
-        with pytest.raises(AssertionError, match="cannot cross"):
-            list(enumerate_(2, 1))
-
-
-def test_every_enumerated_top_profile_is_checked_for_planarity(monkeypatch):
-    # Reversed top parts decrease, so the r-th color-k top vertex lies right of the (r+1)-th and their edges cross.
-    monkeypatch.setattr(diagrams, "_profile_pairs", _corrupt_profile_pairs("top"))
-    for enumerate_ in (enumerate_planar, enumerate_literals):
-        with pytest.raises(AssertionError, match="cannot cross"):
-            list(enumerate_(2, 1))
+@pytest.mark.parametrize("stream", ["enumerate_planar", "enumerate_literals"])
+def test_every_enumerated_profile_is_checked_for_planarity(monkeypatch, stream):
+    # Reversed parts decrease, so the r-th color-k vertex lies right of the (r+1)-th, on the top row and on the
+    # bottom row, and their edges cross: one profile list serves as both, so one check per profile sees it.
+    monkeypatch.setattr(diagrams, "profiles_with_sizes", _corrupt_profiles())
+    with pytest.raises(AssertionError, match="^increasing matchings cannot cross$"):
+        list(getattr(diagrams, stream)(2, 1))
 
 
 def test_enumeration_checks_planarity_per_profile_not_per_diagram(monkeypatch):
@@ -540,18 +531,17 @@ def test_enumeration_checks_planarity_per_profile_not_per_diagram(monkeypatch):
     assert sum(1 for _ in enumerate_planar(4, 3)) == sum(1 for _ in enumerate_literals(4, 3)) == 2716
 
 
-@pytest.mark.parametrize("side", ["top", "bottom"])
-def test_enumeration_invariant_survives_optimized_mode(side):
-    script = "from planar_rook import diagrams\n" + inspect.getsource(_corrupt_profile_pairs) + (
-        f"diagrams._profile_pairs = _corrupt_profile_pairs({side!r})\n"
-        "for enumerate_ in (diagrams.enumerate_planar, diagrams.enumerate_literals):\n"
-        "    try:\n"
-        "        list(enumerate_(2, 1))\n"
-        "    except AssertionError as exc:\n"
-        "        if 'cannot cross' not in str(exc):\n"
-        "            raise SystemExit(2)\n"
-        "    else:\n"
-        "        raise SystemExit(1)\n"
+@pytest.mark.parametrize("stream", ["enumerate_planar", "enumerate_literals"])
+def test_enumeration_invariant_survives_optimized_mode(stream):
+    script = "from planar_rook import diagrams\n" + inspect.getsource(_corrupt_profiles) + (
+        "diagrams.profiles_with_sizes = _corrupt_profiles()\n"
+        "try:\n"
+        f"    list(diagrams.{stream}(2, 1))\n"
+        "except AssertionError as exc:\n"
+        "    if 'cannot cross' not in str(exc):\n"
+        "        raise SystemExit(2)\n"
+        "else:\n"
+        "    raise SystemExit(1)\n"
     )
     assert _exit_code_under_optimization(script) == 0
 

@@ -291,6 +291,16 @@ def test_module_tops_follow_the_profile_order():
                 assert ModuleSpace(IrrepLabel(sizes).representative()).tops == packed
 
 
+def test_module_basis_is_unpacked_from_tops(monkeypatch):
+    # basis reads the module's own packed walk, tops, so reading it walks the profiles no second time.
+    bottom = Profile(4, 2, ((2,), (1, 4), (3,)))
+    expected = tuple(from_profiles(s, bottom) for s in profiles_with_sizes(4, 2, bottom.sizes))
+    space = ModuleSpace(bottom)
+    for module in (diagrams, representations):
+        monkeypatch.setattr(module, "_packed_profiles", lambda *args: pytest.fail("walked the profiles again"))
+    assert space.basis == expected
+
+
 def test_a_last_vertex_outside_its_restriction_part_is_an_engine_fault():
     profile = Profile(2, 1, ((1,), (2,)))
     assert checks._strip_last_top_vertex(profile, 1) == Profile(1, 1, ((1,), ()))
