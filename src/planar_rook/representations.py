@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, wraps
 from typing import Iterable, Iterator, Optional
 
-from .algebra import AlgebraElement, Rational, left_action_x
+from .algebra import Rational, left_action_x
 from .diagrams import (
     DEFAULT_DIAGRAM_CAP,
     CapExceededError,
@@ -250,11 +250,6 @@ def compose_column_maps(
 ) -> tuple[Optional[int], ...]:
     """Column map of `outer after inner` (apply inner first)."""
     return tuple(None if j is None else outer[j] for j in inner)
-
-
-def element_action_columns(g: AlgebraElement, space: ModuleSpace) -> list[dict[int, Rational]]:
-    """Sparse action columns of a general element, exact coefficients."""
-    return weighted_columns(((coeff, diagram_action(d, space)) for d, coeff in g.terms.items()), space.dimension)
 
 
 def weighted_columns(

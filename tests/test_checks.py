@@ -7,7 +7,7 @@ import pytest
 from planar_rook import algebra, bratteli, checks, diagrams, representations
 from planar_rook.algebra import AlgebraElement, subdiagrams, unit_diagram
 from planar_rook.checks import VerifyConfig, run_verification
-from planar_rook.diagrams import CapExceededError, Diagram, from_profiles, is_planar
+from planar_rook.diagrams import CapExceededError, Diagram, Profile, from_profiles, is_planar
 from planar_rook.representations import IrrepLabel, IsoResult, all_bottom_profiles, all_labels, label_module
 
 # Per-check case counts of the default caps with 200 samples.
@@ -449,3 +449,220 @@ def test_a_fault_inside_a_verifier_is_an_engine_fault(monkeypatch):
     assert fault.as_dict()["error"] == "AssertionError: planted fault"
     assert len(results) == 26
     assert all(r.ok and r.error is None and "error" not in r.as_dict() for r in results.values())
+
+
+# ---------------------------------------------------------------------------
+# Every witness text a passing suite never yields, pinned by a planted fault.
+
+def _plus_one(real):
+    return lambda *args: real(*args) + 1
+
+
+_COLOR_1, _COLOR_2 = Diagram(1, 2, [(1, 1, 1)]), Diagram(1, 2, [(1, 1, 2)])
+
+
+def _skewed_product(real):
+    # Color 1 times color 2 keeps color 1, not the empty diagram: (1·2)·1 is 1, but 1·(2·1) is empty.
+    return lambda a, b: a if (a, b) == (_COLOR_1, _COLOR_2) else real(a, b)
+
+
+def _isolated_bottom(real):
+    # Every bottom row read as all isolated vertices.
+    return lambda d: Profile(d.n, d.c, (tuple(range(1, d.n + 1)),) + ((),) * d.c)
+
+
+def _doubled_unit(real):
+    return lambda g: real(g).scale(2) if g == algebra.identity(g.n, g.c) else real(g)
+
+
+def _without_empty_coordinate(real):
+    # The coordinate at the empty diagram is lost whenever another coordinate is left.
+    def coordinates(g):
+        coords = real(g)
+        return {a: q for a, q in coords.items() if a.size or len(coords) == 1}
+    return coordinates
+
+
+def _doubled_at_width_one(real):
+    # Width-1 products come out doubled: width 0 is right, so only an embedded product sees it.
+    return lambda g1, g2: real(g1, g2).scale(2) if g1.n == 1 else real(g1, g2)
+
+
+def _past_the_basis(real):
+    # Every column also reaches an index past the basis, which lies in no restriction group.
+    return lambda weighted, dimension: [{**col, dimension: 1} for col in real(weighted, dimension)]
+
+
+def _collapsed_index(real):
+    # Every module reads each basis vector's index as 0.
+    def module_space(n, c, bottom):
+        space = real(n, c, bottom)
+        space.__dict__["_index"] = dict.fromkeys(space.basis, 0)
+        return space
+    return module_space
+
+
+def _shifted_level(real):
+    # Level 2's last vertex sits on level 1: the non-root vertex count is kept.
+    def build(c, n_max):
+        graph = real(c, n_max)
+        levels = list(graph.levels)
+        levels[1], levels[2] = levels[1] + levels[2][-1:], levels[2][:-1]
+        return dataclasses.replace(graph, levels=tuple(levels))
+    return build
+
+
+_WITNESS_CASES = [
+    pytest.param(lambda: checks.check_enumeration_count((1, 1)),
+                 [(checks, "is_planar", lambda real: lambda d: real(d) and d.size != 1)],
+                 ["(n=1, c=1): enumeration produced a non-planar diagram"],
+                 id="enumeration-non-planar"),
+    pytest.param(lambda: checks.check_enumeration_count((1, 1)),
+                 [(checks, "_all_planar", lambda real: lambda n, c: real(n, c)[:-1] + real(n, c)[:1])],
+                 ["(n=1, c=1): enumeration repeated a diagram"],
+                 id="enumeration-repeated"),
+    pytest.param(lambda: checks.check_enumeration_count((1, 1)),
+                 [(checks, "cardinality", _plus_one)],
+                 [f"(n={n}, c=1): enumerated {n + 1} diagrams, formula gives {n + 2}" for n in (0, 1)],
+                 id="enumeration-count"),
+    pytest.param(lambda: checks.check_associativity((1, 2), (0, 2), 0, 1),
+                 [(checks, "multiply", _skewed_product)],
+                 ["(n=1 c=2 [1-1:1]) * (n=1 c=2 [1-1:2]) * (n=1 c=2 [1-1:1])"],
+                 id="associativity"),
+    pytest.param(lambda: checks.check_associativity((0, 2), (1, 2), 12, 2),
+                 [(checks, "multiply", _skewed_product)],
+                 ["sampled (n=1 c=2 [1-1:1]) * (n=1 c=2 [1-1:2]) * (n=1 c=2 [1-1:1])"],
+                 id="associativity-sampled"),
+    pytest.param(lambda: checks.check_profile_roundtrip((1, 1)),
+                 # The round trip then reads the top row twice, so only the part sizes differ.
+                 [(checks, "bottom_profile", _isolated_bottom),
+                  (checks, "from_profiles", lambda real: lambda top, bottom: real(top, top))],
+                 ["n=1 c=1 [1-1:1]: row part sizes differ"],
+                 id="profile-sizes"),
+    pytest.param(lambda: checks.check_profile_roundtrip((2, 1)),
+                 [(checks, "from_profiles", lambda real: lambda top, bottom: real(bottom, top))],
+                 ["n=2 c=1 [2-1:1]: profile round trip failed", "n=2 c=1 [1-2:1]: profile round trip failed"],
+                 id="profile-roundtrip"),
+    pytest.param(lambda: checks.check_identity_unit((1, 1)),
+                 [(algebra, "identity", lambda real: lambda n, c: algebra.from_diagram(Diagram(n, c, [])))],
+                 ["unit fails on n=1 c=1 [1-1:1]"],
+                 id="identity-unit"),
+    pytest.param(lambda: checks.check_x_inversion((1, 1), 0, 1),
+                 [(algebra, "to_x_coordinates", _without_empty_coordinate)],
+                 ["x-coordinates of n=1 c=1 [1-1:1] are not its subdiagram indicators"],
+                 id="x-indicators"),
+    pytest.param(lambda: checks.check_x_inversion((1, 1), 5, 1),
+                 [(algebra, "to_x_coordinates", lambda real: lambda g: {a: q * q for a, q in real(g).items()})],
+                 ["x-coordinates are not linear on a sampled pair"] * 5,
+                 id="x-linearity"),
+    pytest.param(lambda: checks.check_block_preservation((1, 1)),
+                 [(algebra, "left_action_x", lambda real: algebra.multiply)],
+                 ["d=n=1 c=1 [], a=n=1 c=1 [1-1:1]"],
+                 id="block-preservation"),
+    pytest.param(lambda: checks.check_embed((1, 2), 0, 2),
+                 [(algebra, "embed", _doubled_unit)],
+                 [f"embedding does not preserve the unit at (n={n}, c={c})" for c in (1, 2) for n in (0, 1)],
+                 id="embed-unit"),
+    pytest.param(lambda: checks.check_embed((0, 1), 10, 1),
+                 [(algebra.AlgebraElement, "__mul__", _doubled_at_width_one)],
+                 ["embedding is not multiplicative at (n=0, c=1)"],
+                 id="embed-product"),
+    pytest.param(lambda: checks.check_embed((0, 2), 10, 1),
+                 [(algebra, "unit_diagram", lambda real: lambda c, color: real(c, 0))],
+                 [f"embedding differs from tensoring the unit column at (n=0, c={c})" for c in (1, 2)],
+                 id="embed-tensor"),
+    pytest.param(lambda: checks.check_multiplicity_count((1, 1)),
+                 [(checks, "multinomial", _plus_one)],
+                 ["label 0|0: 1 profiles", "label 1|0: 1 profiles", "label 0|1: 1 profiles"],
+                 id="multiplicity-count"),
+    pytest.param(lambda: checks.check_irreducibility((1, 1)),
+                 [(representations, "left_action_x", lambda real: lambda d, a: None)],
+                 [
+                     "module at bottom ((), ()): ['transport n=0 c=1 [] fails to map n=0 c=1 [] to n=0 c=1 []']",
+                     "module at bottom ((1,), ()): ['transport n=1 c=1 [] fails to map n=1 c=1 [] to n=1 c=1 []']",
+                     "module at bottom ((), (1,)): "
+                     "['transport n=1 c=1 [1-1:1] fails to map n=1 c=1 [1-1:1] to n=1 c=1 [1-1:1]']",
+                 ],
+                 id="irreducibility"),
+    pytest.param(lambda: representations.verify_irreducible(label_module(IrrepLabel((1, 1)))),
+                 [(representations, "diagram_action", lambda real: lambda d, space: (None,) * space.dimension)],
+                 [
+                     "projector n=2 c=1 [2-2:1] is not the unit projection at n=2 c=1 [2-2:1]",
+                     "projector n=2 c=1 [1-1:1] is not the unit projection at n=2 c=1 [1-2:1]",
+                 ],
+                 id="irreducible-projector"),
+    pytest.param(lambda: checks.check_isomorphism_classification((1, 1)),
+                 [(checks, "are_isomorphic", lambda real: lambda s1, s2: real(s2, s2))],
+                 [
+                     "classification differs from size criterion: ((1,), ()) vs ((), (1,))",
+                     "classification differs from size criterion: ((), (1,)) vs ((1,), ())",
+                 ],
+                 id="classification"),
+    pytest.param(lambda: checks.check_isomorphism_classification((2, 1)),
+                 [(checks, "module_space", _collapsed_index)],
+                 [
+                     f"intertwiner is not a bijection: {p1} vs {p2}"
+                     for p1 in (((1,), (2,)), ((2,), (1,))) for p2 in (((1,), (2,)), ((2,), (1,)))
+                 ],
+                 id="intertwiner-bijection"),
+    pytest.param(lambda: checks.check_regular_decomposition((1, 1)),
+                 [(checks, "multinomial", _plus_one)],
+                 [
+                     "(n=0, c=1): bottom profile ((), ()) spans 1 vectors, expected 2",
+                     "(n=1, c=1): bottom profile ((1,), ()) spans 1 vectors, expected 2",
+                     "(n=1, c=1): bottom profile ((), (1,)) spans 1 vectors, expected 2",
+                 ],
+                 id="decomposition-blocks"),
+    pytest.param(lambda: checks.check_regular_decomposition((1, 1)),
+                 [(checks, "all_bottom_profiles", lambda real: lambda n, c: list(real(n, c))[:-1])],
+                 [
+                     "(n=0, c=1): unexpected bottom profiles [((), ())]",
+                     "(n=1, c=1): unexpected bottom profiles [((), (1,))]",
+                 ],
+                 id="decomposition-unexpected"),
+    pytest.param(lambda: checks.check_restriction((1, 1)),
+                 [(checks, "weighted_columns", _past_the_basis)],
+                 [
+                     "bottom ((1,), ()): ['group 0 of 1|0 is not invariant under n=0 c=1 []']",
+                     "bottom ((), (1,)): ['group 1 of 0|1 is not invariant under n=0 c=1 []']",
+                 ],
+                 id="restriction-invariance"),
+    pytest.param(lambda: checks.check_tower_levels((1, 1)),
+                 [(bratteli, "vertex_count", _plus_one)],
+                 ["level 0 at c=1 has 1 vertices", "level 1 at c=1 has 2 vertices"],
+                 id="tower-levels"),
+    pytest.param(lambda: checks.check_tower_degrees((1, 1)),
+                 [(bratteli, "adjacency_count", _plus_one)],
+                 ["c=1, level 1, degree 1", "c=1, level 1, degree 2"],
+                 id="tower-degrees"),
+    pytest.param(lambda: checks.check_tower_degrees((1, 1)),
+                 [(bratteli, "down_degree_histogram", lambda real: lambda graph, n: {**real(graph, n), 0: 1})],
+                 ["c=1, level 1: histogram does not cover the level"],
+                 id="tower-histogram"),
+    pytest.param(lambda: checks.check_tower_restriction_consistency((1, 1)),
+                 [(checks, "restriction_decomposition", lambda real: lambda space: real(space)[1:])],
+                 ["c=1, label 1|0", "c=1, label 0|1"],
+                 id="tower-restriction"),
+    pytest.param(lambda: checks.check_pascal_triangle(2),
+                 [(bratteli, "build", _shifted_level)],
+                 [
+                     "level 1 is not a triangle row",
+                     "level 1 dimensions are not binomials",
+                     "level 2 is not a triangle row",
+                     "level 2 dimensions are not binomials",
+                     "vertex 0|2 at level 1: dimension 1 but children sum to 0",
+                 ],
+                 id="pascal-triangle"),
+]
+
+
+@pytest.mark.parametrize("run, faults, expected", _WITNESS_CASES)
+def test_every_witness_text_is_pinned(monkeypatch, run, faults, expected):
+    # Each fault is built from the function it replaces; the faulty run keeps the passing run's case count.
+    passing = run()
+    assert passing.ok
+    for owner, name, fault in faults:
+        monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
+    outcome = run()
+    assert (outcome.witnesses, outcome.error) == (expected, None)
+    assert outcome.checked == passing.checked

@@ -145,6 +145,7 @@ def test_enumerate_order_is_pinned(capsys):
         ("chartable -n 5 -c 2 --verify", "a3a6b7a878d4f12b941983c86e8ee6b11d0be384b2b5724f0f903ec7d9c70ff2"),
         ("bratteli -c 3 -n 3 --format json", "6d2e1905410d4917bbeb0edfdc46c631aa335067457b67c89c936bff88c1adc6"),
         ("bratteli -c 2 -n 4", "e23289932ad015be43e74748c59fd576a3b2c00a966dbdeb16a719183435dd8b"),
+        ("bratteli -c 2000 -n 1", "39e6b6f407e93ee00375adc3b96182baee86c287bc5250312082be3d3478fca4"),
         ("enumerate -n 6 -c 3", "a746d8938fe8e97bce57482385e882d48377a830f538df77477ce54f29dec3f5"),
     ],
 )

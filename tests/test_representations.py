@@ -44,7 +44,6 @@ from planar_rook.representations import (
     character_table_csv,
     compose_column_maps,
     diagram_action,
-    element_action_columns,
     fixed_points,
     label_module,
     module_space,
@@ -53,6 +52,7 @@ from planar_rook.representations import (
     restriction_groups,
     verify_character_table,
     verify_irreducible,
+    weighted_columns,
 )
 
 from conftest import pool
@@ -125,7 +125,8 @@ def test_unit_acts_as_identity_matrix():
             unit = identity(n, c)
             for profile in all_bottom_profiles(n, c):
                 space = module_space(n, c, profile)
-                assert element_action_columns(unit, space) == [{j: 1} for j in range(space.dimension)]
+                weighted = ((q, diagram_action(d, space)) for d, q in unit.terms.items())
+                assert weighted_columns(weighted, space.dimension) == [{j: 1} for j in range(space.dimension)]
 
 
 def test_action_columns_drop_cancelled_entries():
@@ -134,7 +135,8 @@ def test_action_columns_drop_cancelled_entries():
     for d in pool(2, 1):
         for other in pool(2, 1):
             if d != other:
-                assert element_action_columns(from_diagram(d) - from_diagram(other), space) == [{}]
+                weighted = [(1, diagram_action(d, space)), (-1, diagram_action(other, space))]
+                assert weighted_columns(weighted, space.dimension) == [{}]
 
 
 def test_empty_diagram_acts_as_zero_on_colored_modules():
@@ -499,7 +501,8 @@ def test_restriction_adapted_blocks():
     assert [len(indices) for _, indices in groups] == [2, 2, 2]
     group_of = {i: j for j, indices in groups for i in indices}
     for d in pool(2, 2):
-        for col_index, column in enumerate(element_action_columns(embed(from_diagram(d)), space)):
+        weighted = ((q, diagram_action(e, space)) for e, q in embed(from_diagram(d)).terms.items())
+        for col_index, column in enumerate(weighted_columns(weighted, space.dimension)):
             assert all(group_of[i] == group_of[col_index] for i in column)
 
 
