@@ -320,13 +320,6 @@ def from_profiles(top: Profile, bottom: Profile) -> Diagram:
     For each color the r-th smallest top endpoint joins the r-th smallest
     bottom endpoint; this is the only same-color non-crossing matching.
     """
-    result = _matching(top, bottom)
-    if not is_planar(result):
-        raise AssertionError("increasing matchings cannot cross")
-    return result
-
-
-def _matching(top: Profile, bottom: Profile) -> Diagram:
     if top.n != bottom.n or top.c != bottom.c:
         raise MismatchError("profiles have different (n, c)")
     if top.c < 1:  # a Profile allows c = 0, a Diagram does not
@@ -338,7 +331,10 @@ def _matching(top: Profile, bottom: Profile) -> Diagram:
             raise MismatchError(f"color {k}: {len(tops)} top endpoints vs {len(bottoms)} bottom endpoints")
         edges += zip(tops, bottoms, repeat(k, len(tops)))
     edges.sort()  # validated profiles: vertices in 1..n, each used once
-    return Diagram._trusted(top.n, top.c, tuple(edges))
+    result = Diagram._trusted(top.n, top.c, tuple(edges))
+    if not is_planar(result):
+        raise AssertionError("increasing matchings cannot cross")
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -520,46 +516,11 @@ def format_diagram(d: Diagram) -> str:
     return f"n={d.n} c={d.c} [{body}]"
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def expect(self, literal: str):
-        self.skip_ws()
-        if not self.text.startswith(literal, self.pos):
-            raise ParseError(f"expected {literal!r}", self.pos)
-        self.pos += len(literal)
-
-    def peek(self, literal: str) -> bool:
-        self.skip_ws()
-        return self.text.startswith(literal, self.pos)
-
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        # ASCII digits only: str.isdigit() also takes "²" and "٣".
-        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected an integer", start)
-        try:
-            return int(self.text[start:self.pos])
-        except ValueError:  # past int's digit limit (sys.get_int_max_str_digits)
-            raise ParseError(f"integer of {self.pos - start} digits is too long", start) from None
-
-    def done(self):
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise ParseError(f"unexpected trailing input {self.text[self.pos:]!r}", self.pos)
-
-
 # The form format_diagram writes, with ASCII digits and single spaces.  Other text goes to the scanner.
 _CANONICAL = re.compile(r"n=([0-9]+) c=([0-9]+) \[((?:[0-9]+-[0-9]+:[0-9]+(?:, [0-9]+-[0-9]+:[0-9]+)*)?)\]")
+
+# The scanner's token after optional whitespace; \s matches exactly the characters for which str.isspace() is true.
+_TOKEN = re.compile(r"\s*([0-9]+|[nc]=|\S|\Z)")
 
 
 def parse_diagram(text: str) -> Diagram:
@@ -572,26 +533,34 @@ def parse_diagram(text: str) -> Diagram:
             return Diagram(n, c, tuple(zip(ends[0::3], ends[1::3], ends[2::3])))
         except ValueError:  # a bad edge, or an integer past int's digit limit: the scanner below raises the error
             pass
-    s = _Scanner(text)
-    s.expect("n=")
-    n = s.integer()
-    s.expect("c=")
-    c = s.integer()
-    s.expect("[")
+    tokens = _TOKEN.finditer(text)
+    token = next(tokens)  # the next token to take; the text's last token is the empty one at its end
+
+    def take(*grammar) -> list[int]:
+        """Take one token per item of ``grammar``, a literal or ``int``, and return the integers taken."""
+        nonlocal token
+        values = []
+        for want in grammar:
+            value, at = token[1], token.start(1)
+            if want is int and value.isascii() and value.isdigit():  # str.isdigit() alone takes "²" and "٣"
+                try:
+                    values.append(int(value))
+                except ValueError:  # past int's digit limit (sys.get_int_max_str_digits)
+                    raise ParseError(f"integer of {len(value)} digits is too long", at) from None
+            elif value != want:
+                raise ParseError("expected an integer" if want is int else f"expected {want!r}", at)
+            token = next(tokens)  # a taken token is never the empty one, so another follows
+        return values
+
+    n, c = take("n=", int, "c=", int, "[")
     edges = []
-    if not s.peek("]"):
-        while True:
-            t = s.integer()
-            s.expect("-")
-            b = s.integer()
-            s.expect(":")
-            k = s.integer()
-            edges.append((t, b, k))
-            if s.peek("]"):
-                break
-            s.expect(",")
-    s.expect("]")
-    s.done()
+    while token[1] != "]":
+        if edges:
+            take(",")
+        edges.append(tuple(take(int, "-", int, ":", int)))
+    take("]")
+    if token[1]:
+        raise ParseError(f"unexpected trailing input {text[token.start(1):]!r}", token.start(1))
     return Diagram(n, c, tuple(edges))
 
 

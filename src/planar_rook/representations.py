@@ -385,27 +385,18 @@ def _character(verticals: tuple[int, ...], sizes: tuple[int, ...]) -> int:
     return math.prod(map(math.comb, verticals, sizes[1:]))
 
 
-def vertical_count_rows(n: int, c: int) -> list[tuple[int, ...]]:
-    """All vertical-count vectors, ordered by total then colex."""
+def character_table(n: int, c: int) -> tuple[list[tuple[int, ...]], list[IrrepLabel], list[list[int]]]:
+    """Rows (vertical-count vectors, ordered by total then colex), columns (labels), and values.
+
+    A row is the vertical color counts of its vertical diagram, so every cell
+    is the closed form :func:`character` uses, and no diagram is built.
+    """
+    require_shape(n, c)
     rows = []
     for total in range(n + 1):
         rows.extend(compositions(total, c - 1))
-    return rows
-
-
-def character_table(n: int, c: int) -> tuple[list[tuple[int, ...]], list[IrrepLabel], list[list[int]]]:
-    """Rows (vertical-count vectors), columns (labels), and values.
-
-    A row's vertical diagram and its vertical counts are built once per row;
-    every cell of the row is then the closed form :func:`character` uses.
-    """
-    require_shape(n, c)
-    rows = vertical_count_rows(n, c)
     labels = list(all_labels(n, c))
-    values = []
-    for row in rows:
-        verticals = vertical_color_counts(vertical_diagram(n, row))
-        values.append([_character(verticals, label.sizes) for label in labels])
+    values = [[_character(row, label.sizes) for label in labels] for row in rows]
     return rows, labels, values
 
 

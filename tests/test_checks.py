@@ -407,7 +407,27 @@ def test_character_table_check_compares_action_trace_with_the_fixed_points(monke
     monkeypatch.setattr(representations, "vertical_diagram", lambda n, row: Diagram(n, len(row), [(1, 2, 1)]))
     outcome = representations.verify_character_table(2, 1)
     assert outcome.checked == 9
-    assert outcome.witnesses == [f"action_trace at (({v},), 1|1) differs from the fixed points" for v in range(3)]
+    assert outcome.witnesses == [
+        "action_trace at ((0,), 1|1) differs from the fixed points",
+        "entry ((1,), 1|1) differs from the trace",
+        "action_trace at ((1,), 1|1) differs from the fixed points",
+        "entry ((2,), 1|1) differs from the trace",
+        "action_trace at ((2,), 1|1) differs from the fixed points",
+        "entry ((2,), 0|2) differs from the trace",
+    ]
+
+
+def test_character_table_check_catches_a_vertical_diagram_that_swaps_colors(monkeypatch):
+    # The table reads each row's counts off the row itself, so a vertical_diagram that builds the wrong diagram shows.
+    real = representations.vertical_diagram
+    monkeypatch.setattr(representations, "vertical_diagram", lambda n, row: real(n, row[::-1]))
+    outcome = representations.verify_character_table(3, 2)
+    assert outcome.checked == 100
+    assert len(outcome.witnesses) == 36
+    assert outcome.witnesses[:2] == [
+        "entry ((1, 0), 2|1|0) differs from the trace",
+        "entry ((1, 0), 2|0|1) differs from the trace",
+    ]
 
 
 def test_column_structure_catches_out_of_range_images(monkeypatch):

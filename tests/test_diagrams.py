@@ -391,13 +391,14 @@ def _exit_code_under_optimization(script: str) -> int:
 
 
 def test_invariants_survive_optimized_mode():
-    # Mutant matching that crosses: from_profiles must still refuse it under -O.
+    # A corrupt bottom profile, its color part out of order, matches to a crossing: from_profiles must still refuse
+    # it under -O.
     script = (
         "from planar_rook import diagrams\n"
-        "diagrams._matching = lambda top, bottom: diagrams.Diagram(2, 1, ((1, 2, 1), (2, 1, 1)))\n"
-        "p = diagrams.Profile(2, 1, ((), (1, 2)))\n"
+        "top = diagrams.Profile(2, 1, ((), (1, 2)))\n"
+        "bottom = diagrams.Profile._trusted(2, 1, ((), (2, 1)))\n"
         "try:\n"
-        "    diagrams.from_profiles(p, p)\n"
+        "    diagrams.from_profiles(top, bottom)\n"
         "except AssertionError:\n"
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n"
@@ -744,6 +745,52 @@ def test_parse_errors_carry_position(text):
     assert 0 <= excinfo.value.position <= len(text)
 
 
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        pytest.param("", "expected 'n='", 0, id="n=-at-end"),
+        pytest.param("n = 3 c=2 []", "expected 'n='", 0, id="n="),
+        pytest.param("n=x", "expected an integer", 2, id="n"),
+        pytest.param("n=", "expected an integer", 2, id="n-at-end"),
+        pytest.param("n=3 x", "expected 'c='", 4, id="c="),
+        pytest.param("n=3 c=x", "expected an integer", 6, id="c"),
+        pytest.param("n=3 c=", "expected an integer", 6, id="c-at-end"),
+        pytest.param("n=3 c=2 x", "expected '['", 8, id="["),
+        pytest.param("n=3 c=2", "expected '['", 7, id="[-at-end"),
+        pytest.param("n=3 c=2\u200b[]", "expected '['", 7, id="[-after-zero-width-space"),
+        pytest.param("n=3 c=2 [x", "expected an integer", 9, id="top"),
+        pytest.param("n=3 c=2 [", "expected an integer", 9, id="top-at-end"),
+        pytest.param("n=3 c=2 [1x", "expected '-'", 10, id="-"),
+        pytest.param("n=3 c=2 [1-x", "expected an integer", 11, id="bottom"),
+        pytest.param("n=3 c=2 [1-2x", "expected ':'", 12, id=":"),
+        pytest.param("n=3 c=2 [1-2", "expected ':'", 12, id=":-at-end"),
+        pytest.param("n=3 c=2 [1-2:x", "expected an integer", 13, id="color"),
+        pytest.param("n=3 c=2 [1-2:1x", "expected ','", 14, id=","),
+        pytest.param("n=3 c=2 [1-2:1 3-1:2]", "expected ','", 15, id=",-before-an-edge"),
+        pytest.param("n=3 c=2 [1-2:1", "expected ','", 14, id=",-at-end"),
+        pytest.param("n=3 c=2 [1-2:1, x", "expected an integer", 16, id="next-top"),
+        pytest.param("n=3 c=2 [1-2:1,]", "expected an integer", 15, id="next-top-before-]"),
+        pytest.param("n=3 c=2 [1-2:1,  ", "expected an integer", 17, id="next-top-at-end"),
+        pytest.param("n=3 c=2 [] trailing", "unexpected trailing input 'trailing'", 11, id="trailing"),
+        pytest.param("n=3 c=2 [1-2:1]]", "unexpected trailing input ']'", 15, id="trailing-]"),
+        pytest.param("n=\u00b22 c=1 []", "expected an integer", 2, id="superscript-two"),
+        pytest.param("n=3 c=2 [1-\u0663:1]", "expected an integer", 11, id="arabic-indic-three"),
+        pytest.param("n=3 c=\uff12 []", "expected an integer", 6, id="fullwidth-two"),
+        pytest.param("\u3000n=3\u3000c=\u3000", "expected an integer", 8, id="ideographic-space-at-end"),
+        pytest.param("n=3\u3000c=2 [\u30001-2:\u3000x]", "expected an integer", 15, id="ideographic-space-color"),
+        pytest.param("n=3 c=2 []\u3000x ", "unexpected trailing input 'x '", 11, id="ideographic-space-trailing"),
+        pytest.param("n=2 c=1 [1-" + "2" * 4301 + ":1]", "integer of 4301 digits is too long", 11, id="bottom-too-long"),
+    ],
+)
+def test_parse_errors_name_the_grammar_position(text, message, position):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # int's default
+    try:
+        assert _outcome(text) == (ParseError, f"{message} (at position {position})", position)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 @pytest.mark.parametrize("text", ["n=\u00b22 c=1 []", "n=\u0663 c=1 []"])
 def test_parse_accepts_ascii_digits_only(text):
     # A superscript two and an Arabic-Indic three: both are str.isdigit().
@@ -805,7 +852,7 @@ def test_both_parse_paths_agree_on_mutated_literals(text):
     "text", ["n=3 c=2 []", "n=3 c=2 [1-2:1, 3-1:2]", "n=03 c=2 [1-02:1]", "n=3 c=2 [2-1:1, 1-2:1]"]
 )
 def test_canonical_literals_take_the_pattern(text):
-    with mock.patch.object(diagrams, "_Scanner", side_effect=AssertionError("scanned")):
+    with mock.patch.object(diagrams, "_TOKEN", mock.Mock(**{"finditer.side_effect": AssertionError("scanned")})):
         fast = parse_diagram(text)
     assert fast == _scanned(text)
 
@@ -822,7 +869,7 @@ def test_canonical_literals_take_the_pattern(text):
     ],
 )
 def test_other_spacings_take_the_scanner(text, canonical):
-    with mock.patch.object(diagrams, "_Scanner", side_effect=AssertionError("scanned")):
+    with mock.patch.object(diagrams, "_TOKEN", mock.Mock(**{"finditer.side_effect": AssertionError("scanned")})):
         with pytest.raises(AssertionError, match="scanned"):
             parse_diagram(text)
     assert parse_diagram(text) == parse_diagram(canonical)
