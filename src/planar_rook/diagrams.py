@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import re
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, repeat
+from itertools import accumulate, combinations, combinations_with_replacement, repeat
 from operator import itemgetter, sub
 from typing import Iterable, Iterator, NamedTuple
 
@@ -402,12 +402,8 @@ def _packed_profiles(n: int, c: int, sizes: tuple[int, ...]) -> tuple[int, ...]:
 
 def sorted_profile(n: int, sizes: tuple[int, ...]) -> Profile:
     """The canonical profile with consecutive blocks: part 0 first, then part 1, ..."""
-    parts = []
-    start = 1
-    for s in sizes:
-        parts.append(tuple(range(start, start + s)))
-        start += s
-    return Profile(n, len(sizes) - 1, tuple(parts))
+    ends = (0, *accumulate(sizes))
+    return Profile(n, len(sizes) - 1, tuple(tuple(range(a + 1, b + 1)) for a, b in zip(ends, ends[1:])))
 
 
 def _binomial_exceeds(a: int, b: int, cap: int) -> bool:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, wraps
+from functools import cached_property, lru_cache, wraps
 from typing import Iterable, Iterator, Optional
 
 from .algebra import Rational, left_action_x
@@ -141,23 +141,22 @@ def all_labels(n: int, c: int) -> tuple[IrrepLabel, ...]:
 class ModuleSpace:
     """The irreducible module with bottom profile T, over its ordered x-basis.
 
-    Basis vector j is x_(S_j, T) for the j-th top profile S_j with T's part
-    sizes, in ``profiles_with_sizes`` order; ``tops[j]`` is S_j packed by
-    ``diagrams._packed_profiles``, which reads T's sizes alone.  The diagrams
-    from_profiles(S_j, T) of ``basis`` are unpacked from ``tops`` on first use.
+    Basis vector j is x_(S_j, T) for the j-th top profile S_j with T's part sizes, in ``profiles_with_sizes``
+    order; ``tops[j]`` is S_j packed, read off T's sizes alone and shared by T's class (:func:`_class_record`).
+    The diagrams from_profiles(S_j, T) of ``basis`` are unpacked from ``tops`` on first use.
     """
 
     bottom: Profile
     tops: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _slot: dict[int, int] = field(init=False, repr=False, compare=False)  # tops[j] -> j
 
     def __post_init__(self):
         if not isinstance(self.bottom, Profile):
             raise TypeError(f"a module is built from a bottom Profile, not {self.bottom!r}")
         require_shape(self.n, self.c)  # a Profile may have c = 0, a module may not
-        tops = _packed_profiles(self.n, self.c, self.bottom.sizes)
-        if len(tops) != multinomial(self.bottom.sizes):
-            raise AssertionError("a module basis has multinomially many vectors")
+        tops, slot, _ = _class_record(self.n, self.c, self.bottom.sizes)
         object.__setattr__(self, "tops", tops)
+        object.__setattr__(self, "_slot", slot)
 
     @property
     def n(self) -> int:
@@ -186,9 +185,19 @@ class ModuleSpace:
     def _index(self) -> dict[Diagram, int]:
         return {a: i for i, a in enumerate(self.basis)}
 
-    @cached_property
-    def _slot(self) -> dict[int, int]:
-        return {top: j for j, top in enumerate(self.tops)}
+
+@lru_cache(maxsize=512)  # holds the 345 classes of n 5-7, c 2-3 at once; memory grows with classes seen, to 512
+def _class_record(n: int, c: int, sizes: tuple[int, ...]) -> tuple[tuple[int, ...], dict[int, int], tuple]:
+    """A module class's packed data, built once: its tops, the slot of each top, and its restriction groups."""
+    tops = _packed_profiles(n, c, sizes)
+    if len(tops) != multinomial(sizes):
+        raise AssertionError("a module basis has multinomially many vectors")
+    part_of = {_bit(n, n, k): k for k in range(1, c + 1) if n}  # the bit of vertex n in part k; none at n = 0
+    last, part_of[0] = sum(part_of), 0
+    groups: dict[int, list[int]] = {}
+    for idx, top in enumerate(tops):
+        groups.setdefault(part_of[top & last], []).append(idx)
+    return tops, {top: j for j, top in enumerate(tops)}, tuple((j, tuple(g)) for j, g in sorted(groups.items()))
 
 
 def module_space(n: int, c: int, bottom: Profile) -> ModuleSpace:
@@ -438,12 +447,7 @@ def restriction_groups(space: ModuleSpace) -> list[tuple[int, list[int]]]:
     """Basis indices grouped by where the last top vertex sits, part index ascending."""
     if space.n < 1:
         raise ValueError("restriction needs n >= 1")
-    part_of = {_bit(space.n, space.n, k): k for k in range(1, space.c + 1)}  # the bit of vertex n in part k
-    last, part_of[0] = sum(part_of), 0
-    groups: dict[int, list[int]] = {}
-    for idx, top in enumerate(space.tops):
-        groups.setdefault(part_of[top & last], []).append(idx)
-    return sorted(groups.items())
+    return [(j, list(indices)) for j, indices in _class_record(space.n, space.c, space.bottom.sizes)[2]]
 
 
 def restriction_decomposition(space: ModuleSpace) -> list[IrrepLabel]:

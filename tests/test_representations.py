@@ -303,6 +303,85 @@ def test_module_basis_is_unpacked_from_tops(monkeypatch):
     assert space.basis == expected
 
 
+@pytest.fixture
+def class_memo():
+    """The per-class record memo, empty before and after the test: a warm entry neither hides a fault nor leaks one."""
+    representations._class_record.cache_clear()
+    yield representations._class_record
+    representations._class_record.cache_clear()
+
+
+def test_modules_of_one_class_share_its_record(class_memo):
+    label = IrrepLabel((1, 1, 1))
+    first, second = label_module(label), label_module(label)
+    assert first is not second
+    assert first.tops is second.tops and first._slot is second._slot
+    # Another bottom profile with the same sizes shares the packed record, not the diagram view.
+    t1, t2 = Profile(3, 2, ((1,), (2,), (3,))), Profile(3, 2, ((3,), (1,), (2,)))
+    m1, m2 = ModuleSpace(t1), ModuleSpace(t2)
+    assert m1.tops is m2.tops is first.tops and m1._slot is m2._slot is first._slot
+    for space, bottom in ((m1, t1), (m2, t2)):
+        assert space.basis == tuple(from_profiles(s, bottom) for s in profiles_with_sizes(3, 2, (1, 1, 1)))
+        assert [space.index_of(a) for a in space.basis] == list(range(6))
+    assert set(m1.basis).isdisjoint(m2.basis)
+    with pytest.raises(KeyError):
+        m1.index_of(m2.basis[0])
+    assert are_isomorphic(m1, m2).intertwiner == Diagram(3, 2, [(2, 1, 1), (3, 2, 2)])
+    assert are_isomorphic(m2, m1).intertwiner == Diagram(3, 2, [(1, 2, 1), (2, 3, 2)])
+
+
+def test_the_class_memo_is_bounded(class_memo):
+    maxsize = class_memo.cache_info().maxsize
+    assert maxsize is not None and maxsize >= 345
+    for label in all_labels(1, 600):  # 601 classes of dimension 1
+        label_module(label)
+    info = class_memo.cache_info()
+    assert info.misses == 601 and info.currsize <= maxsize
+    # The modules workload's classes, n 5-7 and c 2-3, fit: a second pass evicts nothing.
+    class_memo.cache_clear()
+    labels = [label for n in (5, 6, 7) for c in (2, 3) for label in all_labels(n, c)]
+    assert len(labels) == 345
+    for _ in range(2):
+        for label in labels:
+            label_module(label)
+    info = class_memo.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (345, 345, 345)
+
+
+def test_callers_cannot_corrupt_the_class_memo(class_memo):
+    space = label_module(IrrepLabel((1, 1, 1)))
+    assert type(space.tops) is tuple
+    expected = [(0, [4, 5]), (1, [1, 3]), (2, [0, 2])]
+    groups = restriction_groups(space)
+    assert groups == expected
+    groups[0][1].clear()
+    groups[1][1].append(0)
+    groups.append((3, [6]))
+    assert restriction_groups(space) == expected
+    groups.clear()
+    assert restriction_groups(label_module(IrrepLabel((1, 1, 1)))) == expected
+
+
+def test_the_basis_count_is_checked_when_a_class_is_filled(class_memo, monkeypatch):
+    real = representations._packed_profiles
+    monkeypatch.setattr(representations, "_packed_profiles", lambda n, c, sizes: real(n, c, sizes)[1:])
+    with pytest.raises(AssertionError, match=r"^a module basis has multinomially many vectors$"):
+        ModuleSpace(Profile(3, 2, ((1,), (2,), (3,))))
+    assert class_memo.cache_info().currsize == 0
+
+
+def test_refusals_leave_the_class_memo_untouched(class_memo):
+    space = module_space(0, 1, Profile(0, 1, ((), ())))
+    filled = class_memo.cache_info()
+    with pytest.raises(TypeError):
+        ModuleSpace((2, 1))
+    with pytest.raises(ValueError, match="c must be a positive int"):
+        ModuleSpace(Profile(2, 0, ((1, 2),)))
+    with pytest.raises(ValueError, match="restriction needs n >= 1"):
+        restriction_groups(space)
+    assert class_memo.cache_info() == filled
+
+
 def test_a_last_vertex_outside_its_restriction_part_is_an_engine_fault():
     profile = Profile(2, 1, ((1,), (2,)))
     assert checks._strip_last_top_vertex(profile, 1) == Profile(1, 1, ((1,), ()))
