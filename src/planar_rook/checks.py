@@ -114,10 +114,9 @@ def _actions(n: int, c: int) -> dict[tuple[int, ...], tuple[ModuleSpace, dict[Di
     return {space.bottom.sizes: (space, {d: diagram_action(d, space) for d in pool}) for space in spaces}
 
 
-def _draws(scope: Scope, samples: int, seed: int, k: int) -> list[tuple[Diagram, ...]]:
-    """``samples`` seeded draws of ``k`` diagrams each from the monoid at ``scope``."""
+def _draws(pool, samples: int, seed: int, k: int) -> list[tuple[Diagram, ...]]:
+    """``samples`` seeded draws of ``k`` diagrams each from ``pool``; ``mul --spot-check`` draws here too."""
     rng = random.Random(seed)
-    pool = _all_planar(*scope)
     return [tuple(rng.choice(pool) for _ in range(k)) for _ in range(samples)]
 
 
@@ -174,7 +173,7 @@ def check_associativity(exhaustive: Scope, sampled: Scope, samples: int, seed: i
                     yield (
                         f"({format_diagram(a)}) * ({format_diagram(b)}) * ({format_diagram(d)})"
                     )
-    for a, b, d in _draws(sampled, samples, seed, 3):
+    for a, b, d in _draws(_all_planar(*sampled), samples, seed, 3):
         yield 1
         if multiply(multiply(a, b), d) != multiply(a, multiply(b, d)):
             yield (
@@ -307,7 +306,7 @@ def _action_check(
 ) -> Iterator[int | str]:
     """Compare ``act(d, a)``, an (expansion, fast image) pair, on exhaustive then sampled pairs."""
     pairs = [("", d, a) for n, c in _shapes(exhaustive) for d, a in product(_all_planar(n, c), repeat=2)]
-    pairs += [("sampled ", d, a) for d, a in _draws(sampled, samples, seed, 2)]
+    pairs += [("sampled ", d, a) for d, a in _draws(_all_planar(*sampled), samples, seed, 2)]
     for prefix, d, a in pairs:
         yield 1
         expansion, fast = act(d, a)
@@ -478,7 +477,13 @@ def check_irreducibility(scope: Scope) -> CheckResult:
 
 @tallied("modules.isomorphism-classification")
 def check_isomorphism_classification(scope: Scope) -> CheckResult:
-    """Isomorphism holds iff part sizes match, and every witness validates."""
+    """Isomorphism holds iff part sizes match, and every witness validates.
+
+    A class's modules share one column-map table in one basis order, whose projector from_profiles(S, S)
+    fixes only the index of S: an intertwiner commutes with the table iff its index map, built at the
+    diagram level where T enters, is the identity.  Neither this nor a per-pair sweep of the table reads
+    whether the packed action depends on T (ROADMAP items 9 and 10).
+    """
     for n, c in _shapes(scope):
         actions = _actions(n, c)  # the intertwiner and the distinguisher read T, so each profile has its own module
         modules = [(p, module_space(n, c, p), actions[p.sizes][1]) for p in all_bottom_profiles(n, c)]
@@ -490,22 +495,13 @@ def check_isomorphism_classification(scope: Scope) -> CheckResult:
                     yield f"classification differs from size criterion: {p1.parts} vs {p2.parts}"
                     continue
                 if result.isomorphic:
-                    d = result.intertwiner
                     try:
-                        phi = [space2.index_of(multiply(a, d)) for a in space1.basis]
+                        phi = [space2.index_of(multiply(a, result.intertwiner)) for a in space1.basis]
                     except KeyError:
                         yield f"intertwiner leaves the target basis: {p1.parts} vs {p2.parts}"
                         continue
-                    if sorted(phi) != list(range(len(phi))):
-                        yield f"intertwiner is not a bijection: {p1.parts} vs {p2.parts}"
-                        continue
-                    for g, act1 in maps1.items():
-                        if compose_column_maps(phi, act1) != compose_column_maps(maps2[g], phi):
-                            yield (
-                                f"intertwiner does not commute with {format_diagram(g)}: "
-                                f"{p1.parts} vs {p2.parts}"
-                            )
-                            break
+                    if phi != list(range(space1.dimension)):
+                        yield f"intertwiner's index map is not the identity: {p1.parts} vs {p2.parts}"
                 else:
                     d = result.distinguisher
                     live, dead = (maps1, maps2) if result.annihilated == 2 else (maps2, maps1)
@@ -609,7 +605,13 @@ def _restriction_witnesses(space: ModuleSpace, pool, columns) -> Iterator[str]:
 
 @tallied("modules.restriction-blocks")
 def check_restriction(scope: Scope) -> CheckResult:
-    """Column-drop restriction: invariance and intertwining."""
+    """Column-drop restriction: invariance and intertwining, run once per class, reported per bottom profile.
+
+    The groups, child modules, summed columns and ``left_action_x`` references read only the tops S, so each
+    profile would repeat its class's run; the one step that reads T, top_profile(from_profiles(S, T)) == S, is
+    check_profile_roundtrip's.  A run per profile would not read whether the packed action depends on T either
+    (ROADMAP items 9 and 10).
+    """
     for n, c in _shapes(scope):
         if n < 1:
             continue
@@ -617,10 +619,10 @@ def check_restriction(scope: Scope) -> CheckResult:
         embedded = [algebra.embed(algebra.from_diagram(d)).terms for d in pool]
         for sizes, (space, maps) in _actions(n, c).items():  # label order, so profiles in all_bottom_profiles order
             columns = [weighted_columns(((q, maps[e]) for e, q in g.items()), space.dimension) for g in embedded]
-            for profile in profiles_with_sizes(n, c, sizes):  # each reads its own T through its module's basis
+            first = next(_restriction_witnesses(space, pool, columns), None)
+            for profile in profiles_with_sizes(n, c, sizes):  # T enters only through the profile round trip
                 yield 1
-                witnesses = _restriction_witnesses(module_space(n, c, profile), pool, columns)
-                if (first := next(witnesses, None)) is not None:
+                if first is not None:
                     yield f"bottom {profile.parts}: {[first]}"
 
 

@@ -13,13 +13,12 @@ import dataclasses
 import json
 import math
 import os
-import random
 import re
 import sys
 
 from . import bratteli
 from .algebra import format_element, from_diagram, to_x_coordinates, x_of
-from .checks import VerifyConfig, run_verification
+from .checks import VerifyConfig, _draws, run_verification
 from .diagrams import (
     DEFAULT_DIAGRAM_CAP,
     CapExceededError,
@@ -173,9 +172,7 @@ def _cmd_mul(args) -> int:
     else:
         print(format_diagram(product))
     if args.spot_check:
-        rng = random.Random(args.seed)
-        for _ in range(args.spot_check):
-            a, b, d = (rng.choice(pool) for _ in range(3))
+        for a, b, d in _draws(pool, args.spot_check, args.seed, 3):
             if multiply(multiply(a, b), d) != multiply(a, multiply(b, d)):
                 print(f"associativity failed on {format_diagram(a)}, {format_diagram(b)}, "
                       f"{format_diagram(d)}", file=sys.stderr)

@@ -377,3 +377,4 @@ def test_format_element():
     assert format_element(zero(2, 1)) == "0"
     g = from_diagram(Diagram(1, 2, [(1, 1, 1)])) + from_diagram(Diagram(1, 2, []), Fraction(-1, 2))
     assert format_element(g) == "-1/2 * n=1 c=2 [] + 1 * n=1 c=2 [1-1:1]"
+    assert str(g) == format_element(g)

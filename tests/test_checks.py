@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -175,11 +176,11 @@ def test_classification_catches_swapped_distinguisher(monkeypatch):
     assert len(outcome.witnesses) == 168
 
 
-def test_classification_composes_a_reordering_intertwiner(monkeypatch):
+def test_classification_refuses_a_reordering_intertwiner(monkeypatch):
     # One action table per class serves every module of the class, in the one basis order of the
-    # walk, so the check must compose each pair's intertwiner and not take it for the identity map:
-    # list the basis of each module with vertex 1 isolated in reverse, and exactly the pairs of one
-    # reversed and one unreversed module of a class no longer commute with the class's table.
+    # walk, so an intertwiner commutes with the table only as the identity index map: list the basis
+    # of each module with vertex 1 isolated in reverse, and exactly the pairs of one reversed and one
+    # unreversed module of a class get an index map that is not the identity.
     real = checks.module_space
     reversed_bottoms = set()
 
@@ -200,8 +201,25 @@ def test_classification_composes_a_reordering_intertwiner(monkeypatch):
     ]
     assert len(mixed) == 6  # the two orders of each class 1|1, 1|1|0 and 1|0|1
     assert outcome.checked == 112
-    assert [w.split(": ", 1)[1] for w in outcome.witnesses] == mixed
-    assert all(w.startswith("intertwiner does not commute with ") for w in outcome.witnesses)
+    assert outcome.witnesses == [f"intertwiner's index map is not the identity: {pair}" for pair in mixed]
+
+
+def test_only_the_identity_permutation_commutes_with_a_class_table():
+    # The classification check's argument: at every class of n <= 3, c <= 2, a permutation of the basis commutes
+    # with every map of the class's table exactly when it is the identity, and already with the projectors alone.
+    classes, compose = 0, representations.compose_column_maps
+    for c in (1, 2):
+        for n in range(4):
+            pool = checks._all_planar(n, c)
+            for sizes, (space, maps) in checks._actions(n, c).items():
+                classes += 1
+                dim = space.dimension
+                projectors = [maps[from_profiles(top, top)] for top in diagrams.profiles_with_sizes(n, c, sizes)]
+                assert projectors == [tuple(j if j == i else None for j in range(dim)) for i in range(dim)]
+                for perm in permutations(range(dim)):
+                    verdicts = [compose(perm, m) == compose(m, perm) for m in projectors + [maps[d] for d in pool]]
+                    assert all(verdicts) == all(verdicts[:dim]) == (perm == tuple(range(dim)))
+    assert classes == 30
 
 
 def test_action_tables_hold_one_table_per_class(monkeypatch):
@@ -253,16 +271,36 @@ def test_a_default_run_reads_the_restriction_columns_off_the_class_tables(monkey
 
 def test_restriction_sums_columns_per_class_and_reads_every_bottom_profile_in_order(monkeypatch):
     # Each embedded width-(n-1) diagram's columns are summed once per class, not once per bottom profile (203 sums,
-    # not 493), and each profile still gets its own module, whose basis reads T, in all_bottom_profiles order.
-    seen, sums = [], []
-    real_space, real_sum = checks.module_space, checks.weighted_columns
-    monkeypatch.setattr(checks, "module_space", lambda n, c, bottom: seen.append(bottom) or real_space(n, c, bottom))
+    # not 493), and the witnesses are listed once per class, on its table's own module (28 runs, no module built),
+    # then reported for each bottom profile of the class in all_bottom_profiles order.
+    runs, sums = [], []
+    real_run, real_sum = checks._restriction_witnesses, checks.weighted_columns
+    monkeypatch.setattr(checks, "module_space", lambda *args: pytest.fail("built a module per bottom profile"))
+    monkeypatch.setattr(checks, "_restriction_witnesses", lambda *args: runs.append(args[0]) or real_run(*args))
     monkeypatch.setattr(checks, "weighted_columns", lambda *args: sums.append(args) or real_sum(*args))
     outcome = checks.check_restriction((3, 2))
     shapes = [(n, c) for c in (1, 2) for n in range(1, 4)]
     assert len(sums) == sum(len(all_labels(n, c)) * diagrams.cardinality(n - 1, c) for n, c in shapes) == 203
-    assert outcome.ok and outcome.checked == len(seen) == DEFAULT_CHECKED["modules.restriction-blocks"]
-    assert seen == [p for n, c in shapes for p in all_bottom_profiles(n, c)]
+    assert runs == [label_module(label) for n, c in shapes for label in all_labels(n, c)] and len(runs) == 28
+    assert outcome.ok and outcome.checked == DEFAULT_CHECKED["modules.restriction-blocks"]
+    assert outcome.checked == sum(1 for n, c in shapes for _ in all_bottom_profiles(n, c))
+
+
+def test_restriction_witnesses_list_every_group_that_a_column_leaves():
+    # Listed to its end, each column that leaves its group is named once and the listing goes on past it, without
+    # reading the foreign index in the child module.
+    space = label_module(IrrepLabel((1, 1)))
+    pool = checks._all_planar(1, 1)
+    maps = checks._actions(2, 1)[(1, 1)][1]
+    embedded = [algebra.embed(algebra.from_diagram(d)).terms for d in pool]
+    past = _past_the_basis(checks.weighted_columns)
+    columns = [past(((q, maps[e]) for e, q in g.items()), space.dimension) for g in embedded]
+    witnesses = list(checks._restriction_witnesses(space, pool, columns))
+    assert witnesses == [
+        f"group {j} of 1|1 is not invariant under {diagrams.format_diagram(d)}"
+        for d in pool for j, indices in representations.restriction_groups(space) for _ in indices
+    ]
+    assert len(witnesses) == len(pool) * space.dimension == 4
 
 
 def test_restriction_catches_one_color_embedding(monkeypatch):
@@ -621,7 +659,7 @@ _WITNESS_CASES = [
     pytest.param(lambda: checks.check_isomorphism_classification((2, 1)),
                  [(checks, "module_space", _collapsed_index)],
                  [
-                     f"intertwiner is not a bijection: {p1} vs {p2}"
+                     f"intertwiner's index map is not the identity: {p1} vs {p2}"
                      for p1 in (((1,), (2,)), ((2,), (1,))) for p2 in (((1,), (2,)), ((2,), (1,)))
                  ],
                  id="intertwiner-bijection"),
@@ -647,6 +685,18 @@ _WITNESS_CASES = [
                      "bottom ((), (1,)): ['group 1 of 0|1 is not invariant under n=0 c=1 []']",
                  ],
                  id="restriction-invariance"),
+    pytest.param(lambda: checks.check_restriction((2, 1)),
+                 # A failing class's first witness names each of its bottom profiles, in all_bottom_profiles order.
+                 [(checks, "weighted_columns", _past_the_basis)],
+                 [
+                     "bottom ((1,), ()): ['group 0 of 1|0 is not invariant under n=0 c=1 []']",
+                     "bottom ((), (1,)): ['group 1 of 0|1 is not invariant under n=0 c=1 []']",
+                     "bottom ((1, 2), ()): ['group 0 of 2|0 is not invariant under n=1 c=1 []']",
+                     "bottom ((1,), (2,)): ['group 0 of 1|1 is not invariant under n=1 c=1 []']",
+                     "bottom ((2,), (1,)): ['group 0 of 1|1 is not invariant under n=1 c=1 []']",
+                     "bottom ((), (1, 2)): ['group 1 of 0|2 is not invariant under n=1 c=1 []']",
+                 ],
+                 id="restriction-invariance-per-profile"),
     pytest.param(lambda: checks.check_tower_levels((1, 1)),
                  [(bratteli, "vertex_count", _plus_one)],
                  ["level 0 at c=1 has 1 vertices", "level 1 at c=1 has 2 vertices"],
