@@ -5,11 +5,13 @@ coefficients; the diagram product extends bilinearly.  Products, tensors and
 x-coordinates sum coefficients by edge tuple, testing every product term pair
 for planarity, and build one Diagram per nonzero term.  Only ``int`` and
 ``Fraction`` inputs are accepted, so every identity the suite checks is
-bit-exact.  Integral inputs are stored as ``int`` (a ``Fraction`` with
-denominator 1 becomes its numerator) and all others as ``Fraction``; the
-unit and the x-basis have ``int`` coefficients, so integer elements multiply
-in ``int`` arithmetic.  Arithmetic on ``Fraction`` terms may leave an
-integral ``Fraction``, which compares and prints as the ``int``.
+bit-exact.  An integral coefficient is always stored as an ``int`` (a
+``Fraction`` with denominator 1 becomes its numerator) and any other as a
+``Fraction``.  Products and x-coordinates write each operand's coefficients
+as integer numerators over one common denominator, the lcm of its
+denominators, sum those numerators in ``int`` arithmetic and divide once per
+distinct nonzero term; the unit and the x-basis have ``int`` coefficients,
+so on integer elements the denominator is 1 and no ``Fraction`` is built.
 
 The alternating-sum basis ``x_d = sum over subdiagrams d' of d of
 (-1)^(size d - size d') d'`` turns left and right multiplication by a
@@ -22,8 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, product
-from typing import Iterator, Mapping, Optional
+from itertools import chain, combinations
+from math import lcm
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .diagrams import (
     Diagram,
@@ -80,11 +83,16 @@ class AlgebraElement:
 
     @classmethod
     def _trusted(cls, n: int, c: int, terms: Mapping[Diagram, Rational]) -> "AlgebraElement":
-        """Skip validation: only for int or Fraction terms on planar (n, c) diagrams; drops the zeros."""
+        """Skip validation: only for int or Fraction terms on planar (n, c) diagrams.
+
+        Drops the zeros and stores an integral ``Fraction`` as its ``int``, so
+        every arithmetic result keeps the storage rule of the constructor.
+        """
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "c", c)
-        object.__setattr__(g, "terms", {d: q for d, q in terms.items() if q})
+        object.__setattr__(g, "terms", {d: q if type(q) is int or q.denominator != 1 else q.numerator
+                                        for d, q in terms.items() if q})
         return g
 
     # -- structure ---------------------------------------------------------
@@ -131,15 +139,17 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return self.scale(other)
         self._require_compatible(other)
-        lowers = [({e[0]: e for e in d2.edges}, q2) for d2, q2 in other.terms.items()]
-        terms: dict[tuple[Edge, ...], Rational] = {}
-        for d1, q1 in self.terms.items():
-            for lower, q2 in lowers:
+        den1, left = _numerators(self.terms)
+        den2, right = _numerators(other.terms)
+        lowers = [({e[0]: e for e in d2.edges}, p2) for d2, p2 in right]
+        sums: dict[tuple[Edge, ...], int] = {}
+        for d1, p1 in left:
+            for lower, p2 in lowers:
                 edges, planar = compose_edges(d1.edges, lower)
                 if not planar:  # every pair, also one whose key cancels: terms are planar
                     raise AssertionError("product of planar diagrams must be planar")
-                terms[edges] = terms.get(edges, 0) + q1 * q2
-        return AlgebraElement._trusted(self.n, self.c, {Diagram._trusted(self.n, self.c, e): q for e, q in terms.items() if q})
+                sums[edges] = sums.get(edges, 0) + p1 * p2
+        return _from_numerators(self.n, self.c, sums, den1 * den2)
 
     def tensor(self, other: "AlgebraElement") -> "AlgebraElement":
         if self.c != other.c:
@@ -152,6 +162,20 @@ class AlgebraElement:
 
     def __str__(self) -> str:
         return format_element(self)
+
+
+def _numerators(terms: Mapping[Diagram, Rational]) -> tuple[int, Iterable[tuple[Diagram, int]]]:
+    """The lcm of the coefficients' denominators and each term with its coefficient's integer numerator over it."""
+    den = lcm(*{q.denominator for q in terms.values()})  # an int is its own numerator over 1
+    if den == 1:  # integral coefficients are stored as ints
+        return 1, terms.items()
+    return den, [(d, q.numerator * (den // q.denominator)) for d, q in terms.items()]
+
+
+def _from_numerators(n: int, c: int, sums: Mapping[tuple[Edge, ...], int], den: int) -> AlgebraElement:
+    """The element with coefficient p / den on each edge tuple's diagram, built once per nonzero numerator p."""
+    return AlgebraElement._trusted(
+        n, c, {Diagram._trusted(n, c, e): p if den == 1 else Fraction(p, den) for e, p in sums.items() if p})
 
 
 def zero(n: int, c: int) -> AlgebraElement:
@@ -177,13 +201,17 @@ def identity(n: int, c: int) -> AlgebraElement:
     concatenation power.  Expanded, each column state (0 = isolated, k = a
     vertical color-k edge) gives one diagram with coefficient (1 - c)^j,
     where j counts its isolated columns; for c = 1 only the full one is left.
+    The expansion is built column by column: each level extends every edge
+    tuple by one column state, the first column varying slowest.
     """
     require_shape(n, c)
-    terms = {}
-    for states in product(range(c + 1), repeat=n):
-        edges = tuple((v, v, k) for v, k in enumerate(states, start=1) if k)
-        terms[Diagram._trusted(n, c, edges)] = (1 - c) ** (n - len(edges))
-    return AlgebraElement._trusted(n, c, terms)  # _trusted drops the zero terms
+    states = [(0, 1 - c)] if c > 1 else []  # for c = 1 an isolated column has coefficient 0
+    states += [(k, 1) for k in range(1, c + 1)]
+    terms: list[tuple[tuple[Edge, ...], int]] = [((), 1)]
+    for v in range(1, n + 1):
+        column = [(((v, v, k),) if k else (), w) for k, w in states]
+        terms = [(edges + e, q * w) for edges, q in terms for e, w in column]
+    return AlgebraElement._trusted(n, c, {Diagram._trusted(n, c, edges): q for edges, q in terms})
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +243,12 @@ def to_x_coordinates(g: AlgebraElement) -> dict[Diagram, Rational]:
     the x-coordinate at ``a`` is the sum of the diagram coefficients of all
     supports containing ``a``.
     """
-    coords: dict[tuple[Edge, ...], Rational] = {}
-    for d, coeff in g.terms.items():
+    den, numerators = _numerators(g.terms)
+    sums: dict[tuple[Edge, ...], int] = {}
+    for d, p in numerators:
         for sub in _edge_subsets(d.edges):
-            coords[sub] = coords.get(sub, 0) + coeff
-    return {Diagram._trusted(g.n, g.c, a): q for a, q in coords.items() if q}
+            sums[sub] = sums.get(sub, 0) + p
+    return _from_numerators(g.n, g.c, sums, den).terms
 
 
 def left_action_x(d: Diagram, a: Diagram) -> Optional[Diagram]:

@@ -1,7 +1,7 @@
 import random
 from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -142,6 +142,24 @@ def test_identity_width_zero():
     assert identity(0, 2) == from_diagram(Diagram(0, 2, []))
 
 
+def _unit_by_states(n, c):
+    """The unit's closed form, one column state per vertex (0 = isolated), first column slowest, zeros left out."""
+    terms = {}
+    for states in product(range(c + 1), repeat=n):
+        edges = tuple((v, v, k) for v, k in enumerate(states, start=1) if k)
+        if q := (1 - c) ** (n - len(edges)):
+            terms[Diagram(n, c, edges)] = q
+    return terms
+
+
+@pytest.mark.parametrize("c", [1, 2, 3])
+@pytest.mark.parametrize("n", range(6))
+def test_identity_terms_and_order_follow_the_column_states(n, c):
+    unit = identity(n, c)
+    assert list(unit.terms.items()) == list(_unit_by_states(n, c).items())
+    assert all(type(q) is int for q in unit.terms.values())
+
+
 @pytest.mark.parametrize("c", [1, 2, 3])
 def test_identity_is_the_tensor_power_of_one_column(c):
     column = AlgebraElement(1, c, {unit_diagram(c, k): 1 for k in range(1, c + 1)})
@@ -167,6 +185,11 @@ def test_integer_elements_hold_ints():
     d = Diagram(1, 1, [(1, 1, 1)])
     integral = (from_diagram(d, Fraction(6, 3)), AlgebraElement(1, 1, {d: Fraction(-4, 2)}))
     assert all(_ints(g.terms.values()) for g in (*integral, from_diagram(d).scale(Fraction(9, 3))))
+    half = from_diagram(d, Fraction(1, 2))
+    for g in (half.scale(2), half + half, half * from_diagram(d, 2)):
+        assert g.terms == {d: 1} and _ints(g.terms.values())
+    assert to_x_coordinates(half + half) == {d: 1, Diagram(1, 1, []): 1}
+    assert _ints(to_x_coordinates(half + half).values())
 
 
 def test_fractional_elements_stay_fractions():
@@ -176,6 +199,64 @@ def test_fractional_elements_stay_fractions():
     for g in (half, three_quarters, half * three_quarters, identity(2, 1) * half, half.scale(3)):
         assert all(type(q) is Fraction for q in g.terms.values())
     assert to_x_coordinates(half) == {d: Fraction(1, 2), empty: Fraction(1, 2)}
+
+
+def _product_by_pairs(a, b):
+    """a * b from the diagram product alone, one Fraction sum per product diagram."""
+    sums = {}
+    for d1, q1 in a.terms.items():
+        for d2, q2 in b.terms.items():
+            d = multiply(d1, d2)
+            sums[d] = sums.get(d, Fraction(0)) + Fraction(q1) * Fraction(q2)
+    return sums
+
+
+def _x_coordinates_by_subsets(a):
+    """to_x_coordinates(a) as one Fraction sum per edge subset of each support."""
+    sums = {}
+    for d, q in a.terms.items():
+        for r in range(d.size + 1):
+            for sub in combinations(d.edges, r):
+                key = Diagram(d.n, d.c, sub)
+                sums[key] = sums.get(key, Fraction(0)) + Fraction(q)
+    return sums
+
+
+def _agrees(result, sums) -> bool:
+    """Equal to the nonzero sums, with an integral coefficient stored as an int and any other as a Fraction."""
+    exact = {d: q for d, q in sums.items() if q}
+    return result == exact and all(type(q) is (int if q.denominator == 1 else Fraction) for q in result.values())
+
+
+def test_products_and_x_coordinates_match_fraction_sums():
+    rng = random.Random(27)
+    seen = {"int": 0, "fraction": 0, "integral": 0, "cancelled": 0}
+    for n, c in [(3, 2), (4, 3)]:
+        diagrams = pool(n, c)
+
+        def element(dens):
+            terms = {}
+            for d in rng.sample(diagrams, rng.randint(1, 5)):
+                den = rng.choice(dens)
+                terms[d] = rng.randint(-6, 6) if den == 1 else Fraction(rng.randint(-6, 6), den)
+            g = AlgebraElement(n, c, terms)
+            if rng.random() < 0.3:  # an x-basis element: its products and x-coordinates cancel terms
+                g += x_of(rng.choice(diagrams)).scale(Fraction(rng.randint(1, 4), rng.choice(dens)))
+            return g
+
+        for _ in range(30):
+            dens = [1] if rng.random() < 0.25 else [1, 2, 3, 7, 11, 13]
+            a, b = element(dens), element(dens)
+            if rng.random() < 0.3:  # clear a's and b's denominators on b's side: the product is integral
+                b = b.scale((2 * 3 * 7 * 11 * 13) ** 2)
+            sums = _product_by_pairs(a, b)
+            assert _agrees((a * b).terms, sums)
+            assert _agrees(to_x_coordinates(a), _x_coordinates_by_subsets(a))
+            kinds = {type(q) for q in (*a.terms.values(), *b.terms.values())}
+            seen["int" if kinds == {int} else "fraction"] += 1
+            seen["integral"] += Fraction in kinds and (a * b).terms != {} and _ints((a * b).terms.values())
+            seen["cancelled"] += any(q == 0 for q in sums.values())
+    assert min(seen.values()) > 0, seen
 
 
 def test_x_of_empty_and_single_edge():
