@@ -582,7 +582,7 @@ def _restriction_witnesses(space: ModuleSpace, pool, columns) -> Iterator[str]:
     for (j, indices), child in zip(groups, restriction_decomposition(space)):  # both in group order
         child_space = targets[j] = label_module(child)
         for idx in indices:
-            stripped = _strip_last_top_vertex(top_profile(space.basis[idx]), j)
+            stripped = _strip_last_top_vertex(space.top_profiles[idx], j)
             phi[idx] = from_profiles(stripped, child_space.bottom)
     members = {j: set(indices) for j, indices in groups}
     for d, cols in zip(pool, columns):

@@ -95,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chartable", help="write the character table as CSV")
     p.add_argument("-n", type=integer, required=True)
     p.add_argument("-c", type=integer, required=True)
-    p.add_argument("--format", default="csv", choices=["csv"])
     p.add_argument("--out", default=None)
     p.add_argument("--verify", action="store_true", help="recompute every entry as a trace")
     p.add_argument("--cap", type=integer, default=None)

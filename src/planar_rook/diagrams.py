@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import re
 from functools import lru_cache
-from itertools import accumulate, combinations, combinations_with_replacement, repeat
+from itertools import combinations, combinations_with_replacement, repeat
 from operator import itemgetter, sub
 from typing import Iterable, Iterator, NamedTuple
 
@@ -398,12 +398,6 @@ def _packed_profiles(n: int, c: int, sizes: tuple[int, ...]) -> tuple[int, ...]:
         states = [(left ^ part, bits | part << (k - 1) * n if k else bits) for left, bits in states
                   for part in map(sum, combinations([1 << v for v in range(n) if left >> v & 1], sizes[k]))]
     return tuple(bits | left << (c - 1) * n if c else bits for left, bits in states)  # at c = 0 the last is part 0
-
-
-def sorted_profile(n: int, sizes: tuple[int, ...]) -> Profile:
-    """The canonical profile with consecutive blocks: part 0 first, then part 1, ..."""
-    ends = (0, *accumulate(sizes))
-    return Profile(n, len(sizes) - 1, tuple(tuple(range(a + 1, b + 1)) for a, b in zip(ends, ends[1:])))
 
 
 def _binomial_exceeds(a: int, b: int, cap: int) -> bool:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, wraps
+from itertools import accumulate
 from typing import Iterable, Iterator, Optional
 
 from .algebra import Rational, left_action_x
@@ -40,8 +41,6 @@ from .diagrams import (
     multinomial,
     profiles_with_sizes,
     require_shape,
-    sorted_profile,
-    top_profile,
     vertical_color_counts,
     vertical_diagram,
 )
@@ -110,8 +109,9 @@ class IrrepLabel:
         return multinomial(self.sizes)
 
     def representative(self) -> Profile:
-        """The canonical bottom profile of this class (consecutive blocks)."""
-        return sorted_profile(self.n, self.sizes)
+        """The canonical bottom profile of this class: consecutive blocks, part 0 first, then part 1, ..."""
+        ends = (0, *accumulate(self.sizes))
+        return Profile(self.n, self.c, tuple(tuple(range(a + 1, b + 1)) for a, b in zip(ends, ends[1:])))
 
     def children(self) -> tuple["IrrepLabel", ...]:
         """Restriction summands one level down: decrement each nonzero part."""
@@ -143,7 +143,7 @@ class ModuleSpace:
 
     Basis vector j is x_(S_j, T) for the j-th top profile S_j with T's part sizes, in ``profiles_with_sizes``
     order; ``tops[j]`` is S_j packed, read off T's sizes alone and shared by T's class (:func:`_class_record`).
-    The diagrams from_profiles(S_j, T) of ``basis`` are unpacked from ``tops`` on first use.
+    ``top_profiles[j]`` is S_j, unpacked from ``tops`` on first use, and ``basis[j]`` is from_profiles(S_j, T).
     """
 
     bottom: Profile
@@ -174,9 +174,12 @@ class ModuleSpace:
         return IrrepLabel(self.bottom.sizes)
 
     @cached_property
+    def top_profiles(self) -> tuple[Profile, ...]:
+        return tuple(_profiles_with_sizes(self.n, self.c, self.bottom.sizes, self.tops))
+
+    @cached_property
     def basis(self) -> tuple[Diagram, ...]:
-        tops = _profiles_with_sizes(self.n, self.c, self.bottom.sizes, self.tops)
-        return tuple(from_profiles(top, self.bottom) for top in tops)
+        return tuple(from_profiles(top, self.bottom) for top in self.top_profiles)
 
     def index_of(self, d: Diagram) -> int:
         return self._index[d]
@@ -305,8 +308,7 @@ def verify_irreducible(space: ModuleSpace) -> CheckResult:
     column, each transporter through its action on the one vector it must
     move.
     """
-    for a_idx, a in enumerate(space.basis):
-        ta = top_profile(a)
+    for a_idx, (a, ta) in enumerate(zip(space.basis, space.top_profiles)):
         projector = from_profiles(ta, ta)
         col = diagram_action(projector, space)
         expected = tuple(a_idx if j == a_idx else None for j in range(space.dimension))
@@ -315,8 +317,8 @@ def verify_irreducible(space: ModuleSpace) -> CheckResult:
             yield (
                 f"projector {format_diagram(projector)} is not the unit projection at {format_diagram(a)}"
             )
-        for b in space.basis:
-            transporter = from_profiles(top_profile(b), ta)
+        for b, tb in zip(space.basis, space.top_profiles):
+            transporter = from_profiles(tb, ta)
             yield 1
             if left_action_x(transporter, a) != b:
                 yield (

@@ -163,18 +163,39 @@ def test_numeric_options_take_ascii_digits_only(capsys):
     assert "-n" in err
 
 
-@pytest.mark.parametrize("script, argv", [
-    ("tower_figures.py", ["--colors", "\u0661", "--levels", "\u0662"]),
-    ("character_survey.py", ["--max-n", "\u0661", "--max-c", "1"]),
-])
-def test_script_options_take_ascii_digits_only(tmp_path, script, argv):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    outdir = tmp_path / "out"
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *argv, "--outdir", str(outdir)],
-                          env=env, capture_output=True, text=True)
-    assert proc.returncode == 2
-    assert argv[0] in proc.stderr
-    assert not outdir.exists()
+# The README's reproduction commands, and the sha256 of each file they write: the character tables for n <= 4 and
+# c <= 2, checked entry by entry as traces, and the c = 2 tower to level 4 in both exports.
+REPRODUCED = {
+    "characters_n0_c1.csv": "c82655e422f5b0725704ce554eeb3edaf6be646bb4a864a642bf078d62733ee9",
+    "characters_n1_c1.csv": "e03d3e3c1d8c986a96dc4b56f24e06d6ea253982b7c89ee5ad41e7e54f3f111b",
+    "characters_n2_c1.csv": "04781b0c5ac8ce80697dbbc37194344f958b878831f34a4e3096fbc24c8ef740",
+    "characters_n3_c1.csv": "60ccc9130557ecd81ea2d2aef1a52cbcbfb14b99c75d6ae1f87b310cb1fb6a86",
+    "characters_n4_c1.csv": "6c4e787fa17576e5790042ebb459165615373c161b61241ffb75b5a874373ca5",
+    "characters_n0_c2.csv": "911e190e9d8efd978b159658fd122e050b6a02f497875886f1d8918b814c9a07",
+    "characters_n1_c2.csv": "cda407ea6d03b99283b0642f32966f188f750941d08bf73dce3ce35dd35b9960",
+    "characters_n2_c2.csv": "1b1e01da6a203c4ccfe4a56b8ffc27b93c4302f244d17ae60e39a7cd2acadf11",
+    "characters_n3_c2.csv": "19310627e58b872954d26592f44258298d9fb627c5c2f80506483f606db721ff",
+    "characters_n4_c2.csv": "1e29da518dad74320c654a4149fb79981f8e89de14dafc832b6df83e9c5c6cd9",
+    "tower_c2_n4.dot": "e23289932ad015be43e74748c59fd576a3b2c00a966dbdeb16a719183435dd8b",
+    "tower_c2_n4.json": "09eee15acb3f390ddf4ea918732cfa6d8c70b220610620910742a39759a65bda",
+}
+
+
+def test_readme_reproduction_commands_write_the_pinned_files(capsys, monkeypatch, tmp_path):
+    monkeypatch.delenv("PLANAR_ROOK_CAP", raising=False)
+    runs = [f"chartable -n {n} -c {c} --verify --out characters_n{n}_c{c}.csv" for c in (1, 2) for n in range(5)]
+    runs += [f"bratteli -c 2 -n 4 --format {fmt} --out tower_c2_n4.{fmt}" for fmt in ("dot", "json")]
+    for argv in runs:
+        *options, path = argv.split()
+        assert run(capsys, *options, str(tmp_path / path)) == (0, "", "")
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}
+    assert written == REPRODUCED
+
+
+def test_chartable_has_no_format_option(capsys):
+    code, out, err = run(capsys, "chartable", "-n", "2", "-c", "1", "--format", "csv")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --format csv" in err
 
 
 @pytest.mark.parametrize("argv, option", [

@@ -607,6 +607,15 @@ def test_last_edge_and_profiles_match_their_definitions():
                 assert all(n in top_profile(space.basis[i]).parts[j] for i in indices)
 
 
+def test_module_references_read_the_top_profiles_off_the_module(profile_builds):
+    # Each basis diagram was built from its top profile, so neither reference reads a profile back from a diagram.
+    outcome = verify_irreducible(label_module(IrrepLabel((1, 1, 1))))
+    assert outcome.ok and outcome.checked == 42
+    outcome = check_restriction((3, 2))
+    assert outcome.ok and outcome.checked == 53
+    assert profile_builds == []
+
+
 def test_products_and_module_queries_leave_the_diagram_caches_empty(profile_builds):
     for a in pool(3, 2):
         for b in pool(3, 2):
