@@ -1,17 +1,17 @@
 """Exact linear combinations of planar diagrams.
 
 Elements are finite formal sums of planar diagrams with rational
-coefficients; the diagram product extends bilinearly.  Products, tensors and
-x-coordinates sum coefficients by edge tuple, testing every product term pair
-for planarity, and build one Diagram per nonzero term.  Only ``int`` and
-``Fraction`` inputs are accepted, so every identity the suite checks is
-bit-exact.  An integral coefficient is always stored as an ``int`` (a
-``Fraction`` with denominator 1 becomes its numerator) and any other as a
-``Fraction``.  Products and x-coordinates write each operand's coefficients
-as integer numerators over one common denominator, the lcm of its
-denominators, sum those numerators in ``int`` arithmetic and divide once per
-distinct nonzero term; the unit and the x-basis have ``int`` coefficients,
-so on integer elements the denominator is 1 and no ``Fraction`` is built.
+coefficients; the diagram product extends bilinearly.  Arithmetic keys its
+coefficients by edge tuple, and a product tests every term pair for
+planarity.  Only ``int`` and ``Fraction`` inputs are accepted, so every
+identity the suite checks is bit-exact.  An integral coefficient is always
+stored as an ``int`` and any other as a ``Fraction``.  Sums, scales, tensors,
+products and x-coordinates write each operand's coefficients as integer
+numerators over the lcm of its denominators, combine them in ``int``
+arithmetic and divide once per distinct nonzero term, in ``_from_numerators``;
+each result builds and hashes one Diagram per distinct nonzero term.  The
+unit (coefficients (1 - c)^j), the x-basis (±1) and negation already have
+storage-form coefficients and build their terms directly.
 
 The alternating-sum basis ``x_d = sum over subdiagrams d' of d of
 (-1)^(size d - size d') d'`` turns left and right multiplication by a
@@ -82,17 +82,16 @@ class AlgebraElement:
         object.__setattr__(self, "terms", clean)
 
     @classmethod
-    def _trusted(cls, n: int, c: int, terms: Mapping[Diagram, Rational]) -> "AlgebraElement":
-        """Skip validation: only for int or Fraction terms on planar (n, c) diagrams.
+    def _trusted(cls, n: int, c: int, terms: dict[Diagram, Rational]) -> "AlgebraElement":
+        """Skip validation: only for planar (n, c) diagrams whose terms are already in storage form.
 
-        Drops the zeros and stores an integral ``Fraction`` as its ``int``, so
-        every arithmetic result keeps the storage rule of the constructor.
+        Every coefficient must be nonzero, an integral one an ``int`` and any
+        other a ``Fraction``; the dict is kept as it is, not rebuilt.
         """
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "c", c)
-        object.__setattr__(g, "terms", {d: q if type(q) is int or q.denominator != 1 else q.numerator
-                                        for d, q in terms.items() if q})
+        object.__setattr__(g, "terms", terms)
         return g
 
     # -- structure ---------------------------------------------------------
@@ -117,10 +116,14 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._require_compatible(other)
-        terms = dict(self.terms)
-        for d, q in other.terms.items():
-            terms[d] = terms.get(d, 0) + q
-        return AlgebraElement._trusted(self.n, self.c, terms)
+        den1, left = _numerators(self.terms)
+        den2, right = _numerators(other.terms)
+        den = lcm(den1, den2)
+        s1, s2 = den // den1, den // den2
+        sums = {d.edges: p * s1 for d, p in left}
+        for d, p in right:
+            sums[d.edges] = sums.get(d.edges, 0) + p * s2
+        return _from_numerators(self.n, self.c, sums, den)
 
     def __neg__(self) -> "AlgebraElement":
         return AlgebraElement._trusted(self.n, self.c, {d: -q for d, q in self.terms.items()})
@@ -129,8 +132,9 @@ class AlgebraElement:
         return self + (-other)
 
     def scale(self, scalar: Rational) -> "AlgebraElement":
-        q = _coeff(scalar)
-        return AlgebraElement._trusted(self.n, self.c, {d: q * v for d, v in self.terms.items()})
+        q = _coeff(scalar)  # an int is its own numerator over 1
+        den, numerators = _numerators(self.terms)
+        return _from_numerators(self.n, self.c, {d.edges: q.numerator * p for d, p in numerators}, den * q.denominator)
 
     def __rmul__(self, scalar: Rational) -> "AlgebraElement":
         return self.scale(scalar)
@@ -154,11 +158,12 @@ class AlgebraElement:
     def tensor(self, other: "AlgebraElement") -> "AlgebraElement":
         if self.c != other.c:
             raise MismatchError(f"color counts differ: {self.c} vs {other.c}")
+        den1, left = _numerators(self.terms)
+        den2, right = _numerators(other.terms)
         blank = Diagram._trusted(self.n, self.c, ())  # blank @ d2 is d2 shifted right, the tensor rule stated once
-        rights = [(tensor(blank, d2).edges, q2) for d2, q2 in other.terms.items()]
-        n, c = self.n + other.n, self.c  # each pair gives a distinct product, its coefficient nonzero
-        terms = {Diagram._trusted(n, c, d1.edges + e2): q1 * q2 for d1, q1 in self.terms.items() for e2, q2 in rights}
-        return AlgebraElement._trusted(n, c, terms)
+        rights = [(tensor(blank, d2).edges, p2) for d2, p2 in right]
+        sums = {d1.edges + e2: p1 * p2 for d1, p1 in left for e2, p2 in rights}  # each pair a distinct product
+        return _from_numerators(self.n + other.n, self.c, sums, den1 * den2)
 
     def __str__(self) -> str:
         return format_element(self)
@@ -173,9 +178,12 @@ def _numerators(terms: Mapping[Diagram, Rational]) -> tuple[int, Iterable[tuple[
 
 
 def _from_numerators(n: int, c: int, sums: Mapping[tuple[Edge, ...], int], den: int) -> AlgebraElement:
-    """The element with coefficient p / den on each edge tuple's diagram, built once per nonzero numerator p."""
-    return AlgebraElement._trusted(
-        n, c, {Diagram._trusted(n, c, e): p if den == 1 else Fraction(p, den) for e, p in sums.items() if p})
+    """The element with coefficient p / den on each edge tuple's diagram, built once per nonzero numerator p.
+
+    The one normalisation of a result coefficient: an integral quotient is stored as its ``int``.
+    """
+    return AlgebraElement._trusted(n, c, {Diagram._trusted(n, c, e): p // den if p % den == 0 else Fraction(p, den)
+                                          for e, p in sums.items() if p})
 
 
 def zero(n: int, c: int) -> AlgebraElement:

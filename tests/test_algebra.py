@@ -228,25 +228,26 @@ def _agrees(result, sums) -> bool:
     return result == exact and all(type(q) is (int if q.denominator == 1 else Fraction) for q in result.values())
 
 
+def _random_element(rng, n, c, dens):
+    """1-5 random terms over the given denominators, plus a scaled x-basis element 3 times in 10."""
+    diagrams = pool(n, c)
+    terms = {}
+    for d in rng.sample(diagrams, rng.randint(1, 5)):
+        den = rng.choice(dens)
+        terms[d] = rng.randint(-6, 6) if den == 1 else Fraction(rng.randint(-6, 6), den)
+    g = AlgebraElement(n, c, terms)
+    if rng.random() < 0.3:  # an x-basis element: its products and x-coordinates cancel terms
+        g += x_of(rng.choice(diagrams)).scale(Fraction(rng.randint(1, 4), rng.choice(dens)))
+    return g
+
+
 def test_products_and_x_coordinates_match_fraction_sums():
     rng = random.Random(27)
     seen = {"int": 0, "fraction": 0, "integral": 0, "cancelled": 0}
     for n, c in [(3, 2), (4, 3)]:
-        diagrams = pool(n, c)
-
-        def element(dens):
-            terms = {}
-            for d in rng.sample(diagrams, rng.randint(1, 5)):
-                den = rng.choice(dens)
-                terms[d] = rng.randint(-6, 6) if den == 1 else Fraction(rng.randint(-6, 6), den)
-            g = AlgebraElement(n, c, terms)
-            if rng.random() < 0.3:  # an x-basis element: its products and x-coordinates cancel terms
-                g += x_of(rng.choice(diagrams)).scale(Fraction(rng.randint(1, 4), rng.choice(dens)))
-            return g
-
         for _ in range(30):
             dens = [1] if rng.random() < 0.25 else [1, 2, 3, 7, 11, 13]
-            a, b = element(dens), element(dens)
+            a, b = _random_element(rng, n, c, dens), _random_element(rng, n, c, dens)
             if rng.random() < 0.3:  # clear a's and b's denominators on b's side: the product is integral
                 b = b.scale((2 * 3 * 7 * 11 * 13) ** 2)
             sums = _product_by_pairs(a, b)
@@ -257,6 +258,29 @@ def test_products_and_x_coordinates_match_fraction_sums():
             seen["integral"] += Fraction in kinds and (a * b).terms != {} and _ints((a * b).terms.values())
             seen["cancelled"] += any(q == 0 for q in sums.values())
     assert min(seen.values()) > 0, seen
+
+
+def _beside(d1, d2):
+    """d2 to the right of d1, through the validating constructor."""
+    shifted = [(t + d1.n, b + d1.n, k) for t, b, k in d2.edges]
+    return Diagram(d1.n + d2.n, d1.c, [*d1.edges, *shifted])
+
+
+def test_sums_scales_and_tensors_match_fraction_arithmetic():
+    rng = random.Random(29)
+    for n, c in [(2, 2), (3, 2)]:
+        for _ in range(40):
+            dens = [1] if rng.random() < 0.25 else [1, 2, 3, 7, 11]
+            a, b = _random_element(rng, n, c, dens), _random_element(rng, n, c, dens)
+            if rng.random() < 0.3:  # b = ±a + b/2 or ±a: a + b or a - b cancels every term of a
+                b = a.scale(rng.choice([1, -1])) + b.scale(rng.choice([Fraction(1, 2), 0]))
+            q = Fraction(rng.randint(-6, 6), rng.choice(dens))
+            sums = {d: Fraction(a.coefficient(d)) + Fraction(b.coefficient(d)) for d in {*a.terms, *b.terms}}
+            assert _agrees((a + b).terms, sums)
+            assert _agrees((a - b).terms, {d: 2 * Fraction(a.coefficient(d)) - s for d, s in sums.items()})
+            assert _agrees(a.scale(q).terms, {d: q * v for d, v in a.terms.items()})
+            assert _agrees(a.tensor(b).terms, {_beside(d1, d2): Fraction(q1) * q2
+                                               for d1, q1 in a.terms.items() for d2, q2 in b.terms.items()})
 
 
 def test_x_of_empty_and_single_edge():
@@ -397,6 +421,8 @@ def _assert_canonical(g1, g2, q):
         assert r == AlgebraElement(r.n, r.c, dict(r.terms))
     for r, terms in [(r, r.terms) for r in results] + [(g, to_x_coordinates(g)) for g in (g1, g1 * g2)]:
         assert all(terms.values())
+        # == cannot tell Fraction(1) from 1: the storage rule is a rule on types.
+        assert all(type(q) is (int if q.denominator == 1 else Fraction) for q in terms.values())
         assert all(key == Diagram(r.n, r.c, key.edges) for key in terms)
 
 
@@ -410,6 +436,34 @@ def test_engine_built_elements_are_canonical_at_4_3():
     rng = random.Random(16)
     g1, g2 = (AlgebraElement(4, 3, {rng.choice(pool(4, 3)): rng.randint(-3, 3) for _ in range(8)}) for _ in "gh")
     _assert_canonical(g1, g2, Fraction(2, 3))
+
+
+def test_integral_results_hold_ints_on_every_kernel_path():
+    d = Diagram(2, 3, [(1, 2, 2)])
+    half, two = from_diagram(d, Fraction(1, 2)), from_diagram(d, 2)
+    isolated = embed(half).terms[Diagram(3, 3, [(1, 2, 2)])]  # the unit's isolated column has 1 - c = -2
+    assert isolated == -1 and type(isolated) is int
+    square = Diagram(4, 3, [(1, 2, 2), (3, 4, 2)])
+    for g in (half.tensor(two), two.tensor(half)):
+        assert g.terms == {square: 1} and _ints(g.terms.values())
+    for g in (-(half.scale(-2)), half - half.scale(-1)):
+        assert g.terms == {d: 1} and _ints(g.terms.values())
+
+
+def test_each_build_hashes_each_result_diagram_once(monkeypatch):
+    d = Diagram(4, 3, [(1, 1, 1), (2, 3, 2), (3, 4, 1)])
+    g = from_diagram(Diagram(4, 3, [(1, 1, 1), (2, 3, 2), (3, 4, 1), (4, 2, 3)]))
+    unit, x = identity(4, 3), x_of(d)
+    hashed = []
+    monkeypatch.setattr(Diagram, "__hash__", lambda self: hashed.append(self.edges) or tuple.__hash__(self))
+    builds = [(lambda: identity(4, 3), 256), (lambda: x_of(d), 8), (lambda: unit * g, 1), (lambda: g * unit, 1),
+              (lambda: to_x_coordinates(x), 1), (lambda: x + x, 8), (lambda: x.scale(Fraction(1, 3)), 8)]
+    for build, count in builds:
+        hashed.clear()
+        result = build()
+        terms = result if isinstance(result, dict) else result.terms
+        assert len(hashed) == count  # read before any test-side lookup hashes a key again
+        assert sorted(hashed) == sorted(key.edges for key in terms)
 
 
 def test_products_and_x_coordinates_build_one_diagram_per_nonzero_term(monkeypatch):
