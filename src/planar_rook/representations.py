@@ -110,8 +110,8 @@ class IrrepLabel:
 
     def representative(self) -> Profile:
         """The canonical bottom profile of this class: consecutive blocks, part 0 first, then part 1, ..."""
-        ends = (0, *accumulate(self.sizes))
-        return Profile(self.n, self.c, tuple(tuple(range(a + 1, b + 1)) for a, b in zip(ends, ends[1:])))
+        ends = (0, *accumulate(self.sizes))  # c + 1 sorted blocks that partition 1..n: no validation needed
+        return Profile._trusted(self.n, self.c, tuple(tuple(range(a + 1, b + 1)) for a, b in zip(ends, ends[1:])))
 
     def children(self) -> tuple["IrrepLabel", ...]:
         """Restriction summands one level down: decrement each nonzero part."""
@@ -154,7 +154,7 @@ class ModuleSpace:
         if not isinstance(self.bottom, Profile):
             raise TypeError(f"a module is built from a bottom Profile, not {self.bottom!r}")
         require_shape(self.n, self.c)  # a Profile may have c = 0, a module may not
-        tops, slot, _ = _class_record(self.n, self.c, self.bottom.sizes)
+        tops, slot, _, _ = _class_record(self.n, self.c, self.bottom.sizes)
         object.__setattr__(self, "tops", tops)
         object.__setattr__(self, "_slot", slot)
 
@@ -190,17 +190,25 @@ class ModuleSpace:
 
 
 @lru_cache(maxsize=512)  # holds the 345 classes of n 5-7, c 2-3 at once; memory grows with classes seen, to 512
-def _class_record(n: int, c: int, sizes: tuple[int, ...]) -> tuple[tuple[int, ...], dict[int, int], tuple]:
-    """A module class's packed data, built once: its tops, the slot of each top, and its restriction groups."""
+def _class_record(n: int, c: int, sizes: tuple[int, ...]) -> tuple[tuple[int, ...], dict[int, int], tuple, tuple]:
+    """A module class's fixed facts, built and checked once: its tops, the slot of each top, and its restriction.
+
+    The restriction is the groups of basis indices by the part holding top vertex n, part index ascending, and
+    the child class of each group, whose dimension must be the group's size; at n = 0 there are neither.
+    """
     tops = _packed_profiles(n, c, sizes)
     if len(tops) != multinomial(sizes):
         raise AssertionError("a module basis has multinomially many vectors")
     part_of = {_bit(n, n, k): k for k in range(1, c + 1) if n}  # the bit of vertex n in part k; none at n = 0
     last, part_of[0] = sum(part_of), 0
-    groups: dict[int, list[int]] = {}
-    for idx, top in enumerate(tops):
-        groups.setdefault(part_of[top & last], []).append(idx)
-    return tops, {top: j for j, top in enumerate(tops)}, tuple((j, tuple(g)) for j, g in sorted(groups.items()))
+    grouped: dict[int, list[int]] = {}
+    for idx, top in enumerate(tops if n else ()):
+        grouped.setdefault(part_of[top & last], []).append(idx)
+    groups = tuple((j, tuple(g)) for j, g in sorted(grouped.items()))
+    children = tuple(IrrepLabel(sizes).child(j) for j, _ in groups)
+    if any(len(g) != child.dimension() for (_, g), child in zip(groups, children)):
+        raise AssertionError("a restriction group must span its child class")
+    return tops, {top: j for j, top in enumerate(tops)}, groups, children
 
 
 def module_space(n: int, c: int, bottom: Profile) -> ModuleSpace:
@@ -229,10 +237,18 @@ def diagram_action(d: Diagram, space: ModuleSpace) -> tuple[Optional[int], ...]:
 
     Column j is None unless, color by color, the top profile S_j lies inside
     d's bottom ends; then d * x_(S_j, T) is x_(S', T), with S' the vertices
-    that d's edges carry S_j up to.  The bottom profile T is never read.
+    that d's edges carry S_j up to.  Of T only its part sizes n_k are read:
+    if d has fewer color-k edges than n_k for some k, every column is None,
+    and otherwise choosing n_k color-k bottom ends per color gives a column
+    that is not, so only then are the tops scanned.
     """
     _require_acting(d, space)
-    up = {_bit(d.n, b, k): _bit(d.n, t, k) for t, b, k in d.edges}  # d's bottom ends, each to its top end
+    n, up, counts = d.n, {}, [d.n] + [0] * d.c  # counts[k]: d's color-k edges; n never falls short of part 0
+    for t, b, k in d.edges:  # d's bottom ends, each to its top end, packed as by _bit
+        up[1 << (k - 1) * n + b - 1] = 1 << (k - 1) * n + t - 1
+        counts[k] += 1
+    if any(map(int.__lt__, counts, map(len, space.bottom.parts))):
+        return (None,) * space.dimension
     outside, slot = ~sum(up), space._slot
 
     def image_slot(top: int) -> int:
@@ -286,7 +302,8 @@ def action_trace(d: Diagram, space: ModuleSpace) -> int:
     built.  Shape and planarity are refused as in :func:`diagram_action`.
     """
     _require_acting(d, space)
-    vertical = sum(_bit(d.n, t, k) for t, b, k in d.edges if t == b)
+    n = d.n
+    vertical = sum(1 << (k - 1) * n + t - 1 for t, b, k in d.edges if t == b)  # packed as by _bit
     return sum(1 for top in space.tops if top & vertical == top)
 
 
@@ -453,18 +470,14 @@ def restriction_groups(space: ModuleSpace) -> list[tuple[int, list[int]]]:
 
 
 def restriction_decomposition(space: ModuleSpace) -> list[IrrepLabel]:
-    """Restriction summands, computed from the basis grouping.
+    """Restriction summands, read off the class record's basis grouping.
 
     Grouping the basis by the part holding the last top vertex realizes the
     direct-sum decomposition under the embedded smaller algebra; the group
-    for part j contributes the label with its j-th size decremented.
-    Group sizes are checked against the multinomial recursion.
+    for part j contributes the label with its j-th size decremented.  The
+    record checked each group's size against the multinomial recursion when
+    it was built.
     """
-    label = space.label()
-    out = []
-    for j, indices in restriction_groups(space):
-        child = label.child(j)
-        if len(indices) != child.dimension():
-            raise AssertionError("a restriction group must span its child class")
-        out.append(child)
-    return out
+    if space.n < 1:
+        raise ValueError("restriction needs n >= 1")
+    return list(_class_record(space.n, space.c, space.bottom.sizes)[3])

@@ -282,6 +282,31 @@ def test_diagram_action_matches_the_diagram_level_action():
         assert diagram_action(d, spaces[sizes]) == _action_by_definition(d, spaces[sizes])
 
 
+def test_diagram_action_is_zero_exactly_when_a_color_has_too_few_edges():
+    # Both sides of the rule: all None when d has fewer color-k edges than n_k for some k, some column otherwise.
+    outcomes = Counter()
+    for n, c in [(n, c) for n in range(5) for c in (1, 2)] + [(3, 3)]:
+        spaces = [label_module(label) for label in all_labels(n, c)]
+        for d in pool(n, c):
+            edges = Counter(k for _, _, k in d.edges)
+            for space in spaces:
+                short = any(edges[k] < len(space.bottom.parts[k]) for k in range(1, c + 1))
+                zero = set(diagram_action(d, space)) == {None}
+                assert zero == short, (format_diagram(d), space.bottom.sizes)
+                outcomes[zero] += 1
+    assert outcomes[True] > 0 and outcomes[False] > 0
+
+
+def test_the_representative_is_the_validated_profile():
+    for n in range(7):
+        for c in (1, 2, 3):
+            for label in all_labels(n, c):
+                colors = [k for k, size in enumerate(label.sizes) for _ in range(size)]
+                parts = [tuple(v for v in range(1, n + 1) if colors[v - 1] == k) for k in range(c + 1)]
+                representative = label.representative()
+                assert type(representative) is Profile and representative == Profile(n, c, parts)
+
+
 def test_module_tops_follow_the_profile_order():
     for c in (1, 2, 3):
         for n in range(7):
@@ -360,6 +385,15 @@ def test_callers_cannot_corrupt_the_class_memo(class_memo):
     assert restriction_groups(space) == expected
     groups.clear()
     assert restriction_groups(label_module(IrrepLabel((1, 1, 1)))) == expected
+    children = [IrrepLabel((0, 1, 1)), IrrepLabel((1, 0, 1)), IrrepLabel((1, 1, 0))]
+    summands = restriction_decomposition(space)
+    assert summands == children
+    summands.append(IrrepLabel((2, 0, 0)))
+    summands.reverse()
+    assert restriction_decomposition(space) == children
+    summands.clear()
+    assert restriction_decomposition(label_module(IrrepLabel((1, 1, 1)))) == children
+    assert class_memo(3, 2, (1, 1, 1))[3] == tuple(children)
 
 
 def test_the_basis_count_is_checked_when_a_class_is_filled(class_memo, monkeypatch):
@@ -370,6 +404,15 @@ def test_the_basis_count_is_checked_when_a_class_is_filled(class_memo, monkeypat
     assert class_memo.cache_info().currsize == 0
 
 
+def test_the_restriction_groups_are_checked_when_a_class_is_filled(class_memo, monkeypatch):
+    # Every color's bit of vertex n read as its color-1 bit: the basis count holds, but vertex n is grouped wrong.
+    real = representations._bit
+    monkeypatch.setattr(representations, "_bit", lambda n, v, k: real(n, v, 1))
+    with pytest.raises(AssertionError, match=r"^a restriction group must span its child class$"):
+        label_module(IrrepLabel((1, 1, 2)))
+    assert class_memo.cache_info().currsize == 0
+
+
 def test_refusals_leave_the_class_memo_untouched(class_memo):
     space = module_space(0, 1, Profile(0, 1, ((), ())))
     filled = class_memo.cache_info()
@@ -377,8 +420,9 @@ def test_refusals_leave_the_class_memo_untouched(class_memo):
         ModuleSpace((2, 1))
     with pytest.raises(ValueError, match="c must be a positive int"):
         ModuleSpace(Profile(2, 0, ((1, 2),)))
-    with pytest.raises(ValueError, match="restriction needs n >= 1"):
-        restriction_groups(space)
+    for restriction in (restriction_groups, restriction_decomposition):
+        with pytest.raises(ValueError, match="restriction needs n >= 1"):
+            restriction(space)
     assert class_memo.cache_info() == filled
 
 
