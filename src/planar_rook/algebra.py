@@ -71,6 +71,8 @@ class AlgebraElement:
         require_shape(self.n, self.c)
         clean = {}
         for d, coeff in self.terms.items():
+            if not isinstance(d, Diagram):  # a plain (n, c, edges) tuple equals its Diagram, but is not one
+                raise TypeError(f"a term must be a Diagram, not {d!r}")
             q = _coeff(coeff)
             if q == 0:
                 continue
@@ -191,7 +193,7 @@ def zero(n: int, c: int) -> AlgebraElement:
 
 
 def from_diagram(d: Diagram, coeff: Rational = 1) -> AlgebraElement:
-    return AlgebraElement(d.n, d.c, {d: _coeff(coeff)})
+    return AlgebraElement(d.n, d.c, {d: coeff})
 
 
 def unit_diagram(c: int, color: int) -> Diagram:

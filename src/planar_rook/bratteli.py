@@ -67,7 +67,7 @@ def require_tower_cap(c: int, n_max: int, cap: int) -> None:
 
 def vertex_count(n: int, c: int) -> int:
     """Number of level-n vertices: compositions of n into c+1 parts."""
-    if n < 0 or c < 0:
+    if any(type(v) is not int or v < 0 for v in (n, c)):  # bools and floats too
         raise ValueError("need n >= 0 and c >= 0")
     return math.comb(n + c, n)
 
@@ -78,7 +78,7 @@ def adjacency_count(n: int, c: int, x: int) -> int:
     A vertex has x children iff x of its parts are nonzero: choose the
     nonzero positions, then a positive composition of n into x parts.
     """
-    if n < 1 or x < 1:
+    if any(type(v) is not int for v in (n, c, x)) or n < 1 or x < 1:  # bools and floats too
         raise ValueError("need n >= 1 and x >= 1")
     return math.comb(c + 1, x) * math.comb(n - 1, x - 1)
 

@@ -378,24 +378,23 @@ def check_rho_homomorphism(scope: Scope) -> CheckResult:
     for n, c in _shapes(scope):
         actions = _actions(n, c)
         unit = algebra.identity(n, c)
-        for sizes, (space, maps) in actions.items():
+        for space, maps in actions.values():
             columns = weighted_columns(((q, maps[d]) for d, q in unit.terms.items()), space.dimension)
-            for profile in profiles_with_sizes(n, c, sizes):  # the class's columns, counted for each bottom profile
+            for profile in space.top_profiles:  # the class's bottom profiles: its columns, counted for each
                 yield 1
                 if columns != [{j: 1} for j in range(space.dimension)]:
                     yield f"unit does not act as identity on bottom {profile.parts}"
         pool = _all_planar(n, c)
         index = {d: i for i, d in enumerate(pool)}
         triples = [(index[d1], index[d2], index[d12]) for (d1, d2), d12 in _products(n, c).items()]
-        for label in all_labels(n, c):
-            by_diagram = actions[label.sizes][1]
+        for space, by_diagram in actions.values():  # one per class, in label order
             maps = [by_diagram[d] for d in pool]
             yield len(triples)
             for i, j, k in triples:
                 if compose_column_maps(maps[i], maps[j]) != maps[k]:
                     yield (
                         f"action of product differs from composed actions: "
-                        f"{format_diagram(pool[i])}, {format_diagram(pool[j])} on {label.encode()}"
+                        f"{format_diagram(pool[i])}, {format_diagram(pool[j])} on {space.label().encode()}"
                     )
 
 
@@ -617,10 +616,10 @@ def check_restriction(scope: Scope) -> CheckResult:
             continue
         pool = _all_planar(n - 1, c)
         embedded = [algebra.embed(algebra.from_diagram(d)).terms for d in pool]
-        for sizes, (space, maps) in _actions(n, c).items():  # label order, so profiles in all_bottom_profiles order
+        for space, maps in _actions(n, c).values():  # label order, so profiles in all_bottom_profiles order
             columns = [weighted_columns(((q, maps[e]) for e, q in g.items()), space.dimension) for g in embedded]
             first = next(_restriction_witnesses(space, pool, columns), None)
-            for profile in profiles_with_sizes(n, c, sizes):  # T enters only through the profile round trip
+            for profile in space.top_profiles:  # the class's bottom profiles; T enters only through the round trip
                 yield 1
                 if first is not None:
                     yield f"bottom {profile.parts}: {[first]}"

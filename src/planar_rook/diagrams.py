@@ -170,8 +170,7 @@ class Profile(_Record, _ProfileFields):
     __slots__ = ()
 
     def __new__(cls, n: int, c: int, parts: Iterable[Iterable[int]]) -> "Profile":
-        if type(n) is not int or type(c) is not int:
-            raise ValueError(f"n and c must be ints, got {n!r} and {c!r}")
+        _require_counts(n, c)
         parts = tuple(tuple(sorted(p)) for p in parts)
         if len(parts) != c + 1:
             raise ValueError(f"expected {c + 1} parts, got {len(parts)}")
@@ -322,8 +321,7 @@ def from_profiles(top: Profile, bottom: Profile) -> Diagram:
     """
     if top.n != bottom.n or top.c != bottom.c:
         raise MismatchError("profiles have different (n, c)")
-    if top.c < 1:  # a Profile allows c = 0, a Diagram does not
-        raise InvalidDiagramError("color-range", f"c must be a positive int, got {top.c!r}")
+    require_shape(top.n, top.c)  # a Profile allows c = 0, a Diagram does not
     edges: list[Edge] = []
     for k in range(1, top.c + 1):
         tops, bottoms = top.parts[k], bottom.parts[k]

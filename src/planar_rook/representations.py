@@ -93,9 +93,9 @@ class IrrepLabel:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "sizes", tuple(self.sizes))
         if len(self.sizes) < 2 or any(type(s) is not int or s < 0 for s in self.sizes):
             raise ValueError(f"invalid composition {self.sizes}")
-        object.__setattr__(self, "sizes", tuple(self.sizes))
 
     @property
     def n(self) -> int:
@@ -118,15 +118,10 @@ class IrrepLabel:
         return tuple(self.child(j) for j, s in enumerate(self.sizes) if s > 0)
 
     def child(self, j: int) -> "IrrepLabel":
-        """The class one level down with part j decremented; only that part is checked."""
+        """The class one level down with part j decremented; the constructor refuses a part that falls below 0."""
         if type(j) is not int or not 0 <= j < len(self.sizes):
             raise ValueError(f"no part {j!r} in composition {self.sizes}")
-        reduced = self.sizes[:j] + (self.sizes[j] - 1,) + self.sizes[j + 1:]
-        if not self.sizes[j]:
-            raise ValueError(f"invalid composition {reduced}")
-        child = object.__new__(IrrepLabel)  # every other part is already a checked int >= 0
-        object.__setattr__(child, "sizes", reduced)
-        return child
+        return IrrepLabel(self.sizes[:j] + (self.sizes[j] - 1,) + self.sizes[j + 1:])
 
     def encode(self) -> str:
         return "|".join(str(s) for s in self.sizes)

@@ -3,8 +3,10 @@ import hashlib
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -28,6 +30,18 @@ def test_count(capsys):
     code, out, _ = run(capsys, "count", "-n", "2", "-c", "1")
     assert code == 0
     assert out.strip() == "6"
+
+
+@pytest.mark.parametrize("module", ["planar_rook", "planar_rook.cli"])
+def test_module_entry_points_run_main(capsys, monkeypatch, module):
+    # In-process, not a subprocess, so that a line tracer over the suite sees the entry statements run.
+    monkeypatch.setattr(sys, "argv", [module, "count", "-n", "2", "-c", "1"])
+    with warnings.catch_warnings():  # runpy warns that planar_rook.cli is already imported
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_module(module, run_name="__main__")
+    assert exited.value.code == 0
+    assert capsys.readouterr().out == "6\n"
 
 
 def test_count_width_zero(capsys):

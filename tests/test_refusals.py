@@ -13,6 +13,7 @@ from planar_rook.diagrams import (
     NonPlanarError,
     Profile,
     from_matrix,
+    from_profiles,
     vertical_diagram,
 )
 from planar_rook.representations import IrrepLabel, are_isomorphic, character, label_module, module_space
@@ -32,6 +33,8 @@ BLANK = Diagram(2, 1, ())
                  MismatchError, "modules live over different monoids", id="are-isomorphic-monoids"),
     pytest.param(lambda: AlgebraElement(3, 1, {BLANK: Fraction(1)}), MismatchError,
                  "term n=2 c=1 [] does not live in (n=3, c=1)", id="element-term-shape"),
+    pytest.param(lambda: AlgebraElement(2, 1, {(2, 1, ()): 1}), TypeError,
+                 "a term must be a Diagram, not (2, 1, ())", id="element-term-type"),
     pytest.param(lambda: from_diagram(BLANK).tensor(from_diagram(Diagram(1, 2, ()))), MismatchError,
                  "color counts differ: 1 vs 2", id="tensor-colors"),
     pytest.param(lambda: left_action_x(Diagram(3, 1, ()), BLANK), MismatchError,
@@ -45,6 +48,10 @@ BLANK = Diagram(2, 1, ())
     pytest.param(lambda: vertical_diagram(2, (2, 1)), ValueError,
                  "3 vertical edges do not fit in n=2", id="vertical-diagram-overfull"),
     pytest.param(lambda: Profile(2, 1, ((1, 2),)), ValueError, "expected 2 parts, got 1", id="profile-parts"),
+    pytest.param(lambda: Profile(0, -1, ()), ValueError, "expected a non-negative int, got -1", id="profile-c"),
+    pytest.param(lambda: Profile(-1, 0, ((),)), ValueError, "expected a non-negative int, got -1", id="profile-n"),
+    pytest.param(lambda: from_profiles(Profile(1, 1, ((1,), ())), Profile(1, 2, ((1,), (), ()))), MismatchError,
+                 "profiles have different (n, c)", id="from-profiles-shape"),
     pytest.param(lambda: from_matrix(1, [[0, 1], [0]]), ValueError, "matrix must be square", id="from-matrix-square"),
     pytest.param(lambda: bratteli.vertex_count(-1, 2), ValueError, "need n >= 0 and c >= 0", id="vertex-count-n"),
     pytest.param(lambda: bratteli.vertex_count(2, -1), ValueError, "need n >= 0 and c >= 0", id="vertex-count-c"),
@@ -52,6 +59,26 @@ BLANK = Diagram(2, 1, ())
                  id="adjacency-count-n"),
     pytest.param(lambda: bratteli.adjacency_count(2, 2, 0), ValueError, "need n >= 1 and x >= 1",
                  id="adjacency-count-x"),
+    pytest.param(lambda: bratteli.vertex_count(True, 1), ValueError, "need n >= 0 and c >= 0",
+                 id="vertex-count-bool-n"),
+    pytest.param(lambda: bratteli.vertex_count(2.0, 1), ValueError, "need n >= 0 and c >= 0",
+                 id="vertex-count-float-n"),
+    pytest.param(lambda: bratteli.vertex_count(2, True), ValueError, "need n >= 0 and c >= 0",
+                 id="vertex-count-bool-c"),
+    pytest.param(lambda: bratteli.vertex_count(2, 1.0), ValueError, "need n >= 0 and c >= 0",
+                 id="vertex-count-float-c"),
+    pytest.param(lambda: bratteli.adjacency_count(True, 1, 1), ValueError, "need n >= 1 and x >= 1",
+                 id="adjacency-count-bool-n"),
+    pytest.param(lambda: bratteli.adjacency_count(2.0, 1, 1), ValueError, "need n >= 1 and x >= 1",
+                 id="adjacency-count-float-n"),
+    pytest.param(lambda: bratteli.adjacency_count(2, True, 1), ValueError, "need n >= 1 and x >= 1",
+                 id="adjacency-count-bool-c"),
+    pytest.param(lambda: bratteli.adjacency_count(2, 1.0, 1), ValueError, "need n >= 1 and x >= 1",
+                 id="adjacency-count-float-c"),
+    pytest.param(lambda: bratteli.adjacency_count(2, 1, True), ValueError, "need n >= 1 and x >= 1",
+                 id="adjacency-count-bool-x"),
+    pytest.param(lambda: bratteli.adjacency_count(2, 1, 1.0), ValueError, "need n >= 1 and x >= 1",
+                 id="adjacency-count-float-x"),
 ])
 def test_a_bad_argument_is_refused_with_its_message(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$") as refused:

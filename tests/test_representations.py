@@ -68,6 +68,11 @@ def test_label_basics():
     assert [child.sizes for child in label.children()] == [(0, 2, 0), (1, 1, 0)]
 
 
+def test_label_takes_any_iterable_of_sizes():
+    assert IrrepLabel(iter((1, 1))) == IrrepLabel((1, 1))
+    assert type(IrrepLabel([2, 0]).sizes) is tuple
+
+
 def test_label_rejects_non_int_sizes():
     for sizes in ((1.5, 1), (True, 1), (1, 1.0)):
         with pytest.raises(ValueError):
@@ -79,7 +84,7 @@ def test_label_child_decrements_one_part():
     assert IrrepLabel((2, 0, 1)).children() == (IrrepLabel((1, 0, 1)), IrrepLabel((2, 0, 0)))
 
 
-def test_label_child_checks_only_the_decremented_part():
+def test_label_child_refuses_a_missing_or_empty_part():
     label = IrrepLabel((2, 0, 1))
     with pytest.raises(ValueError, match=r"^invalid composition \(2, -1, 1\)$"):
         label.child(1)
