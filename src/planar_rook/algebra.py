@@ -5,13 +5,14 @@ coefficients; the diagram product extends bilinearly.  Arithmetic keys its
 coefficients by edge tuple, and a product tests every term pair for
 planarity.  Only ``int`` and ``Fraction`` inputs are accepted, so every
 identity the suite checks is bit-exact.  An integral coefficient is always
-stored as an ``int`` and any other as a ``Fraction``.  Sums, scales, tensors,
-products and x-coordinates write each operand's coefficients as integer
-numerators over the lcm of its denominators, combine them in ``int``
-arithmetic and divide once per distinct nonzero term, in ``_from_numerators``;
-each result builds and hashes one Diagram per distinct nonzero term.  The
-unit (coefficients (1 - c)^j), the x-basis (±1) and negation already have
-storage-form coefficients and build their terms directly.
+stored as an ``int`` and any other as a ``Fraction``.  Sums, scales,
+tensors, embeddings, products and x-coordinates write each operand's
+coefficients as integer numerators over the lcm of its denominators, combine
+them in ``int`` arithmetic and divide once per distinct nonzero term, in
+``_from_numerators``; each result builds and hashes one Diagram per distinct
+nonzero term.  The unit (coefficients (1 - c)^j), the x-basis (±1) and
+negation already have storage-form coefficients and build their terms
+directly.
 
 The alternating-sum basis ``x_d = sum over subdiagrams d' of d of
 (-1)^(size d - size d') d'`` turns left and right multiplication by a
@@ -215,13 +216,16 @@ def identity(n: int, c: int) -> AlgebraElement:
     tuple by one column state, the first column varying slowest.
     """
     require_shape(n, c)
-    states = [(0, 1 - c)] if c > 1 else []  # for c = 1 an isolated column has coefficient 0
-    states += [(k, 1) for k in range(1, c + 1)]
     terms: list[tuple[tuple[Edge, ...], int]] = [((), 1)]
     for v in range(1, n + 1):
-        column = [(((v, v, k),) if k else (), w) for k, w in states]
+        column = _column_states(v, c)
         terms = [(edges + e, q * w) for edges, q in terms for e, w in column]
     return AlgebraElement._trusted(n, c, {Diagram._trusted(n, c, edges): q for edges, q in terms})
+
+
+def _column_states(v: int, c: int) -> list[tuple[tuple[Edge, ...], int]]:
+    """The unit's states of column ``v`` with their coefficients: isolated (1 - c; none for c = 1), then each color (1)."""
+    return ([((), 1 - c)] if c > 1 else []) + [(((v, v, k),), 1) for k in range(1, c + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +301,13 @@ def embed(g: AlgebraElement) -> AlgebraElement:
 
     Appends one column in every possible state: the sum of g concatenated
     with each single vertical edge, minus (c - 1) times g concatenated with
-    an isolated pair.  Equivalently, g tensored with the width-1 unit.
+    an isolated pair.  Equivalently, g tensored with the width-1 unit, whose
+    column states are the ones :func:`identity` gives each of its columns.
     """
-    return g.tensor(identity(1, g.c))
+    den, numerators = _numerators(g.terms)
+    column = _column_states(g.n + 1, g.c)
+    sums = {d.edges + e: p * w for d, p in numerators for e, w in column}  # each pair a distinct diagram
+    return _from_numerators(g.n + 1, g.c, sums, den)
 
 
 def format_element(g: AlgebraElement) -> str:

@@ -133,12 +133,17 @@ def _towers(scope: Scope):
         yield c, bratteli.build(c, n_max)
 
 
+# Fraction(p, q) for every draw p in -5..5, q in 1..3, in storage form: an integral value as its int.
+_DRAWN = {(p, q): p // q if p % q == 0 else Fraction(p, q) for p in range(-5, 6) for q in range(1, 4)}
+
+
 def _random_element(rng: random.Random, pool, n: int, c: int) -> algebra.AlgebraElement:
+    """One to three terms, each a drawn coefficient ``Fraction(randint(-5, 5), randint(1, 3))`` and ``choice(pool)``."""
     terms = {}
     for _ in range(rng.randint(1, 3)):
-        coeff = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        coeff = _DRAWN[rng.randint(-5, 5), rng.randint(1, 3)]
         d = rng.choice(pool)
-        terms[d] = terms.get(d, Fraction(0)) + coeff
+        terms[d] = terms[d] + coeff if d in terms else coeff
     return algebra.AlgebraElement(n, c, terms)
 
 
@@ -289,15 +294,20 @@ def check_x_inversion(scope: Scope, samples: int, seed: int) -> CheckResult:
     for _ in range(samples):
         g1 = _random_element(rng, pool, n, c)
         g2 = _random_element(rng, pool, n, c)
-        alpha = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        alpha = _DRAWN[rng.randint(-4, 4), rng.randint(1, 3)]
         yield 1
         left = algebra.to_x_coordinates(g1.scale(alpha) + g2)
-        right: dict[Diagram, Fraction] = {}
-        for d_key, q in algebra.to_x_coordinates(g1).items():
-            right[d_key] = right.get(d_key, Fraction(0)) + alpha * q
-        for d_key, q in algebra.to_x_coordinates(g2).items():
-            right[d_key] = right.get(d_key, Fraction(0)) + q
-        if left != {k: v for k, v in right.items() if v}:
+        x1, x2 = algebra.to_x_coordinates(g1), algebra.to_x_coordinates(g2)
+        # Reference: alpha x1 + x2 in integer numerators over den, compared with ``left`` by cross-multiplying.
+        den = alpha.denominator * math.lcm(*{q.denominator for coords in (x1, x2) for q in coords.values()})
+        right: dict[Diagram, int] = {}
+        for coords, weight in ((x1, alpha), (x2, 1)):
+            for d_key, q in coords.items():
+                p = weight.numerator * q.numerator * (den // (weight.denominator * q.denominator))
+                right[d_key] = right.get(d_key, 0) + p
+        if left.keys() != {k for k, p in right.items() if p} or any(
+            q.numerator * den != right[k] * q.denominator for k, q in left.items()
+        ):
             yield "x-coordinates are not linear on a sampled pair"
 
 
@@ -357,15 +367,17 @@ def check_embed(scope: Scope, samples: int, seed: int) -> CheckResult:
         if algebra.embed(algebra.identity(n, c)) != algebra.identity(n + 1, c):
             yield f"embedding does not preserve the unit at (n={n}, c={c})"
         pool = _all_planar(n, c)
+        # Reference: g beside the sum of the one-edge columns minus c - 1 times the empty column.
+        columns = [algebra.from_diagram(algebra.unit_diagram(c, i)) for i in range(c + 1)]
+        unit_column = sum(columns[1:], columns[0].scale(-(c - 1)))
         for _ in range(max(1, samples // 10)):
             g1 = _random_element(rng, pool, n, c)
             g2 = _random_element(rng, pool, n, c)
             yield 1
-            if algebra.embed(g1 * g2) != algebra.embed(g1) * algebra.embed(g2):
+            embedded = algebra.embed(g1)
+            if algebra.embed(g1 * g2) != embedded * algebra.embed(g2):
                 yield f"embedding is not multiplicative at (n={n}, c={c})"
-            # Reference: g beside each one-edge column, summed, minus c - 1 times g beside an empty column.
-            states = [g1.tensor(algebra.from_diagram(algebra.unit_diagram(c, i))) for i in range(c + 1)]
-            if algebra.embed(g1) != sum(states[1:], states[0].scale(-(c - 1))):
+            if embedded != g1.tensor(unit_column):
                 yield f"embedding differs from tensoring the unit column at (n={n}, c={c})"
 
 

@@ -355,9 +355,9 @@ def _compositions(n: int, c: int) -> Iterator[tuple[int, ...]]:
 
 
 def multinomial(parts: Iterable[int]) -> int:
-    """Exact multinomial coefficient of the composition ``parts``."""
+    """Exact multinomial coefficient of the composition ``parts``; a zero part is a factor of 1, so it is skipped."""
     total, out = 0, 1
-    for p in parts:
+    for p in filter(None, parts):
         total += p
         out *= math.comb(total, p)
     return out

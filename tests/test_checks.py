@@ -1,5 +1,7 @@
 import dataclasses
 import inspect
+import math
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -137,6 +139,27 @@ def test_suite_catches_action_mutant(monkeypatch):
     outcome = checks.check_left_action((1, 1), (1, 1), samples=0, seed=1)
     assert not outcome.ok
     assert outcome.witnesses
+
+
+def _frozen_random_element(rng, pool, n, c):
+    # The sampler's rule pinned in full: each coefficient a Fraction built from two draws, repeats summed.
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        coeff = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        d = rng.choice(pool)
+        terms[d] = terms.get(d, Fraction(0)) + coeff
+    return AlgebraElement(n, c, terms)
+
+
+@pytest.mark.parametrize("n, c", [(3, 2), (2, 2)])
+def test_sampler_draws_the_frozen_rule_elements_from_the_same_stream(n, c):
+    pool = tuple(diagrams.enumerate_planar(n, c))
+    rng, frozen = random.Random(12345), random.Random(12345)
+    for _ in range(200):
+        g, expected = checks._random_element(rng, pool, n, c), _frozen_random_element(frozen, pool, n, c)
+        assert g == expected
+        assert [(d, type(q)) for d, q in g.terms.items()] == [(d, type(q)) for d, q in expected.terms.items()]
+    assert rng.getstate() == frozen.getstate()
 
 
 def test_report_dicts_are_json_ready():
@@ -541,6 +564,28 @@ def _without_empty_coordinate(real):
     return coordinates
 
 
+def _first_coordinate_lost_past_three_terms(real):
+    # An element of four or more terms loses its first x-coordinate, the empty diagram's; every other value is kept.
+    def coordinates(g):
+        coords = real(g)
+        return dict(list(coords.items())[1:]) if len(g.terms) > 3 else coords
+    return coordinates
+
+
+def _scale_by_the_numerator(real):
+    # The scalar's denominator is ignored: g.scale(p / q) comes out as g.scale(p).
+    return lambda g, scalar: real(g, Fraction(scalar).numerator)
+
+
+def _denominator(g):
+    return math.lcm(*(Fraction(q).denominator for q in g.terms.values()))
+
+
+def _sum_over_the_left_denominator(real):
+    # Both numerator sides scaled by den // den1: the right summand comes out times den2 / den1.
+    return lambda g1, g2: real(g1, g2.scale(Fraction(_denominator(g2), _denominator(g1))))
+
+
 def _doubled_at_width_one(real):
     # Width-1 products come out doubled: width 0 is right, so only an embedded product sees it.
     return lambda g1, g2: real(g1, g2).scale(2) if g1.n == 1 else real(g1, g2)
@@ -613,6 +658,19 @@ _WITNESS_CASES = [
                  [(algebra, "to_x_coordinates", lambda real: lambda g: {a: q * q for a, q in real(g).items()})],
                  ["x-coordinates are not linear on a sampled pair"] * 5,
                  id="x-linearity"),
+    pytest.param(lambda: checks.check_x_inversion((1, 1), 5, 1),
+                 [(algebra.AlgebraElement, "scale", _scale_by_the_numerator)],
+                 ["x-coordinates are not linear on a sampled pair"] * 3,
+                 id="x-linearity-scale-numerator"),
+    pytest.param(lambda: checks.check_x_inversion((1, 1), 5, 1),
+                 [(algebra.AlgebraElement, "__add__", _sum_over_the_left_denominator)],
+                 ["x-coordinates are not linear on a sampled pair"] * 4,
+                 id="x-linearity-add-left-denominator"),
+    pytest.param(lambda: checks.check_x_inversion((2, 1), 10, 1),
+                 [(algebra, "to_x_coordinates", _first_coordinate_lost_past_three_terms)],
+                 ["x-coordinates of x_d differ from a unit vector at n=2 c=1 [1-1:1, 2-2:1]"]
+                 + ["x-coordinates are not linear on a sampled pair"] * 3,
+                 id="x-linearity-lost-coordinate"),
     pytest.param(lambda: checks.check_block_preservation((1, 1)),
                  [(algebra, "left_action_x", lambda real: algebra.multiply)],
                  ["d=n=1 c=1 [], a=n=1 c=1 [1-1:1]"],

@@ -1,4 +1,5 @@
 import inspect
+import math
 import os
 import random
 import re
@@ -597,6 +598,13 @@ def test_multinomial():
     assert multinomial((1, 1, 1)) == 6
     assert multinomial((2, 0, 2)) == 6
     assert multinomial(()) == 1
+    with mock.patch.object(math, "comb", wraps=math.comb) as comb:  # a zero part is skipped, not a factor of 1
+        assert multinomial((0,) * 2000 + (1,)) == 1
+    assert comb.call_count == 1
+    for length in range(5):
+        for parts in product(range(4), repeat=length):
+            expected = math.factorial(sum(parts)) // math.prod(math.factorial(p) for p in parts)
+            assert multinomial(parts) == expected, parts
 
 
 def test_profiles_with_sizes_lex_order():
