@@ -278,10 +278,11 @@ def check_x_inversion(scope: Scope, samples: int, seed: int) -> CheckResult:
         pool = _all_planar(n, c)
         for d in pool:
             yield 1
-            total = algebra.zero(n, c)
+            total: dict[Diagram, int] = {}  # the x-elements' terms, summed as ints: each is +-1
             for sub in algebra.subdiagrams(d):
-                total += algebra.x_of(sub)
-            if total != algebra.from_diagram(d):
+                for term, q in algebra.x_of(sub).terms.items():
+                    total[term] = total.get(term, 0) + q
+            if {term: q for term, q in total.items() if q} != algebra.from_diagram(d).terms:
                 yield f"sum of x over subdiagrams of {format_diagram(d)} is not d"
             if algebra.to_x_coordinates(algebra.x_of(d)) != {d: Fraction(1)}:
                 yield f"x-coordinates of x_d differ from a unit vector at {format_diagram(d)}"

@@ -194,7 +194,7 @@ class Profile(_Record, _ProfileFields):
 
     @property
     def sizes(self) -> tuple[int, ...]:
-        return tuple(len(p) for p in self.parts)
+        return tuple(map(len, self.parts))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from .diagrams import (
     DEFAULT_DIAGRAM_CAP,
     CapExceededError,
     Diagram,
+    Edge,
     MismatchError,
     NonPlanarError,
     Profile,
@@ -144,14 +145,17 @@ class ModuleSpace:
     bottom: Profile
     tops: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _slot: dict[int, int] = field(init=False, repr=False, compare=False)  # tops[j] -> j
+    _sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)  # the bottom's part sizes n_k
 
     def __post_init__(self):
         if not isinstance(self.bottom, Profile):
             raise TypeError(f"a module is built from a bottom Profile, not {self.bottom!r}")
         require_shape(self.n, self.c)  # a Profile may have c = 0, a module may not
-        tops, slot, _, _ = _class_record(self.n, self.c, self.bottom.sizes)
+        sizes = self.bottom.sizes
+        tops, slot, _, _ = _class_record(self.n, self.c, sizes)
         object.__setattr__(self, "tops", tops)
         object.__setattr__(self, "_slot", slot)
+        object.__setattr__(self, "_sizes", sizes)
 
     @property
     def n(self) -> int:
@@ -166,11 +170,11 @@ class ModuleSpace:
         return len(self.tops)
 
     def label(self) -> IrrepLabel:
-        return IrrepLabel(self.bottom.sizes)
+        return IrrepLabel(self._sizes)
 
     @cached_property
     def top_profiles(self) -> tuple[Profile, ...]:
-        return tuple(_profiles_with_sizes(self.n, self.c, self.bottom.sizes, self.tops))
+        return tuple(_profiles_with_sizes(self.n, self.c, self._sizes, self.tops))
 
     @cached_property
     def basis(self) -> tuple[Diagram, ...]:
@@ -234,17 +238,16 @@ def diagram_action(d: Diagram, space: ModuleSpace) -> tuple[Optional[int], ...]:
     d's bottom ends; then d * x_(S_j, T) is x_(S', T), with S' the vertices
     that d's edges carry S_j up to.  Of T only its part sizes n_k are read:
     if d has fewer color-k edges than n_k for some k, every column is None,
-    and otherwise choosing n_k color-k bottom ends per color gives a column
-    that is not, so only then are the tops scanned.
+    and this is answered from d's edge counts before any edge is packed;
+    otherwise choosing n_k color-k bottom ends per color gives a column that
+    is not, so only then are the tops scanned.
     """
     _require_acting(d, space)
-    n, up, counts = d.n, {}, [d.n] + [0] * d.c  # counts[k]: d's color-k edges; n never falls short of part 0
-    for t, b, k in d.edges:  # d's bottom ends, each to its top end, packed as by _bit
-        up[1 << (k - 1) * n + b - 1] = 1 << (k - 1) * n + t - 1
-        counts[k] += 1
-    if any(map(int.__lt__, counts, map(len, space.bottom.parts))):
+    if _falls_short(d.edges, space._sizes):
         return (None,) * space.dimension
-    outside, slot = ~sum(up), space._slot
+    n, slot = d.n, space._slot
+    up = {1 << (k - 1) * n + b - 1: 1 << (k - 1) * n + t - 1 for t, b, k in d.edges}  # bottom to top end, by _bit
+    outside = ~sum(up)
 
     def image_slot(top: int) -> int:
         image, rest = 0, top
@@ -292,14 +295,28 @@ def action_trace(d: Diagram, space: ModuleSpace) -> int:
 
     d fixes x_(S, T) exactly when, color by color, S lies on d's vertical
     edges (t == b): a planar d carries each color's bottom ends up in order,
-    so S' = S only if every vertex of S goes straight up.  The trace counts
-    the packed tops inside the mask of d's vertical edges; no column map is
-    built.  Shape and planarity are refused as in :func:`diagram_action`.
+    so S' = S only if every vertex of S goes straight up.  So the trace is 0
+    when d has fewer color-k vertical edges than n_k for some k, and is
+    answered from those counts; otherwise it counts the packed tops inside
+    the mask of d's vertical edges.  No column map is built.  Shape and
+    planarity are refused as in :func:`diagram_action`.
     """
     _require_acting(d, space)
+    verticals = [e for e in d.edges if e[0] == e[1]]
+    if _falls_short(verticals, space._sizes):
+        return 0
     n = d.n
-    vertical = sum(1 << (k - 1) * n + t - 1 for t, b, k in d.edges if t == b)  # packed as by _bit
+    vertical = sum(1 << (k - 1) * n + t - 1 for t, _, k in verticals)  # packed as by _bit
     return sum(1 for top in space.tops if top & vertical == top)
+
+
+def _falls_short(edges: Iterable[Edge], sizes: tuple[int, ...]) -> bool:
+    """True when ``edges`` hold fewer color-k edges than the part size ``sizes[k]`` for some color k."""
+    colors = [k for _, _, k in edges]
+    for k in range(1, len(sizes)):
+        if colors.count(k) < sizes[k]:
+            return True
+    return False
 
 
 def fixed_points(column: tuple[Optional[int], ...]) -> int:
@@ -461,7 +478,7 @@ def restriction_groups(space: ModuleSpace) -> list[tuple[int, list[int]]]:
     """Basis indices grouped by where the last top vertex sits, part index ascending."""
     if space.n < 1:
         raise ValueError("restriction needs n >= 1")
-    return [(j, list(indices)) for j, indices in _class_record(space.n, space.c, space.bottom.sizes)[2]]
+    return [(j, list(indices)) for j, indices in _class_record(space.n, space.c, space._sizes)[2]]
 
 
 def restriction_decomposition(space: ModuleSpace) -> list[IrrepLabel]:
@@ -475,4 +492,4 @@ def restriction_decomposition(space: ModuleSpace) -> list[IrrepLabel]:
     """
     if space.n < 1:
         raise ValueError("restriction needs n >= 1")
-    return list(_class_record(space.n, space.c, space.bottom.sizes)[3])
+    return list(_class_record(space.n, space.c, space._sizes)[3])

@@ -302,6 +302,51 @@ def test_diagram_action_is_zero_exactly_when_a_color_has_too_few_edges():
     assert outcomes[True] > 0 and outcomes[False] > 0
 
 
+@pytest.mark.parametrize("n, c", [(4, 3), (5, 2)])
+def test_the_class_projector_holds_exactly_enough_edges_for_both_count_rules(n, c):
+    # from_profiles(T, T) has n_k color-k edges, all vertical: trace 1, its own column kept.
+    for label in all_labels(n, c):
+        space, rep = label_module(label), label.representative()
+        projector = from_profiles(rep, rep)
+        j = space.index_of(projector)
+        assert action_trace(projector, space) == 1
+        assert diagram_action(projector, space)[j] == j
+
+
+@pytest.mark.parametrize("n, c", [(4, 3), (5, 2)])
+def test_one_color_edge_short_of_the_class_is_zero_for_both_count_rules(n, c):
+    for label in all_labels(n, c):
+        space, rep = label_module(label), label.representative()
+        projector = from_profiles(rep, rep)
+        for edge in projector.edges:  # one color-k edge fewer than n_k, for each color k with n_k >= 1
+            d = Diagram(n, c, [e for e in projector.edges if e != edge])
+            assert action_trace(d, space) == 0, (format_diagram(d), label)
+            assert diagram_action(d, space) == (None,) * space.dimension, (format_diagram(d), label)
+
+
+@pytest.mark.parametrize("n, c", [(4, 3), (5, 2)])
+def test_enough_color_edges_off_the_vertical_act_with_trace_zero(n, c):
+    # n_k color-k edges, one of them not vertical: the trace's vertical count falls short, the action's edge
+    # count does not, so the action keeps the representative's column (a rule on vertical edges would not).
+    built = 0
+    for label in all_labels(n, c):
+        space, rep = label_module(label), label.representative()
+        j = space.index_of(from_profiles(rep, rep))
+        for k in range(1, c + 1):
+            for other in range(c + 1):
+                if not rep.parts[k] or not rep.parts[other] or other == k:
+                    continue  # at n_k = n, n planar color-k edges are all vertical: no such diagram
+                parts = [list(part) for part in rep.parts]
+                parts[k][0], parts[other][0] = parts[other][0], parts[k][0]
+                d = from_profiles(Profile(n, c, parts), rep)
+                assert sum(1 for e in d.edges if e[2] == k) == label.sizes[k]
+                assert any(e[2] == k and e[0] != e[1] for e in d.edges)
+                assert action_trace(d, space) == 0, (format_diagram(d), label)
+                assert diagram_action(d, space)[j] == space.index_of(d), (format_diagram(d), label)
+                built += 1
+    assert built > 0
+
+
 def test_the_representative_is_the_validated_profile():
     for n in range(7):
         for c in (1, 2, 3):
