@@ -21,7 +21,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 from typing import Iterator
 
@@ -50,7 +50,6 @@ from .representations import (
     ModuleSpace,
     all_bottom_profiles,
     all_labels,
-    action_trace,
     are_isomorphic,
     compose_column_maps,
     diagram_action,
@@ -364,13 +363,14 @@ def check_embed(scope: Scope, samples: int, seed: int) -> CheckResult:
     """Appending a unit column is a unital algebra homomorphism."""
     rng = random.Random(seed)
     for n, c in _shapes(scope):
-        yield 1
-        if algebra.embed(algebra.identity(n, c)) != algebra.identity(n + 1, c):
-            yield f"embedding does not preserve the unit at (n={n}, c={c})"
-        pool = _all_planar(n, c)
-        # Reference: g beside the sum of the one-edge columns minus c - 1 times the empty column.
+        # Reference: the unit column is the sum of the one-edge columns minus c - 1 times the empty column;
+        # the unit of width n + 1 is n + 1 of them side by side, and embedding g puts one beside g.
         columns = [algebra.from_diagram(algebra.unit_diagram(c, i)) for i in range(c + 1)]
         unit_column = sum(columns[1:], columns[0].scale(-(c - 1)))
+        yield 1
+        if algebra.embed(algebra.identity(n, c)) != reduce(algebra.AlgebraElement.tensor, [unit_column] * (n + 1)):
+            yield f"embedding does not preserve the unit at (n={n}, c={c})"
+        pool = _all_planar(n, c)
         for _ in range(max(1, samples // 10)):
             g1 = _random_element(rng, pool, n, c)
             g2 = _random_element(rng, pool, n, c)
@@ -425,7 +425,7 @@ def check_column_structure(scope: Scope) -> CheckResult:
 
 @tallied("modules.character-trace")
 def check_character(scope: Scope) -> CheckResult:
-    """Closed form and ``action_trace`` equal the trace; traces see only vertical edges, via their counts.
+    """The closed form equals the trace; traces see only vertical edges, via their counts.
 
     Each trace is the fixed-point count of ``diagram_action``'s column map,
     so the vertical-edge rule is tested, not assumed.
@@ -433,17 +433,15 @@ def check_character(scope: Scope) -> CheckResult:
     for n, c in _shapes(scope):
         pool = _all_planar(n, c)
         labels = all_labels(n, c)
-        spaces, tables = zip(*_actions(n, c).values())  # one module and column-map table per class, in label order
+        tables = [maps for _, maps in _actions(n, c).values()]  # one column-map table per class, in label order
         traces = {d: tuple(fixed_points(maps[d]) for maps in tables) for d in pool}
         by_verticals: dict[tuple[int, ...], tuple[int, ...]] = {}
         for d in pool:
             row = traces[d]
-            for label, space, value in zip(labels, spaces, row):
+            for label, value in zip(labels, row):
                 yield 1
                 if representations.character(d, label) != value:
                     yield f"character of {format_diagram(d)} at {label.encode()}"
-                if action_trace(d, space) != value:
-                    yield f"action_trace of {format_diagram(d)} at {label.encode()} differs from the fixed points"
             if traces[vertical_subdiagram(d)] != row:
                 yield f"trace of {format_diagram(d)} changes when non-vertical edges drop"
             key = vertical_color_counts(d)
@@ -562,7 +560,9 @@ def check_regular_decomposition(scope: Scope) -> CheckResult:
     """Multiplicity-weighted dimensions exhaust the algebra, block by block."""
     for n, c in _shapes(scope):
         yield 1
-        regular_decomposition(n, c)  # raises unless the multiplicity-weighted dimensions sum to |P|
+        total = sum(mult * label.dimension() for label, mult in regular_decomposition(n, c))
+        if total != (size := cardinality(n, c)):
+            yield f"(n={n}, c={c}): multiplicity-weighted dimensions sum to {total}, |P| = {size}"
         # The x-basis splits into bottom-profile blocks of multinomial size.
         by_bottom = Counter(bottom_profile(d) for d in _all_planar(n, c))
         for profile in all_bottom_profiles(n, c):

@@ -432,22 +432,6 @@ def test_rho_product_check_names_each_pair_a_wrong_map_breaks(monkeypatch):
     ]
 
 
-def _all_edge_trace(d, space):
-    # Mutant trace: the mask holds the top ends of all of d's edges, not only the vertical ones.
-    mask = sum(representations._bit(d.n, t, k) for t, _, k in d.edges)
-    return sum(1 for top in space.tops if top & mask == top)
-
-
-def test_character_check_compares_action_trace_with_the_fixed_points(monkeypatch):
-    checked = checks.check_character((3, 2)).checked
-    monkeypatch.setattr(checks, "action_trace", _all_edge_trace)
-    outcome = checks.check_character((3, 2))
-    assert outcome.checked == checked
-    assert outcome.witnesses
-    assert all(w.startswith("action_trace of ") and w.endswith(" differs from the fixed points") for w in outcome.witnesses)
-    assert "action_trace of n=3 c=2 [1-2:1] at 2|1|0 differs from the fixed points" in outcome.witnesses
-
-
 def test_character_check_reads_the_vertical_drop_off_the_action(monkeypatch):
     # Mutant action: a diagram with no vertical edge fixes basis vector 0 of every module.
     real = representations.diagram_action
@@ -462,18 +446,14 @@ def test_character_check_reads_the_vertical_drop_off_the_action(monkeypatch):
     assert "character of n=2 c=1 [1-2:1] at 1|1" in outcome.witnesses
 
 
-def test_character_table_check_compares_action_trace_with_the_fixed_points(monkeypatch):
-    monkeypatch.setattr(representations, "action_trace", _all_edge_trace)
-    assert representations.verify_character_table(3, 2)  # a vertical diagram's edges are all vertical
+def test_character_table_check_compares_each_entry_with_the_fixed_points(monkeypatch):
+    # Every row's diagram is the one edge 1-2 with no vertical edge: its trace is 1 on 2|0 and 0 elsewhere.
     monkeypatch.setattr(representations, "vertical_diagram", lambda n, row: Diagram(n, len(row), [(1, 2, 1)]))
     outcome = representations.verify_character_table(2, 1)
     assert outcome.checked == 9
     assert outcome.witnesses == [
-        "action_trace at ((0,), 1|1) differs from the fixed points",
         "entry ((1,), 1|1) differs from the trace",
-        "action_trace at ((1,), 1|1) differs from the fixed points",
         "entry ((2,), 1|1) differs from the trace",
-        "action_trace at ((2,), 1|1) differs from the fixed points",
         "entry ((2,), 0|2) differs from the trace",
     ]
 
@@ -554,6 +534,11 @@ def _isolated_bottom(real):
 
 def _doubled_unit(real):
     return lambda g: real(g).scale(2) if g == algebra.identity(g.n, g.c) else real(g)
+
+
+def _isolated_weight_minus_c(real):
+    # The unit's isolated column state weighs -c, not 1 - c: identity and embed are both built from it.
+    return lambda v, c: [(edges, -c if edges == () else w) for edges, w in real(v, c)]
 
 
 def _without_empty_coordinate(real):
@@ -679,13 +664,28 @@ _WITNESS_CASES = [
                  [(algebra, "embed", _doubled_unit)],
                  [f"embedding does not preserve the unit at (n={n}, c={c})" for c in (1, 2) for n in (0, 1)],
                  id="embed-unit"),
+    pytest.param(lambda: checks.check_embed((2, 2), 0, 2),
+                 [(algebra, "_column_states", _isolated_weight_minus_c)],
+                 [
+                     text.format(n)
+                     for n in range(3)
+                     for text in ("embedding does not preserve the unit at (n={}, c=2)",
+                                  "embedding differs from tensoring the unit column at (n={}, c=2)")
+                 ],
+                 id="embed-unit-column-states"),
     pytest.param(lambda: checks.check_embed((0, 1), 10, 1),
                  [(algebra.AlgebraElement, "__mul__", _doubled_at_width_one)],
                  ["embedding is not multiplicative at (n=0, c=1)"],
                  id="embed-product"),
     pytest.param(lambda: checks.check_embed((0, 2), 10, 1),
+                 # The unit check compares with a power of the same wrong column, so it fails too.
                  [(algebra, "unit_diagram", lambda real: lambda c, color: real(c, 0))],
-                 [f"embedding differs from tensoring the unit column at (n=0, c={c})" for c in (1, 2)],
+                 [
+                     text.format(c)
+                     for c in (1, 2)
+                     for text in ("embedding does not preserve the unit at (n=0, c={})",
+                                  "embedding differs from tensoring the unit column at (n=0, c={})")
+                 ],
                  id="embed-tensor"),
     pytest.param(lambda: checks.check_multiplicity_count((1, 1)),
                  [(checks, "multinomial", _plus_one)],
@@ -729,6 +729,10 @@ _WITNESS_CASES = [
                      "(n=1, c=1): bottom profile ((), (1,)) spans 1 vectors, expected 2",
                  ],
                  id="decomposition-blocks"),
+    pytest.param(lambda: checks.check_regular_decomposition((1, 1)),
+                 [(checks, "cardinality", _plus_one)],
+                 [f"(n={n}, c=1): multiplicity-weighted dimensions sum to {n + 1}, |P| = {n + 2}" for n in (0, 1)],
+                 id="decomposition-count"),
     pytest.param(lambda: checks.check_regular_decomposition((1, 1)),
                  [(checks, "all_bottom_profiles", lambda real: lambda n, c: list(real(n, c))[:-1])],
                  [

@@ -560,6 +560,20 @@ def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
     assert "witness" in out
 
 
+def test_a_short_regular_decomposition_is_a_failed_claim_with_exit_one(capsys, monkeypatch):
+    # The Wedderburn count is compared in its check, so a decomposition short of |P| is a witness, not a fault.
+    real = checks.regular_decomposition
+    monkeypatch.setattr(checks, "regular_decomposition", lambda n, c: real(n, c)[:-1])
+    code, out, err = run(capsys, "verify", "--n-cap", "1", "--c-cap", "1", "--samples", "10")
+    assert (code, err) == (1, "")
+    assert out.count("FAIL") == 1
+    assert (
+        "FAIL modules.regular-decomposition (checked 2)\n"
+        "     witness: (n=0, c=1): multiplicity-weighted dimensions sum to 0, |P| = 1\n"
+        "     witness: (n=1, c=1): multiplicity-weighted dimensions sum to 1, |P| = 2\n"
+    ) in out
+
+
 def test_engine_fault_exits_three(capsys, monkeypatch):
     # A check that raises is an engine fault, not a failed claim: its entry carries the error,
     # every other check still runs, the complete report is printed, and verify exits 3.
