@@ -34,7 +34,6 @@ from .diagrams import (
     Edge,
     MismatchError,
     NonPlanarError,
-    _row_colors,
     compose_edges,
     diagram_sort_key,
     format_diagram,
@@ -273,27 +272,22 @@ def left_action_x(d: Diagram, a: Diagram) -> Optional[Diagram]:
     (isolated vertices are unconstrained); otherwise the action is zero and
     None is returned.
     """
-    _require_planar_pair(d, a)
-    below = _row_colors(d, 1)
-    if all(below.get(t) == k for (t, _, k) in a.edges):
-        return multiply(d, a)
-    return None
+    return multiply(d, a) if _meets(d, a, 1) else None
 
 
 def right_action_x(a: Diagram, d: Diagram) -> Optional[Diagram]:
     """Right action mirror of :func:`left_action_x`: ``x_a * d``."""
-    _require_planar_pair(d, a)
-    above = _row_colors(d, 0)
-    if all(above.get(b) == k for (_, b, k) in a.edges):
-        return multiply(a, d)
-    return None
+    return multiply(a, d) if _meets(d, a, 0) else None
 
 
-def _require_planar_pair(d: Diagram, a: Diagram) -> None:
+def _meets(d: Diagram, a: Diagram, row: int) -> bool:
+    """True iff a's ends opposite ``row`` (0 top, 1 bottom) sit among d's ends in ``row`` of the same color."""
     if d.n != a.n or d.c != a.c:
         raise MismatchError("diagrams live in different monoids")
     if not is_planar(d) or not is_planar(a):
         raise NonPlanarError("x-basis actions are defined for planar diagrams only")
+    ends = {edge[row]: edge[2] for edge in d.edges}
+    return all(ends.get(edge[1 - row]) == edge[2] for edge in a.edges)
 
 
 def embed(g: AlgebraElement) -> AlgebraElement:

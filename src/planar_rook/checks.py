@@ -576,26 +576,21 @@ def check_regular_decomposition(scope: Scope) -> CheckResult:
             yield f"(n={n}, c={c}): unexpected bottom profiles {unexpected}"
 
 
-def _strip_last_top_vertex(profile: Profile, part_index: int) -> Profile:
-    parts = list(profile.parts)
-    if profile.n not in parts[part_index]:
-        # restriction_groups puts a in group j only when its top vertex n sits in part j
-        raise AssertionError(f"vertex {profile.n} is not in part {part_index}")
-    parts[part_index] = tuple(v for v in parts[part_index] if v != profile.n)
-    return Profile(profile.n - 1, profile.c, tuple(parts))
-
-
 def _restriction_witnesses(space: ModuleSpace, pool, columns) -> Iterator[str]:
     """Restriction failures of a module under ``pool``, width n-1, embedded as ``columns``: invariance, intertwining."""
-    label = space.label()
+    label, n = space.label(), space.n
     groups = restriction_groups(space)
     targets: dict[int, ModuleSpace] = {}
     phi: dict[int, Diagram] = {}  # basis index -> its image in the child module
     for (j, indices), child in zip(groups, restriction_decomposition(space)):  # both in group order
         child_space = targets[j] = label_module(child)
         for idx in indices:
-            stripped = _strip_last_top_vertex(space.top_profiles[idx], j)
-            phi[idx] = from_profiles(stripped, child_space.bottom)
+            parts = list(space.top_profiles[idx].parts)
+            if n not in parts[j]:  # the first witness is all check_restriction keeps of a class
+                yield f"group {j} of {label.encode()} holds basis {idx}, whose top vertex {n} is not in part {j}"
+                return
+            parts[j] = tuple(v for v in parts[j] if v != n)
+            phi[idx] = from_profiles(Profile(n - 1, space.c, tuple(parts)), child_space.bottom)
     members = {j: set(indices) for j, indices in groups}
     for d, cols in zip(pool, columns):
         for j, indices in groups:

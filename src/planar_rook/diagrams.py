@@ -198,15 +198,12 @@ class Profile(_Record, _ProfileFields):
 
 
 # ---------------------------------------------------------------------------
-# Per-diagram lookups.  Only the two profiles are cached: building a Profile
-# validates it, which costs far more than the hash of a lookup.  Everything
-# else here is rebuilt on each call, as cheaply as a cache could hash the
-# diagram, so memory does not grow with the diagrams a session sees.
-
-def _row_colors(d: Diagram, row: int) -> dict[int, int]:
-    """Map each edge's endpoint in the row at edge position ``row`` (0 top, 1 bottom) to the edge's color."""
-    return {edge[row]: edge[2] for edge in d.edges}
-
+# Per-diagram lookups.  Only bottom_profile is cached: building a Profile
+# validates it, which costs far more than the hash of a lookup, and the checks
+# ask for the same diagram's bottom again and again.  A top profile is asked
+# for about once per diagram, so a memo of it would only hold memory.
+# Everything else here is rebuilt on each call, so memory does not grow with
+# the diagrams a session sees.
 
 def is_planar(d: Diagram) -> bool:
     """True iff no two edges of the same color cross.
@@ -222,7 +219,6 @@ def is_planar(d: Diagram) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
 def top_profile(d: Diagram) -> Profile:
     """Partition of the top row: isolated vertices, then color-k endpoints."""
     return _profile(d, 0)

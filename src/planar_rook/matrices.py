@@ -19,23 +19,16 @@ class RationalMatrix:
 
     @staticmethod
     def zero(nrows: int, ncols: int) -> "RationalMatrix":
-        return RationalMatrix(tuple((Fraction(0),) * ncols for _ in range(nrows)))
+        return RationalMatrix.from_columns([{}] * ncols, nrows)
 
     @staticmethod
     def identity(size: int) -> "RationalMatrix":
-        return RationalMatrix(
-            tuple(tuple(Fraction(1 if i == j else 0) for j in range(size)) for i in range(size))
-        )
+        return RationalMatrix.from_columns([{j: 1} for j in range(size)], size)
 
     @staticmethod
     def unit(size: int, i: int, j: int) -> "RationalMatrix":
-        """The elementary matrix with a single 1 in row i, column j."""
-        return RationalMatrix(
-            tuple(
-                tuple(Fraction(1 if (r, s) == (i, j) else 0) for s in range(size))
-                for r in range(size)
-            )
-        )
+        """The elementary matrix with a single 1 in row i, column j; the zero matrix if (i, j) lies outside."""
+        return RationalMatrix.from_columns([{i: 1} if s == j and 0 <= i < size else {} for s in range(size)], size)
 
     @staticmethod
     def from_columns(columns: Sequence[dict[int, Fraction]], nrows: int) -> "RationalMatrix":
@@ -83,23 +76,13 @@ class RationalMatrix:
 
     def is_block_diagonal(self, block_sizes: Iterable[int]) -> bool:
         """True iff all entries outside the consecutive diagonal blocks vanish."""
-        bounds = []
-        start = 0
-        for s in block_sizes:
-            bounds.append((start, start + s))
-            start += s
-        if start != self.nrows or self.nrows != self.ncols:
+        sizes = tuple(block_sizes)
+        block = [b for b, s in enumerate(sizes) for _ in range(s)]  # the block index of each row
+        if min(sizes, default=0) < 0 or len(block) != self.nrows or self.nrows != self.ncols:
             raise ValueError("block sizes do not tile the matrix")
-
-        def block_of(i: int) -> int:
-            for b, (lo, hi) in enumerate(bounds):
-                if lo <= i < hi:
-                    return b
-            raise IndexError(i)
-
         return all(
             v == 0
             for i, row in enumerate(self.rows)
             for j, v in enumerate(row)
-            if block_of(i) != block_of(j)
+            if block[i] != block[j]
         )

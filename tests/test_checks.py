@@ -581,6 +581,14 @@ def _past_the_basis(real):
     return lambda weighted, dimension: [{**col, dimension: 1} for col in real(weighted, dimension)]
 
 
+def _swapped_groups(real):
+    # Each group keeps its part index but holds the basis indices of the group opposite it.
+    def restriction_groups(space):
+        groups = real(space)
+        return [(j, indices) for (j, _), (_, indices) in zip(groups, groups[::-1])]
+    return restriction_groups
+
+
 def _collapsed_index(real):
     # Every module reads each basis vector's index as 0.
     def module_space(n, c, bottom):
@@ -759,6 +767,14 @@ _WITNESS_CASES = [
                      "bottom ((), (1, 2)): ['group 1 of 0|2 is not invariant under n=1 c=1 []']",
                  ],
                  id="restriction-invariance-per-profile"),
+    pytest.param(lambda: checks.check_restriction((2, 1)),
+                 # Only class 1|1 has two groups; its first witness names both of its bottom profiles.
+                 [(checks, "restriction_groups", _swapped_groups)],
+                 [
+                     f"bottom {parts}: ['group 0 of 1|1 holds basis 0, whose top vertex 2 is not in part 0']"
+                     for parts in (((1,), (2,)), ((2,), (1,)))
+                 ],
+                 id="restriction-last-vertex"),
     pytest.param(lambda: checks.check_tower_levels((1, 1)),
                  [(bratteli, "vertex_count", _plus_one)],
                  ["level 0 at c=1 has 1 vertices", "level 1 at c=1 has 2 vertices"],
@@ -798,3 +814,12 @@ def test_every_witness_text_is_pinned(monkeypatch, run, faults, expected):
     outcome = run()
     assert (outcome.witnesses, outcome.error) == (expected, None)
     assert outcome.checked == passing.checked
+
+
+def test_a_misplaced_last_vertex_is_the_last_witness_of_its_class(monkeypatch):
+    # Read on, the column-drop map would strip vertex n from a part that does not hold it.
+    monkeypatch.setattr(checks, "restriction_groups", _swapped_groups(checks.restriction_groups))
+    space = label_module(IrrepLabel((1, 1)))
+    assert list(checks._restriction_witnesses(space, [], [])) == [
+        "group 0 of 1|1 holds basis 0, whose top vertex 2 is not in part 0"
+    ]

@@ -15,6 +15,11 @@ def test_identity_and_units_multiply():
     assert ident @ e01 == e01 == e01 @ ident
 
 
+@pytest.mark.parametrize("i, j", [(2, 0), (-1, 0), (0, 2), (0, -1), (-1, -1)])
+def test_a_unit_outside_the_matrix_is_zero(i, j):
+    assert RationalMatrix.unit(2, i, j) == RationalMatrix.zero(2, 2)
+
+
 def test_add_and_scale():
     m = RationalMatrix.unit(2, 0, 0) + RationalMatrix.unit(2, 1, 1).scale(Fraction(1, 2))
     assert m.rows == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1, 2)))
@@ -46,3 +51,11 @@ def test_block_diagonal():
     assert off.is_block_diagonal([3])
     with pytest.raises(ValueError):
         m.is_block_diagonal([2, 2])
+    for i, j, sizes, inside in [  # one entry at each side of a block boundary
+        (0, 1, [1, 2], False), (1, 0, [1, 2], False), (1, 2, [1, 2], True),
+        (1, 2, [2, 1], False), (2, 1, [2, 1], False), (1, 0, [2, 1], True),
+    ]:
+        assert RationalMatrix.unit(3, i, j).is_block_diagonal(sizes) is inside
+    for sizes in [[-1, 3], [3, -1, 1], [2, -1, 2], [4, -1], [0, -3]]:  # negative sizes, some summing to 3
+        with pytest.raises(ValueError, match="block sizes do not tile the matrix"):
+            m.is_block_diagonal(sizes)

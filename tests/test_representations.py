@@ -476,13 +476,6 @@ def test_refusals_leave_the_class_memo_untouched(class_memo):
     assert class_memo.cache_info() == filled
 
 
-def test_a_last_vertex_outside_its_restriction_part_is_an_engine_fault():
-    profile = Profile(2, 1, ((1,), (2,)))
-    assert checks._strip_last_top_vertex(profile, 1) == Profile(1, 1, ((1,), ()))
-    with pytest.raises(AssertionError, match="vertex 2 is not in part 0"):
-        checks._strip_last_top_vertex(profile, 0)
-
-
 def test_isomorphism_same_module():
     space = module_space(2, 1, Profile(2, 1, ((2,), (1,))))
     result = are_isomorphic(space, space)
