@@ -34,6 +34,7 @@ from .diagrams import (
     multinomial,
     multiply,
     parse_diagram,
+    require_color_cap,
 )
 from .representations import character_table_csv, verify_character_table
 
@@ -228,6 +229,8 @@ def _cmd_verify(args) -> int:
     if config.n_cap < 0 or config.c_cap < 1 or config.samples < 0:
         print("verify needs n-cap >= 0, c-cap >= 1 and --samples >= 0", file=sys.stderr)
         return 2
+    if config.samples > config.diagram_cap:  # each sampled check's work is linear in the draws
+        raise CapExceededError(f"--samples {config.samples} exceeds the cap of {config.diagram_cap} draws")
     results = run_verification(config)
     report = {
         "config": dataclasses.asdict(config),
@@ -276,6 +279,8 @@ def main(argv=None) -> int:
         print(f"{args.command} needs n >= 0 and c >= 1", file=sys.stderr)
         return 2
     try:
+        if hasattr(args, "n"):
+            require_color_cap(args.c, _diagram_cap())  # the width rule, before any command builds a composition
         return _COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

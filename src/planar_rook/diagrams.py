@@ -103,7 +103,8 @@ class _Record(tuple):
     __slots__ = ()
 
     def _refuse(self, other):
-        raise TypeError(f"a {type(self).__name__} is a record: it does not concatenate, repeat or order")
+        name = next(k.__name__ for k in type(self).__mro__ if not k.__name__.startswith("_"))  # a marked one's too
+        raise TypeError(f"a {name} is a record: it does not concatenate, repeat or order")
 
     __add__ = __radd__ = __mul__ = __rmul__ = __lt__ = __le__ = __gt__ = __ge__ = _refuse
 
@@ -134,10 +135,10 @@ class Diagram(_Record, _DiagramFields):
         require_shape(n, c)
         return tuple.__new__(cls, (n, c, _canonical_edges(n, c, edges)))
 
-    @classmethod
-    def _trusted(cls, n: int, c: int, edges: tuple[Edge, ...]) -> "Diagram":
-        """Skip validation: only for edges derived from valid diagrams or profiles, already canonical."""
-        return tuple.__new__(cls, (n, c, edges))
+    @staticmethod
+    def _trusted(n: int, c: int, edges: tuple[Edge, ...]) -> "Diagram":
+        """Skip validation: only for edges derived from valid diagrams or profiles, already canonical; never marked."""
+        return tuple.__new__(Diagram, (n, c, edges))
 
     @property
     def size(self) -> int:
@@ -151,6 +152,32 @@ class Diagram(_Record, _DiagramFields):
 
     def __str__(self) -> str:
         return format_diagram(self)
+
+    def __reduce__(self):
+        """Pickle and copy through the validating constructor, as a plain Diagram: no subtype's mark survives."""
+        return Diagram, tuple(self)
+
+
+class _PlanarDiagram(Diagram):
+    """A Diagram that its constructor proved planar: :func:`from_profiles`, the enumeration or :func:`multiply`.
+
+    The entries that refuse a non-planar diagram skip :func:`is_planar` when ``type(d) is _PlanarDiagram``; it
+    equals, hashes, prints and pickles as the plain Diagram with its edges.  Only :func:`_planar` builds one:
+    construction, ``_make``, ``_replace``, ``_trusted``, copies and unpickling give a plain Diagram.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> Diagram:  # _make, so _replace too, builds through cls
+        return Diagram(*args, **kwargs)
+
+    def __repr__(self) -> str:
+        return repr(Diagram._trusted(*self))
+
+
+def _planar(n: int, c: int, edges: tuple[Edge, ...]) -> _PlanarDiagram:
+    """Mark canonical edges as planar: only for a constructor that has just proved them so."""
+    return tuple.__new__(_PlanarDiagram, (n, c, edges))
 
 
 class _ProfileFields(NamedTuple):
@@ -219,6 +246,11 @@ def is_planar(d: Diagram) -> bool:
     return True
 
 
+def _proven_planar(d: Diagram) -> bool:
+    """Whether d is planar: at once for a diagram a constructor marked (:class:`_PlanarDiagram`), else by is_planar."""
+    return type(d) is _PlanarDiagram or is_planar(d)
+
+
 def top_profile(d: Diagram) -> Profile:
     """Partition of the top row: isolated vertices, then color-k endpoints."""
     return _profile(d, 0)
@@ -254,7 +286,9 @@ def multiply(d1: Diagram, d2: Diagram) -> Diagram:
     if d1.c != d2.c:
         raise MismatchError(f"color counts differ: {d1.c} vs {d2.c}")
     edges, planar = compose_edges(d1.edges, {e[0]: e for e in d2.edges})
-    if not planar and is_planar(d1) and is_planar(d2):
+    if planar:
+        return _planar(d1.n, d1.c, edges)
+    if _proven_planar(d1) and _proven_planar(d2):
         raise AssertionError("product of planar diagrams must be planar")
     return Diagram._trusted(d1.n, d1.c, edges)
 
@@ -325,7 +359,7 @@ def from_profiles(top: Profile, bottom: Profile) -> Diagram:
             raise MismatchError(f"color {k}: {len(tops)} top endpoints vs {len(bottoms)} bottom endpoints")
         edges += zip(tops, bottoms, repeat(k, len(tops)))
     edges.sort()  # validated profiles: vertices in 1..n, each used once
-    result = Diagram._trusted(top.n, top.c, tuple(edges))
+    result = _planar(top.n, top.c, tuple(edges))  # discarded unless is_planar, which reads no mark, agrees
     if not is_planar(result):
         raise AssertionError("increasing matchings cannot cross")
     return result
@@ -404,9 +438,16 @@ def _clipped_power(base: int, exp: int, cap: int) -> int:
     return base ** min(exp, cap.bit_length() + 1)
 
 
+def require_color_cap(c: int, cap: int) -> None:
+    """Raise :class:`CapExceededError` if c + 1 > cap: at any n, the first composition built has c + 1 parts."""
+    if c + 1 > cap:
+        raise CapExceededError(f"c={c} makes compositions of {c + 1} parts, more than the cap of {cap}")
+
+
 def require_monoid_cap(n: int, c: int, cap: int) -> None:
-    """Raise :class:`CapExceededError` if |P_{n,c}| > cap, building no diagram."""
+    """Raise :class:`CapExceededError` if |P_{n,c}| > cap or c + 1 > cap, building no diagram."""
     require_shape(n, c)
+    require_color_cap(c, cap)
     # |P| >= (c+1)^n, one diagram per column state, so a far-over-cap call is refused before the multinomial sum.
     if (bound := _clipped_power(c + 1, n, cap)) > cap:
         raise CapExceededError(f"|P_{{{n},{c}}}| >= {bound} exceeds the cap of {cap}")
@@ -423,7 +464,7 @@ def enumerate_planar(n: int, c: int, cap: int = DEFAULT_DIAGRAM_CAP) -> Iterator
 def _enumerate_planar(n: int, c: int) -> Iterator[Diagram]:
     for tops, colors, fills in _fills(n, c, int):
         for ends in fills:
-            yield Diagram._trusted(n, c, tuple(zip(tops, ends, colors)))
+            yield _planar(n, c, tuple(zip(tops, ends, colors)))
 
 
 def enumerate_literals(n: int, c: int, cap: int = DEFAULT_DIAGRAM_CAP) -> Iterator[str]:

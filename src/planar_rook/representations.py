@@ -34,10 +34,10 @@ from .diagrams import (
     _clipped_power,
     _packed_profiles,
     _profiles_with_sizes,
+    _proven_planar,
     compositions,
     format_diagram,
     from_profiles,
-    is_planar,
     multinomial,
     profiles_with_sizes,
     require_shape,
@@ -151,9 +151,11 @@ class ModuleSpace:
             raise TypeError(f"a module is built from a bottom Profile, not {self.bottom!r}")
         require_shape(self.n, self.c)  # a Profile may have c = 0, a module may not
         sizes = self.bottom.sizes
-        tops, slot, _, _ = _class_record(self.n, self.c, sizes)
-        object.__setattr__(self, "tops", tops)
-        object.__setattr__(self, "_slot", slot)
+        self._adopt(sizes, _class_record(self.n, self.c, sizes))
+
+    def _adopt(self, sizes: tuple[int, ...], record: tuple) -> None:
+        object.__setattr__(self, "tops", record[0])
+        object.__setattr__(self, "_slot", record[1])
         object.__setattr__(self, "_sizes", sizes)
 
     @property
@@ -188,8 +190,9 @@ class ModuleSpace:
 
 
 @lru_cache(maxsize=512)  # holds the 345 classes of n 5-7, c 2-3 at once; memory grows with classes seen, to 512
-def _class_record(n: int, c: int, sizes: tuple[int, ...]) -> tuple[tuple[int, ...], dict[int, int], tuple, tuple]:
-    """A module class's fixed facts, built and checked once: its tops, the slot of each top, and its restriction.
+def _class_record(n: int, c: int, sizes: tuple[int, ...]) -> tuple:
+    """A module class's fixed facts, built and checked once: its tops, the slot of each top, its restriction and
+    its representative bottom profile.
 
     The restriction is the groups of basis indices by the part holding top vertex n, part index ascending, and
     the child class of each group, whose dimension must be the group's size; at n = 0 there are neither.
@@ -203,10 +206,11 @@ def _class_record(n: int, c: int, sizes: tuple[int, ...]) -> tuple[tuple[int, ..
     for idx, top in enumerate(tops if n else ()):
         grouped.setdefault(part_of[top & last], []).append(idx)
     groups = tuple((j, tuple(g)) for j, g in sorted(grouped.items()))
-    children = tuple(IrrepLabel(sizes).child(j) for j, _ in groups)
+    label = IrrepLabel(sizes)
+    children = tuple(label.child(j) for j, _ in groups)
     if any(len(g) != child.dimension() for (_, g), child in zip(groups, children)):
         raise AssertionError("a restriction group must span its child class")
-    return tops, {top: j for j, top in enumerate(tops)}, groups, children
+    return tops, {top: j for j, top in enumerate(tops)}, groups, children, label.representative()
 
 
 def module_space(n: int, c: int, bottom: Profile) -> ModuleSpace:
@@ -217,8 +221,12 @@ def module_space(n: int, c: int, bottom: Profile) -> ModuleSpace:
 
 
 def label_module(label: IrrepLabel) -> ModuleSpace:
-    """The canonical representative module of an isomorphism class."""
-    return module_space(label.n, label.c, label.representative())
+    """The canonical representative module of a class: a new module on its record's bottom, with one lookup."""
+    record = _class_record(label.n, label.c, label.sizes)
+    space = object.__new__(ModuleSpace)
+    object.__setattr__(space, "bottom", record[4])
+    space._adopt(label.sizes, record)
+    return space
 
 
 def all_bottom_profiles(n: int, c: int) -> Iterator[Profile]:
@@ -266,7 +274,7 @@ def _require_acting(d: Diagram, space: ModuleSpace) -> None:
     """Refuse a diagram of another (n, c) than the module's, or a non-planar one."""
     if d.n != space.n or d.c != space.c:
         raise MismatchError("diagram does not match the module's (n, c)")
-    if not is_planar(d):
+    if not _proven_planar(d):
         raise NonPlanarError(f"{format_diagram(d)} is not planar")
 
 
@@ -404,7 +412,7 @@ def character(d: Diagram, label: IrrepLabel) -> int:
     """
     if (d.n, d.c) != (label.n, label.c):
         raise MismatchError(f"diagram shape does not match label {label.sizes}")
-    if not is_planar(d):
+    if not _proven_planar(d):
         raise NonPlanarError(f"{format_diagram(d)} is not planar")
     return _character(vertical_color_counts(d), label.sizes)
 

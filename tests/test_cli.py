@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from planar_rook import checks, cli, representations
+from planar_rook import checks, cli, diagrams, representations
 from planar_rook.checks import VerifyConfig
 from planar_rook.diagrams import enumerate_literals
 from planar_rook.cli import main
@@ -210,6 +210,47 @@ def test_chartable_has_no_format_option(capsys):
     code, out, err = run(capsys, "chartable", "-n", "2", "-c", "1", "--format", "csv")
     assert (code, out) == (2, "")
     assert "unrecognized arguments: --format csv" in err
+
+
+@pytest.mark.parametrize("command", ["count", "enumerate", "chartable", "bratteli"])
+def test_the_width_rule_refuses_c_past_the_cap_before_building(capsys, monkeypatch, command):
+    # At n = 0 every count, table and tower is one composition, but of c + 1 parts: c + 1 must not pass the cap.
+    monkeypatch.setenv("PLANAR_ROOK_CAP", "5")
+    assert run(capsys, command, "-n", "0", "-c", "4")[0] == 0  # 5 parts fit exactly
+    monkeypatch.setattr(diagrams, "_compositions", lambda n, c: pytest.fail("built a composition past the cap"))
+    code, out, err = run(capsys, command, "-n", "0", "-c", "5")
+    assert (code, out) == (2, "")
+    assert err == "resource cap exceeded: c=5 makes compositions of 6 parts, more than the cap of 5\n"
+    monkeypatch.delenv("PLANAR_ROOK_CAP")
+    for c in ("9999999999", "99999999999999999999"):  # a MemoryError and an OverflowError without the rule
+        code, out, err = run(capsys, command, "-c", c, "-n", "0")
+        assert (code, out) == (2, "")
+        tail = f"makes compositions of {int(c) + 1} parts, more than the cap of 1000000\n"
+        assert err == f"resource cap exceeded: c={c} {tail}"
+
+
+def test_a_spot_check_pool_obeys_the_width_rule(capsys, monkeypatch):
+    monkeypatch.setattr(diagrams, "_compositions", lambda n, c: pytest.fail("built a composition past the cap"))
+    huge = "n=0 c=99999999999999999999 []"
+    code, out, err = run(capsys, "mul", huge, huge, "--spot-check", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("resource cap exceeded: c=99999999999999999999 makes compositions of")
+    assert err.count("\n") == 1
+
+
+def test_verify_samples_obey_the_cap(capsys, monkeypatch):
+    # The sampled checks' work is linear in --samples: past the cap it is refused before any check runs, as
+    # --spot-check's triples are.
+    monkeypatch.delenv("PLANAR_ROOK_CAP", raising=False)
+    real = cli.run_verification
+    monkeypatch.setattr(cli, "run_verification", lambda config: pytest.fail("verified past the cap"))
+    code, out, err = run(capsys, "verify", "--samples", "100000000")
+    assert (code, out) == (2, "")
+    assert err == "resource cap exceeded: --samples 100000000 exceeds the cap of 1000000 draws\n"
+    monkeypatch.setattr(cli, "run_verification", real)
+    argv = ["verify", "--n-cap", "1", "--c-cap", "1", "--cap", "10", "--samples"]
+    assert run(capsys, *argv, "10")[0] == 0  # |P_{1,1}| = 2, so only the samples meet the cap
+    assert run(capsys, *argv, "11")[:2] == (2, "")
 
 
 @pytest.mark.parametrize("argv, option", [

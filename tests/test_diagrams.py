@@ -469,6 +469,20 @@ def test_enumeration_is_deterministic_unique_planar():
     assert first == sorted(first, key=diagram_sort_key)
 
 
+def test_the_constructors_that_prove_planarity_mark_their_diagrams():
+    marked = diagrams._PlanarDiagram
+    assert all(type(d) is marked for d in enumerate_planar(3, 2))
+    straight = from_profiles(Profile(2, 1, ((), (1, 2))), Profile(2, 1, ((), (1, 2))))
+    crossed = Diagram(2, 1, ((1, 2, 1), (2, 1, 1)))
+    assert type(straight) is marked and type(multiply(straight, straight)) is marked
+    assert type(multiply(crossed, crossed)) is marked  # planar: the product is checked, not its operands
+    assert type(multiply(crossed, straight)) is Diagram and not is_planar(multiply(crossed, straight))
+    # Every other constructor builds a plain Diagram, to be checked at each entry.
+    built = [crossed, parse_diagram("n=2 c=1 [1-1:1]"), tensor(straight, straight), vertical_subdiagram(straight),
+             vertical_diagram(2, (2,)), from_matrix(1, [[1, 0], [0, 1]]), *subdiagrams(straight)]
+    assert {type(d) for d in built} == {Diagram}
+
+
 def _profile_sort_key(d):
     top, bottom = top_profile(d), bottom_profile(d)
     return (tuple(reversed(top.sizes)), top.parts, bottom.parts)

@@ -1,12 +1,14 @@
 """Refusals of bad arguments: each raises its own exception type with its own message."""
 
+import copy
+import pickle
 import re
 from fractions import Fraction
 
 import pytest
 
-from planar_rook import bratteli
-from planar_rook.algebra import AlgebraElement, from_diagram, left_action_x, right_action_x
+from planar_rook import bratteli, diagrams
+from planar_rook.algebra import AlgebraElement, from_diagram, left_action_x, right_action_x, x_of
 from planar_rook.diagrams import (
     Diagram,
     MismatchError,
@@ -14,9 +16,19 @@ from planar_rook.diagrams import (
     Profile,
     from_matrix,
     from_profiles,
+    is_planar,
+    multiply,
     vertical_diagram,
 )
-from planar_rook.representations import IrrepLabel, are_isomorphic, character, label_module, module_space
+from planar_rook.representations import (
+    IrrepLabel,
+    action_trace,
+    are_isomorphic,
+    character,
+    diagram_action,
+    label_module,
+    module_space,
+)
 
 CROSSED = Diagram(2, 1, ((1, 2, 1), (2, 1, 1)))  # two color-1 edges that cross
 BLANK = Diagram(2, 1, ())
@@ -84,3 +96,52 @@ def test_a_bad_argument_is_refused_with_its_message(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$") as refused:
         call()
     assert type(refused.value) is error
+
+
+# A diagram marked planar by the constructor that built it, and the same mark forged on crossing edges: no route
+# from either may hand a crossing diagram to an entry with the mark still on it.
+MARKED = from_profiles(Profile(2, 1, ((), (1, 2))), Profile(2, 1, ((), (1, 2))))  # two straight color-1 edges
+FORGED = tuple.__new__(diagrams._PlanarDiagram, tuple(CROSSED))
+
+
+@pytest.mark.parametrize("route", [
+    pytest.param(lambda: Diagram(2, 1, CROSSED.edges), id="user-built"),
+    pytest.param(lambda: MARKED._replace(edges=CROSSED.edges), id="replace"),
+    pytest.param(lambda: MARKED._make(CROSSED), id="make"),
+    pytest.param(lambda: type(MARKED)(2, 1, CROSSED.edges), id="construct"),
+    pytest.param(lambda: type(MARKED)(n=2, c=1, edges=CROSSED.edges), id="construct-keywords"),
+    pytest.param(lambda: type(MARKED)._trusted(2, 1, CROSSED.edges), id="trusted"),
+    pytest.param(lambda: multiply(CROSSED, MARKED), id="crossing-product"),
+    pytest.param(lambda: copy.copy(FORGED), id="copy"),
+    pytest.param(lambda: copy.deepcopy(FORGED), id="deepcopy"),
+    *(pytest.param(lambda p=p: pickle.loads(pickle.dumps(FORGED, p)), id=f"pickle-{p}")
+      for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+])
+@pytest.mark.parametrize("entry", [
+    pytest.param(lambda d: diagram_action(d, label_module(IrrepLabel((1, 1)))), id="diagram-action"),
+    pytest.param(lambda d: action_trace(d, label_module(IrrepLabel((1, 1)))), id="action-trace"),
+    pytest.param(lambda d: character(d, IrrepLabel((1, 1))), id="character"),
+    pytest.param(x_of, id="x-of"),
+    pytest.param(lambda d: left_action_x(d, BLANK), id="left-action-x-acting"),
+    pytest.param(lambda d: left_action_x(MARKED, d), id="left-action-x-vector"),
+    pytest.param(lambda d: right_action_x(BLANK, d), id="right-action-x-acting"),
+    pytest.param(lambda d: right_action_x(d, MARKED), id="right-action-x-vector"),
+    pytest.param(lambda d: AlgebraElement(2, 1, {d: 1}), id="element"),
+])
+def test_every_entry_refuses_a_crossing_diagram_on_every_route(route, entry):
+    assert type(MARKED) is diagrams._PlanarDiagram  # else the routes below start from no mark
+    d = route()
+    assert type(d) is Diagram and d == CROSSED and not is_planar(d)
+    with pytest.raises(NonPlanarError):
+        entry(d)
+
+
+def test_a_marked_diagram_is_its_plain_diagram_everywhere_it_shows():
+    plain = Diagram(*MARKED)
+    assert type(MARKED) is not type(plain)
+    assert repr(MARKED) == repr(plain) == "Diagram(n=2, c=1, edges=((1, 1, 1), (2, 2, 1)))"
+    assert str(MARKED) == str(plain) and hash(MARKED) == hash(plain) and MARKED == plain
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.dumps(MARKED, protocol) == pickle.dumps(plain, protocol)
+    with pytest.raises(TypeError, match="^a Diagram is a record: it does not concatenate, repeat or order$"):
+        MARKED + (1,)

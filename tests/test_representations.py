@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import re
+import sys
 from collections import Counter
 
 import pytest
@@ -421,6 +422,27 @@ def test_the_class_memo_is_bounded(class_memo):
             label_module(label)
     info = class_memo.cache_info()
     assert (info.misses, info.hits, info.currsize) == (345, 345, 345)
+
+
+def test_a_module_query_proves_planarity_once_per_acting_diagram(monkeypatch):
+    # from_profiles checks the diagram it builds and marks it planar; the three queries on it read the mark.
+    checked = []
+    real = diagrams.is_planar
+    for name, module in list(sys.modules.items()):
+        if (name == "planar_rook" or name.startswith("planar_rook.")) and vars(module).get("is_planar") is real:
+            monkeypatch.setattr(module, "is_planar", lambda d: checked.append(d) or real(d))
+    rng = random.Random(7)
+    acting = []
+    for _ in range(40):
+        n, c = rng.randint(1, 5), rng.randint(1, 3)
+        label = rng.choice(all_labels(n, c))
+        space = label_module(label)
+        profiles = list(profiles_with_sizes(n, c, rng.choice(list(compositions(n, c)))))
+        for _ in range(3):
+            d = from_profiles(rng.choice(profiles), rng.choice(profiles))
+            acting.append(d)
+            assert fixed_points(diagram_action(d, space)) == action_trace(d, space) == character(d, label)
+    assert checked == acting
 
 
 def test_callers_cannot_corrupt_the_class_memo(class_memo):
