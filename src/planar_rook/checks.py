@@ -8,10 +8,11 @@ generator of case counts (``int``) and witnesses (``str``) that ``@tallied``
 runs at the call into its :class:`CheckResult`.  All arithmetic is exact, so
 a check either passes identically or names a counterexample.
 
-No check takes a diagram cap: :func:`run_verification` compares its cap
-with |P| at the largest shape it sweeps and with the Pascal-triangle tower
-once, before any check runs.  It runs each check in a guard, so a check
-that raises is reported as a failed result with its error.
+Each check's scopes are written once, in its row of :func:`_rows`.  No check
+takes a diagram cap: :func:`run_verification` clips the rows' scopes, compares
+its cap with |P| at the componentwise largest monoid scope and with the
+Pascal-triangle tower once, before any check runs, and runs each check in a
+guard, so a check that raises is reported as a failed result with its error.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from . import algebra, bratteli, representations
 from .diagrams import (
@@ -160,9 +161,7 @@ def check_enumeration_count(scope: Scope) -> CheckResult:
         if len(set(pool)) != len(pool):
             yield f"(n={n}, c={c}): enumeration repeated a diagram"
         if len(pool) != cardinality(n, c):
-            yield (
-                f"(n={n}, c={c}): enumerated {len(pool)} diagrams, formula gives {cardinality(n, c)}"
-            )
+            yield f"(n={n}, c={c}): enumerated {len(pool)} diagrams, formula gives {cardinality(n, c)}"
 
 
 @tallied("diagram.associativity")
@@ -174,15 +173,11 @@ def check_associativity(exhaustive: Scope, sampled: Scope, samples: int, seed: i
             for d in pool:
                 yield 1
                 if multiply(ab, d) != multiply(a, table[b, d]):
-                    yield (
-                        f"({format_diagram(a)}) * ({format_diagram(b)}) * ({format_diagram(d)})"
-                    )
+                    yield f"({format_diagram(a)}) * ({format_diagram(b)}) * ({format_diagram(d)})"
     for a, b, d in _draws(_all_planar(*sampled), samples, seed, 3):
         yield 1
         if multiply(multiply(a, b), d) != multiply(a, multiply(b, d)):
-            yield (
-                f"sampled ({format_diagram(a)}) * ({format_diagram(b)}) * ({format_diagram(d)})"
-            )
+            yield f"sampled ({format_diagram(a)}) * ({format_diagram(b)}) * ({format_diagram(d)})"
 
 
 def _product_sweep(scope: Scope, fails, suffix: str = "") -> Iterator[int | str]:
@@ -205,16 +200,12 @@ def check_rook_closure(scope: Scope) -> CheckResult:
 
 @tallied("diagram.planarity-closure")
 def check_planarity_closure(scope: Scope) -> CheckResult:
-    yield from _product_sweep(
-        scope, lambda a, b, p: not is_planar(p), " is not planar"
-    )
+    yield from _product_sweep(scope, lambda a, b, p: not is_planar(p), " is not planar")
 
 
 @tallied("diagram.size-monotonicity")
 def check_size_monotonicity(scope: Scope) -> CheckResult:
-    yield from _product_sweep(
-        scope, lambda a, b, p: p.size > min(a.size, b.size), " grew"
-    )
+    yield from _product_sweep(scope, lambda a, b, p: p.size > min(a.size, b.size), " grew")
 
 
 @tallied("diagram.profile-roundtrip")
@@ -251,9 +242,7 @@ def _bitmask_product(m1: list[list[int]], m2: list[list[int]]) -> list[list[int]
 def check_matrix_semantics(scope: Scope) -> CheckResult:
     """Diagram composition agrees with matrix multiplication over the color ring."""
     mask = lru_cache(maxsize=None)(_bitmask_matrix)  # once per diagram, for this call only
-    yield from _product_sweep(
-        scope, lambda a, b, p: _bitmask_product(mask(a), mask(b)) != mask(p)
-    )
+    yield from _product_sweep(scope, lambda a, b, p: _bitmask_product(mask(a), mask(b)) != mask(p))
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +469,7 @@ def check_irreducibility(scope: Scope) -> CheckResult:
                 transitive = all(span <= {algebra.left_action_x(d, a) for d in pool} for a in span)
                 yield 1
                 if transitive == mixed:
-                    yield (
-                        f"span of all size-{k} vectors at (n={n}, c={c}) has the wrong reducibility"
-                    )
+                    yield f"span of all size-{k} vectors at (n={n}, c={c}) has the wrong reducibility"
 
 
 @tallied("modules.isomorphism-classification")
@@ -568,9 +555,7 @@ def check_regular_decomposition(scope: Scope) -> CheckResult:
         for profile in all_bottom_profiles(n, c):
             got, expected = by_bottom.pop(profile, 0), multinomial(profile.sizes)
             if got != expected:
-                yield (
-                    f"(n={n}, c={c}): bottom profile {profile.parts} spans {got} vectors, expected {expected}"
-                )
+                yield f"(n={n}, c={c}): bottom profile {profile.parts} spans {got} vectors, expected {expected}"
         if by_bottom:
             unexpected = sorted(p.parts for p in by_bottom)
             yield f"(n={n}, c={c}): unexpected bottom profiles {unexpected}"
@@ -694,10 +679,10 @@ def check_tower_restriction_consistency(scope: Scope) -> CheckResult:
 
 
 @tallied("bratteli.pascal-triangle")
-def check_pascal_triangle(n_max: int) -> CheckResult:
-    """The one-color tower is Pascal's triangle with the binomial recursion."""
-    graph = bratteli.build(1, n_max)
-    for n in range(n_max + 1):
+def check_pascal_triangle(scope: Scope) -> CheckResult:
+    """The one-color tower is Pascal's triangle with the binomial recursion; ``scope`` is (n_max, 1)."""
+    ((_, graph),) = _towers(scope)
+    for n in range(graph.n_max + 1):
         yield 1
         if len(graph.level(n)) != n + 1:
             yield f"level {n} is not a triangle row"
@@ -712,58 +697,64 @@ def check_pascal_triangle(n_max: int) -> CheckResult:
 # ---------------------------------------------------------------------------
 # The full suite.
 
-def _guarded(check, *args) -> CheckResult:
-    """Run one check; an exception it raises, an engine fault, becomes its failed result with the error."""
-    try:
-        return check(*args)
-    except Exception as exc:
-        return CheckResult(getattr(check, "name", check.__name__), 0, [], f"{type(exc).__name__}: {exc}")
+class _Row(NamedTuple):  # a @tallied check and its scopes before the caps clip them: exhaustive, then sampled
+    check: Callable[..., CheckResult]
+    scopes: tuple[Scope, ...]
+    sampling: bool = False  # reads the run's samples and seed
+    towers: bool = False  # builds towers, not a monoid
+
+
+def _rows() -> tuple[_Row, ...]:
+    """One row per check, built per run so that a check patched on this module runs; n = inf is bounded by the cap."""
+    return (
+        _Row(check_enumeration_count, ((5, 3),)),
+        _Row(check_associativity, ((2, 2), (4, 3)), sampling=True),
+        _Row(check_rook_closure, ((3, 2),)),
+        _Row(check_planarity_closure, ((3, 2),)),
+        _Row(check_size_monotonicity, ((3, 2),)),
+        _Row(check_profile_roundtrip, ((4, 2),)),
+        _Row(check_matrix_semantics, ((3, 2),)),
+        _Row(check_identity_unit, ((4, 3),)),
+        _Row(check_x_inversion, ((3, 2),), sampling=True),
+        _Row(check_left_action, ((2, 2), (3, 2)), sampling=True),
+        _Row(check_right_action, ((2, 2), (3, 2)), sampling=True),
+        _Row(check_block_preservation, ((3, 2),)),
+        _Row(check_embed, ((2, 2),), sampling=True),
+        _Row(check_rho_homomorphism, ((3, 2),)),
+        _Row(check_column_structure, ((3, 2),)),
+        _Row(check_character, ((4, 2),)),
+        _Row(check_multiplicity_count, ((4, 2),)),
+        _Row(check_irreducibility, ((3, 2),)),
+        _Row(check_isomorphism_classification, ((3, 2),)),
+        _Row(check_matrix_algebra, ((2, 2),)),
+        _Row(check_regular_decomposition, ((3, 2),)),
+        _Row(check_restriction, ((3, 2),)),
+        _Row(check_tower_levels, ((6, 4),), towers=True),
+        _Row(check_tower_degrees, ((6, 4),), towers=True),
+        _Row(check_tower_recursion, ((12, 4),), towers=True),
+        _Row(check_tower_restriction_consistency, ((4, 2),), towers=True),
+        _Row(check_pascal_triangle, ((math.inf, 1),), towers=True),
+    )
 
 
 def run_verification(config: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
-    """Run every check, exhaustive ranges clipped to the configured caps, each in a guard against faults."""
-
-    def clip(n_max: int, c_max: int) -> Scope:
-        return (min(n_max, config.n_cap), min(c_max, config.c_cap))
-
-    samples = config.samples
-    seed = config.seed
-    # Every scope below that builds a monoid lies inside the enumeration check's, and |P| grows
-    # with n and c: this refuses an over-cap run before any diagram.
-    require_monoid_cap(*clip(5, 3), config.diagram_cap)
-    bratteli.require_tower_cap(1, config.n_cap, config.diagram_cap)  # the Pascal-triangle check's tower
+    """Run every check of the table, its scopes clipped to the configured caps, each in a guard against faults."""
+    runs = [(row, [(min(n, config.n_cap), min(c, config.c_cap)) for n, c in row.scopes]) for row in _rows()]
+    # |P| grows with n and c, so the componentwise largest monoid scope bounds every monoid a check builds:
+    # this refuses an over-cap run before any diagram.
+    monoids = [scope for row, scopes in runs if not row.towers for scope in scopes]
+    require_monoid_cap(max(n for n, _ in monoids), max(c for _, c in monoids), config.diagram_cap)
+    for row, [(n, c), *_] in runs:
+        if row.towers and row.scopes[0][0] == math.inf:  # Pascal's; the other towers stop at a constant level
+            bratteli.require_tower_cap(c, n, config.diagram_cap)
     global _tables
-    _tables = {}
+    _tables, results = {}, []
     try:
-        results = [
-            _guarded(check_enumeration_count, clip(5, 3)),
-            _guarded(check_associativity, clip(2, 2), clip(4, 3), samples, seed),
-            _guarded(check_rook_closure, clip(3, 2)),
-            _guarded(check_planarity_closure, clip(3, 2)),
-            _guarded(check_size_monotonicity, clip(3, 2)),
-            _guarded(check_profile_roundtrip, clip(4, 2)),
-            _guarded(check_matrix_semantics, clip(3, 2)),
-            _guarded(check_identity_unit, clip(4, 3)),
-            _guarded(check_x_inversion, clip(3, 2), samples, seed),
-            _guarded(check_left_action, clip(2, 2), clip(3, 2), samples, seed),
-            _guarded(check_right_action, clip(2, 2), clip(3, 2), samples, seed),
-            _guarded(check_block_preservation, clip(3, 2)),
-            _guarded(check_embed, clip(2, 2), samples, seed),
-            _guarded(check_rho_homomorphism, clip(3, 2)),
-            _guarded(check_column_structure, clip(3, 2)),
-            _guarded(check_character, clip(4, 2)),
-            _guarded(check_multiplicity_count, clip(4, 2)),
-            _guarded(check_irreducibility, clip(3, 2)),
-            _guarded(check_isomorphism_classification, clip(3, 2)),
-            _guarded(check_matrix_algebra, clip(2, 2)),
-            _guarded(check_regular_decomposition, clip(3, 2)),
-            _guarded(check_restriction, clip(3, 2)),
-            _guarded(check_tower_levels, clip(6, 4)),
-            _guarded(check_tower_degrees, clip(6, 4)),
-            _guarded(check_tower_recursion, clip(12, 4)),
-            _guarded(check_tower_restriction_consistency, clip(4, 2)),
-            _guarded(check_pascal_triangle, config.n_cap),
-        ]
+        for (check, _, sampling, _), scopes in runs:
+            try:
+                results.append(check(*scopes, *((config.samples, config.seed) if sampling else ())))
+            except Exception as exc:  # an engine fault: the check's failed result, with the error
+                results.append(CheckResult(check.name, 0, [], f"{type(exc).__name__}: {exc}"))
     finally:  # the pools, the product table and the action table live for one run only
         _tables = None
     results.sort(key=lambda r: r.name)

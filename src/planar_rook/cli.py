@@ -63,8 +63,13 @@ def _diagram_cap(option: int | None = None) -> int:
     return option if option is not None else _env_int(ENV_DIAGRAM_CAP, DEFAULT_DIAGRAM_CAP)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one stderr line, as every other refusal; -h still prints the usage
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="planar-rook",
         description="Exact computations in the colored planar rook monoid and its algebra.",
     )
@@ -184,6 +189,7 @@ def _cmd_mul(args) -> int:
 def _cmd_xbasis(args) -> int:
     d = parse_diagram(args.diagram)
     cap = _diagram_cap()
+    require_color_cap(d.c, cap)  # the printed terms' sort keys hold one part per color
     if (count := _clipped_power(2, d.size, cap)) > cap:  # both directions build every subdiagram
         raise CapExceededError(f"at least {count} subdiagrams of a {d.size}-edge diagram exceed the cap of {cap}")
     if args.invert:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, repeat
 from operator import itemgetter, sub
@@ -373,6 +374,8 @@ def from_profiles(top: Profile, bottom: Profile) -> Diagram:
 def compositions(n: int, c: int) -> Iterator[tuple[int, ...]]:
     """All (c+1)-part compositions of n, in colex order."""
     _require_counts(n, c)
+    if c >= sys.maxsize:  # each composition is a tuple of c + 1 ints
+        raise ValueError(f"c={c} makes compositions of {c + 1} parts, more than a tuple holds")
     return _compositions(n, c)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import inspect
 import math
 import random
@@ -65,7 +66,7 @@ def test_tiny_diagram_cap_raises_distinct_error():
 
 @pytest.mark.parametrize("n_cap, c_cap, largest", [(3, 2, 93), (2, 2, 15)])
 def test_verification_refuses_its_cap_before_building(monkeypatch, n_cap, c_cap, largest):
-    # |P| at the largest swept shape, clip(5, 3), bounds the whole run.
+    # |P| at the largest swept shape, the enumeration row's (5, 3) clipped to the caps, bounds the whole run.
     real = diagrams._enumerate_planar
     built = []
 
@@ -97,6 +98,57 @@ def test_verification_refuses_its_cap_under_a_lazy_enumeration(monkeypatch):
     with pytest.raises(CapExceededError, match=r"^\|P_\{3,2\}\| = 93 exceeds the cap of 92$"):
         run_verification(VerifyConfig(diagram_cap=92, samples=20))
     assert built == []
+
+
+@pytest.mark.parametrize("n_cap, c_cap", [(3, 2), (4, 3)])
+def test_each_check_sweeps_the_scopes_of_its_row(monkeypatch, n_cap, c_cap):
+    # Each check's exhaustive shapes or towers are its row's first scope clipped to the caps, and a second scope
+    # is the shape its draws come from; the monoid cap is held at the componentwise largest clipped monoid scope.
+    running, seen, draws, capped = [], {}, {}, []
+    real_shapes, real_towers, real_draws = checks._shapes, checks._towers, checks._draws
+
+    def shapes(scope):
+        for n, c in real_shapes(scope):
+            seen[running[-1]].append((n, c))
+            yield n, c
+
+    def towers(scope):
+        for c, graph in real_towers(scope):
+            seen[running[-1]].append((graph.n_max, c))
+            yield c, graph
+
+    def sampled(pool, *args):
+        draws[running[-1]].append((pool[0].n, pool[0].c))
+        return real_draws(pool, *args)
+
+    def entered(check):
+        @functools.wraps(check)
+        def run(*args):
+            running.append(check.__name__)
+            seen[check.__name__], draws[check.__name__] = [], []
+            return check(*args)
+        return run
+
+    for name in [name for name in dir(checks) if name.startswith("check_")]:
+        monkeypatch.setattr(checks, name, entered(getattr(checks, name)))
+    monkeypatch.setattr(checks, "_shapes", shapes)
+    monkeypatch.setattr(checks, "_towers", towers)
+    monkeypatch.setattr(checks, "_draws", sampled)
+    monkeypatch.setattr(checks, "require_monoid_cap", lambda n, c, cap: capped.append((n, c)))
+    assert all(r.ok for r in run_verification(VerifyConfig(n_cap=n_cap, c_cap=c_cap, samples=5)))
+    rows = checks._rows()
+    assert len(rows) == len(running) == len(set(running)) == 27
+    monoids = []
+    for row in rows:
+        name = row.check.__name__
+        (n_max, c_max), *rest = [(min(n, n_cap), min(c, c_cap)) for n, c in row.scopes]
+        if row.towers:
+            assert seen[name] == [(n_max, c) for c in range(1, c_max + 1)], name
+        else:
+            assert seen[name] == [(n, c) for c in range(1, c_max + 1) for n in range(n_max + 1)], name
+            monoids += [(n_max, c_max), *rest]
+        assert draws[name] == rest, name
+    assert capped == [(max(n for n, _ in monoids), max(c for _, c in monoids))] == [(min(5, n_cap), min(3, c_cap))]
 
 
 def test_every_check_is_a_tallied_generator():
@@ -258,7 +310,7 @@ def test_action_tables_hold_one_table_per_class(monkeypatch):
 
 
 def test_a_default_run_enumerates_each_shape_once(monkeypatch):
-    # clip(5, 3) holds the 8 shapes n <= 3, c <= 2, and every check reads the run's pools.
+    # The largest monoid scope, (5, 3) clipped, holds the 8 shapes n <= 3, c <= 2; every check reads the run's pools.
     real = diagrams._enumerate_planar
     shapes = []
 
@@ -365,7 +417,7 @@ def test_tower_recursion_catches_a_missing_child(monkeypatch):
 
 def test_pascal_triangle_names_every_vertex_missing_a_child(monkeypatch):
     _drop_first_child(monkeypatch)
-    outcome = checks.check_pascal_triangle(4)
+    outcome = checks.check_pascal_triangle((4, 1))
     assert outcome.checked == 19
     assert len(outcome.witnesses) == 14
     assert outcome.witnesses[0] == "vertex 1|0 at level 1: dimension 1 but children sum to 0"
@@ -791,7 +843,7 @@ _WITNESS_CASES = [
                  [(checks, "restriction_decomposition", lambda real: lambda space: real(space)[1:])],
                  ["c=1, label 1|0", "c=1, label 0|1"],
                  id="tower-restriction"),
-    pytest.param(lambda: checks.check_pascal_triangle(2),
+    pytest.param(lambda: checks.check_pascal_triangle((2, 1)),
                  [(bratteli, "build", _shifted_level)],
                  [
                      "level 1 is not a triangle row",

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from planar_rook import checks, cli, diagrams, representations
+from planar_rook import algebra, checks, cli, diagrams, representations
 from planar_rook.checks import VerifyConfig
 from planar_rook.diagrams import enumerate_literals
 from planar_rook.cli import main
@@ -227,6 +227,26 @@ def test_the_width_rule_refuses_c_past_the_cap_before_building(capsys, monkeypat
         assert (code, out) == (2, "")
         tail = f"makes compositions of {int(c) + 1} parts, more than the cap of 1000000\n"
         assert err == f"resource cap exceeded: c={c} {tail}"
+
+
+@pytest.mark.parametrize("extra", [[], ["--invert"]])
+def test_xbasis_obeys_the_width_rule(capsys, monkeypatch, extra):
+    # Each printed term's sort key holds one part per color: c + 1 past the cap is refused before any is built.
+    monkeypatch.setenv("PLANAR_ROOK_CAP", "5")
+    assert run(capsys, "xbasis", "n=1 c=4 [1-1:4]", *extra)[0] == 0
+    for module in (algebra, cli):
+        monkeypatch.setattr(module, "diagram_sort_key", lambda d: pytest.fail("sorted a term past the cap"))
+    for c in ("5", "99999999999999999999"):
+        code, out, err = run(capsys, "xbasis", f"n=1 c={c} [1-1:1]", *extra)
+        assert (code, out) == (2, "")
+        assert err == f"resource cap exceeded: c={c} makes compositions of {int(c) + 1} parts, more than the cap of 5\n"
+
+
+@pytest.mark.parametrize("argv", [[], ["xbasis"], ["count", "-n", "x", "-c", "1"], ["verify", "--bogus"]])
+def test_a_usage_error_is_one_stderr_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("planar-rook") and ": error: " in err and err.count("\n") == 1
 
 
 def test_a_spot_check_pool_obeys_the_width_rule(capsys, monkeypatch):

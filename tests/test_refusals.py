@@ -3,6 +3,7 @@
 import copy
 import pickle
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,8 @@ from planar_rook.diagrams import (
     MismatchError,
     NonPlanarError,
     Profile,
+    cardinality,
+    compositions,
     from_matrix,
     from_profiles,
     is_planar,
@@ -23,8 +26,10 @@ from planar_rook.diagrams import (
 from planar_rook.representations import (
     IrrepLabel,
     action_trace,
+    all_labels,
     are_isomorphic,
     character,
+    character_table_csv,
     diagram_action,
     label_module,
     module_space,
@@ -32,6 +37,11 @@ from planar_rook.representations import (
 
 CROSSED = Diagram(2, 1, ((1, 2, 1), (2, 1, 1)))  # two color-1 edges that cross
 BLANK = Diagram(2, 1, ())
+
+
+def _wide(c):
+    return f"c={c} makes compositions of {c + 1} parts, more than a tuple holds"
+
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -91,6 +101,16 @@ BLANK = Diagram(2, 1, ())
                  id="adjacency-count-bool-x"),
     pytest.param(lambda: bratteli.adjacency_count(2, 1, 1.0), ValueError, "need n >= 1 and x >= 1",
                  id="adjacency-count-float-x"),
+    # A composition is a tuple of c + 1 ints, so a width of sys.maxsize or more is refused before any is built;
+    # the character table's rows are compositions into c parts, so its refusal names c - 1.
+    pytest.param(lambda: cardinality(0, 10**20), ValueError, _wide(10**20), id="cardinality-width"),
+    pytest.param(lambda: list(compositions(0, 10**20)), ValueError, _wide(10**20), id="compositions-width"),
+    pytest.param(lambda: compositions(0, sys.maxsize), ValueError, _wide(sys.maxsize),
+                 id="compositions-width-maxsize"),
+    pytest.param(lambda: character_table_csv(0, 10**20), ValueError, _wide(10**20 - 1),
+                 id="character-table-width"),
+    pytest.param(lambda: all_labels(0, 10**20), ValueError, _wide(10**20), id="all-labels-width"),
+    pytest.param(lambda: bratteli.build(10**20, 0), ValueError, _wide(10**20), id="bratteli-build-width"),
 ])
 def test_a_bad_argument_is_refused_with_its_message(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$") as refused:
