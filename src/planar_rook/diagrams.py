@@ -442,9 +442,9 @@ def _clipped_power(base: int, exp: int, cap: int) -> int:
 
 
 def require_color_cap(c: int, cap: int) -> None:
-    """Raise :class:`CapExceededError` if c + 1 > cap: at any n, the first composition built has c + 1 parts."""
+    """Raise :class:`CapExceededError` if c + 1 > cap: at any n, each row profile and label has c + 1 parts."""
     if c + 1 > cap:
-        raise CapExceededError(f"c={c} makes compositions of {c + 1} parts, more than the cap of {cap}")
+        raise CapExceededError(f"c={c} gives each row profile {c + 1} parts, more than the cap of {cap}")
 
 
 def require_monoid_cap(n: int, c: int, cap: int) -> None:

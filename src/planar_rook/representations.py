@@ -429,10 +429,10 @@ def character_table(n: int, c: int) -> tuple[list[tuple[int, ...]], list[IrrepLa
     is the closed form :func:`character` uses, and no diagram is built.
     """
     require_shape(n, c)
+    labels = list(all_labels(n, c))  # before the rows, whose c - 1 a width refusal would name
     rows = []
     for total in range(n + 1):
         rows.extend(compositions(total, c - 1))
-    labels = list(all_labels(n, c))
     values = [[_character(row, label.sizes) for label in labels] for row in rows]
     return rows, labels, values
 

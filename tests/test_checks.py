@@ -390,13 +390,50 @@ def test_restriction_catches_one_color_embedding(monkeypatch):
 
 
 def test_matrix_algebra_catches_plain_diagrams_as_x_elements(monkeypatch):
-    # Mutant: x_d is d itself, so products break the matrix law or leave the class.
+    # Mutant: x_d is d itself, so products that should vanish do not.
     monkeypatch.setattr(algebra, "x_of", algebra.from_diagram)
+    outcome = checks.check_matrix_algebra((2, 2))
+    assert outcome.checked == 16
+    assert len(outcome.witnesses) == 14  # all but the two empty-diagram classes at n = 0
+    assert outcome.witnesses[0] == (
+        "label 1|0 at (n=1, c=1): ['x_a * x_b is not 0 at a = n=1 c=1 [], b = n=1 c=1 [1-1:1]']"
+    )
+
+
+def test_matrix_algebra_catches_a_color_blind_composition(monkeypatch):
+    # Mutant: a middle vertex joins edges of any two colors, and the product keeps the upper edge's color.
+    real = diagrams.compose_edges
+
+    def blind(upper, lower):
+        colors = {m: k for _, m, k in upper}
+        return real(upper, {m: (t, b, colors.get(m, k)) for m, (t, b, k) in lower.items()})
+
+    monkeypatch.setattr(diagrams, "compose_edges", blind)
+    monkeypatch.setattr(algebra, "compose_edges", blind)
+    outcome = checks.check_matrix_algebra((2, 2))
+    assert outcome.checked == 16
+    assert len(outcome.witnesses) == 7
+    assert outcome.witnesses[0] == (
+        "label 0|1|0 at (n=1, c=2): ['x_a * x_b is not 0 at a = n=1 c=2 [1-1:1], b = n=1 c=2 [1-1:2]']"
+    )
+
+
+def test_matrix_algebra_catches_a_dropped_cross_term(monkeypatch):
+    # Mutant: the product of two sums loses the pair of their first terms.
+    real = AlgebraElement.__mul__
+
+    def dropped(g, h):
+        if not isinstance(h, AlgebraElement) or min(len(g.terms), len(h.terms)) < 2:
+            return real(g, h)
+        (d1, p1), (d2, p2) = next(iter(g.terms.items())), next(iter(h.terms.items()))
+        return real(g, h) - real(algebra.from_diagram(d1, p1), algebra.from_diagram(d2, p2))
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", dropped)
     outcome = checks.check_matrix_algebra((2, 2))
     assert outcome.checked == 16
     assert len(outcome.witnesses) == 10
     assert outcome.witnesses[0] == (
-        "label 0|1 at (n=1, c=1): ['ideal escape: n=1 c=1 [] times x-pair (0,0) reaches class (1, 0)']"
+        "label 0|1 at (n=1, c=1): ['x_a * x_b is not x_ab at a = n=1 c=1 [1-1:1], b = n=1 c=1 [1-1:1]']"
     )
 
 

@@ -220,12 +220,12 @@ def test_the_width_rule_refuses_c_past_the_cap_before_building(capsys, monkeypat
     monkeypatch.setattr(diagrams, "_compositions", lambda n, c: pytest.fail("built a composition past the cap"))
     code, out, err = run(capsys, command, "-n", "0", "-c", "5")
     assert (code, out) == (2, "")
-    assert err == "resource cap exceeded: c=5 makes compositions of 6 parts, more than the cap of 5\n"
+    assert err == "resource cap exceeded: c=5 gives each row profile 6 parts, more than the cap of 5\n"
     monkeypatch.delenv("PLANAR_ROOK_CAP")
     for c in ("9999999999", "99999999999999999999"):  # a MemoryError and an OverflowError without the rule
         code, out, err = run(capsys, command, "-c", c, "-n", "0")
         assert (code, out) == (2, "")
-        tail = f"makes compositions of {int(c) + 1} parts, more than the cap of 1000000\n"
+        tail = f"gives each row profile {int(c) + 1} parts, more than the cap of 1000000\n"
         assert err == f"resource cap exceeded: c={c} {tail}"
 
 
@@ -239,7 +239,8 @@ def test_xbasis_obeys_the_width_rule(capsys, monkeypatch, extra):
     for c in ("5", "99999999999999999999"):
         code, out, err = run(capsys, "xbasis", f"n=1 c={c} [1-1:1]", *extra)
         assert (code, out) == (2, "")
-        assert err == f"resource cap exceeded: c={c} makes compositions of {int(c) + 1} parts, more than the cap of 5\n"
+        tail = f"gives each row profile {int(c) + 1} parts, more than the cap of 5\n"
+        assert err == f"resource cap exceeded: c={c} {tail}"
 
 
 @pytest.mark.parametrize("argv", [[], ["xbasis"], ["count", "-n", "x", "-c", "1"], ["verify", "--bogus"]])
@@ -254,7 +255,7 @@ def test_a_spot_check_pool_obeys_the_width_rule(capsys, monkeypatch):
     huge = "n=0 c=99999999999999999999 []"
     code, out, err = run(capsys, "mul", huge, huge, "--spot-check", "1")
     assert (code, out) == (2, "")
-    assert err.startswith("resource cap exceeded: c=99999999999999999999 makes compositions of")
+    assert err.startswith("resource cap exceeded: c=99999999999999999999 gives each row profile")
     assert err.count("\n") == 1
 
 

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from planar_rook import algebra, checks, diagrams, representations
+from planar_rook import algebra, diagrams, representations
 from planar_rook.algebra import embed, from_diagram, identity, left_action_x
 from planar_rook.checks import (
     check_irreducibility,
@@ -559,13 +559,16 @@ def test_regular_blocks_partition_the_basis():
 def test_matrix_algebra_trivial_label():
     label = IrrepLabel((2, 0, 0))
     assert label.dimension() == 1
-    assert list(checks._matrix_block_witnesses(label, checks._all_planar(2, 2))) == []
+    outcome = check_matrix_algebra((label.n, label.c))
+    assert outcome.ok, outcome.witnesses
 
 
 def test_matrix_algebra_two_by_two():
     label = IrrepLabel((1, 1))
     assert label.dimension() == 2
-    assert list(checks._matrix_block_witnesses(label, checks._all_planar(2, 1))) == []
+    outcome = check_matrix_algebra((label.n, label.c))
+    assert outcome.ok, outcome.witnesses
+    assert outcome.checked == 6  # the labels of every shape up to (2, 1)
 
 
 def test_matrix_algebra_all_labels_small():
