@@ -79,8 +79,8 @@ def adjacency_count(n: int, c: int, x: int) -> int:
     A vertex has x children iff x of its parts are nonzero: choose the
     nonzero positions, then a positive composition of n into x parts.
     """
-    if any(type(v) is not int for v in (n, c, x)) or n < 1 or x < 1:  # bools and floats too
-        raise ValueError("need n >= 1 and x >= 1")
+    if any(type(v) is not int for v in (n, c, x)) or n < 1 or c < 0 or x < 1:  # bools and floats too
+        raise ValueError("need n >= 1, c >= 0 and x >= 1")
     return math.comb(c + 1, x) * math.comb(n - 1, x - 1)
 
 
@@ -125,10 +125,14 @@ def emit_json(graph: BratteliGraph) -> bytes:
 
 def graph_from_json(raw: bytes) -> BratteliGraph:
     """Rebuild a graph from its JSON byte stream (inverse of emit_json); refuse a payload that is not the tower."""
-    payload = json.loads(raw.decode("utf-8"))
-    c, n_max, levels = payload["c"], payload["n_max"], payload["levels"]
-    parts = sum(len(sizes) for level in levels for sizes in level)  # checked first: build is no larger than the payload
-    if len(levels) != n_max + 1 or parts != (c + 1) * math.comb(n_max + c + 1, c + 1):  # c + 1 parts per vertex
+    try:  # the size is checked first, so build is no larger than the payload; c + 1 parts per vertex
+        payload = json.loads(raw.decode("utf-8"))
+        c, n_max, levels = payload["c"], payload["n_max"], payload["levels"]
+        parts = sum(len(sizes) for level in levels for sizes in level)
+        sized = len(levels) == n_max + 1 and parts == (c + 1) * math.comb(n_max + c + 1, c + 1)
+    except (TypeError, KeyError, RecursionError) as exc:  # a payload of the wrong shape or types, or nested too deep
+        raise ValueError(f"the payload is not a tower record: {type(exc).__name__}: {exc}") from None
+    if not sized:
         raise ValueError(f"the payload's levels do not have the size of the tower to level {n_max} at c={c}")
     graph = build(c, n_max)
     if json.loads(emit_json(graph)) != payload:

@@ -9,10 +9,12 @@ runs at the call into its :class:`CheckResult`.  All arithmetic is exact, so
 a check either passes identically or names a counterexample.
 
 Each check's scopes are written once, in its row of :func:`_rows`.  No check
-takes a diagram cap: :func:`run_verification` clips the rows' scopes, compares
-its cap with |P| at the componentwise largest monoid scope and with the
-Pascal-triangle tower once, before any check runs, and runs each check in a
-guard, so a check that raises is reported as a failed result with its error.
+takes a diagram cap: :func:`run_verification` refuses a negative n-cap or
+sample count, a c-cap under 1 and more samples than its cap, clips the rows'
+scopes, compares its cap with |P| at the componentwise largest monoid scope
+and with the Pascal-triangle tower once, before any check runs, and runs each
+check in a guard, so a check that raises is reported as a failed result with
+its error.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from typing import Callable, Iterator, NamedTuple
 from . import algebra, bratteli, representations
 from .diagrams import (
     DEFAULT_DIAGRAM_CAP,
+    CapExceededError,
     Diagram,
     Profile,
     bottom_profile,
@@ -735,6 +738,10 @@ def _rows() -> tuple[_Row, ...]:
 
 def run_verification(config: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
     """Run every check of the table, its scopes clipped to the configured caps, each in a guard against faults."""
+    if config.n_cap < 0 or config.c_cap < 1 or config.samples < 0:
+        raise ValueError("verify needs n-cap >= 0, c-cap >= 1 and --samples >= 0")
+    if config.samples > config.diagram_cap:  # each sampled check's work is linear in the draws
+        raise CapExceededError(f"--samples {config.samples} exceeds the cap of {config.diagram_cap} draws")
     runs = [(row, [(min(n, config.n_cap), min(c, config.c_cap)) for n, c in row.scopes]) for row in _rows()]
     # |P| grows with n and c, so the componentwise largest monoid scope bounds every monoid a check builds:
     # this refuses an over-cap run before any diagram.

@@ -58,11 +58,6 @@ def _env_int(name: str, fallback: int) -> int:
         raise ValueError(f"environment variable {name}={value!r} is not an integer")
 
 
-def _diagram_cap(option: int | None = None) -> int:
-    """The diagram cap: the command's ``--cap``, else ``PLANAR_ROOK_CAP``, else the default."""
-    return option if option is not None else _env_int(ENV_DIAGRAM_CAP, DEFAULT_DIAGRAM_CAP)
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # one stderr line, as every other refusal; -h still prints the usage
         self.exit(2, f"{self.prog}: error: {message}\n")
@@ -83,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list all planar diagrams in canonical order")
     p.add_argument("-n", type=integer, required=True)
     p.add_argument("-c", type=integer, required=True)
-    p.add_argument("--cap", type=integer, default=None, help="refuse if the monoid is larger than this")
 
     p = sub.add_parser("mul", help="multiply two diagram literals")
     p.add_argument("left")
@@ -103,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-c", type=integer, required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--verify", action="store_true", help="recompute every entry as a trace")
-    p.add_argument("--cap", type=integer, default=None)
 
     p = sub.add_parser("bratteli", help="emit the restriction tower")
     p.add_argument("-c", type=integer, required=True)
@@ -114,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the full verification suite")
     p.add_argument("--n-cap", type=integer, default=None)
     p.add_argument("--c-cap", type=integer, default=None)
-    p.add_argument("--cap", type=integer, default=None, help="largest monoid to sweep exhaustively")
     p.add_argument("--samples", type=integer, default=VerifyConfig.samples)
     p.add_argument("--seed", type=integer, default=VerifyConfig.seed)
     p.add_argument("--json", action="store_true", help="print the JSON report to stdout")
@@ -131,8 +123,8 @@ def _write_bytes(path: str | None, payload: bytes) -> None:
             handle.write(payload)
 
 
-def _cmd_count(args) -> int:
-    if _binomial_exceeds(args.n, args.c, cap := _diagram_cap()):  # one multinomial per composition of n
+def _cmd_count(args, cap: int) -> int:
+    if _binomial_exceeds(args.n, args.c, cap):  # one multinomial per composition of n
         raise CapExceededError(f"n={args.n} has more than {cap} compositions into {args.c + 1} parts")
     # A squared multinomial is at most (c+1)^(2n), so this bounds the digits of the breakdown's lines.
     digits = math.comb(args.n + args.c, args.c) * (math.floor(2 * args.n * math.log10(args.c + 1)) + 1)
@@ -150,8 +142,8 @@ def _cmd_count(args) -> int:
     return 0
 
 
-def _cmd_enumerate(args) -> int:
-    literals = enumerate_literals(args.n, args.c, _diagram_cap(args.cap))  # a refused cap prints nothing
+def _cmd_enumerate(args, cap: int) -> int:
+    literals = enumerate_literals(args.n, args.c, cap)  # a refused cap prints nothing
     write = sys.stdout.write  # looked up per run, so a redirected stdout is used
     for literal in literals:
         write(literal)
@@ -159,17 +151,16 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _cmd_mul(args) -> int:
+def _cmd_mul(args, cap: int) -> int:
     if args.spot_check < 0:
-        print("mul needs --spot-check >= 0", file=sys.stderr)
-        return 2
+        raise ValueError("mul needs --spot-check >= 0")
     left = parse_diagram(args.left)
     right = parse_diagram(args.right)
     product = multiply(left, right)
-    if args.as_matrix and (cells := product.n ** 2) > (cap := _diagram_cap()):
+    if args.as_matrix and (cells := product.n ** 2) > cap:
         raise CapExceededError(f"the {product.n}x{product.n} matrix has {cells} cells, more than the cap of {cap}")
     if args.spot_check:  # K and the pool are refused before any output; K triples take 4K products
-        if args.spot_check > (cap := _diagram_cap()):
+        if args.spot_check > cap:
             raise CapExceededError(f"--spot-check {args.spot_check} exceeds the cap of {cap} triples")
         pool = list(enumerate_planar(left.n, left.c, cap))
     if args.as_matrix:
@@ -186,9 +177,8 @@ def _cmd_mul(args) -> int:
     return 0
 
 
-def _cmd_xbasis(args) -> int:
+def _cmd_xbasis(args, cap: int) -> int:
     d = parse_diagram(args.diagram)
-    cap = _diagram_cap()
     require_color_cap(d.c, cap)  # the printed terms' sort keys hold one part per color
     if (count := _clipped_power(2, d.size, cap)) > cap:  # both directions build every subdiagram
         raise CapExceededError(f"at least {count} subdiagrams of a {d.size}-edge diagram exceed the cap of {cap}")
@@ -201,13 +191,13 @@ def _cmd_xbasis(args) -> int:
     return 0
 
 
-def _cmd_chartable(args) -> int:
-    # C(n+c, c) rows by as many columns; --cap bounds the --verify modules, the environment the table.
-    if _binomial_exceeds(args.n, args.c, math.isqrt(max(cap := _diagram_cap(), 0))):
+def _cmd_chartable(args, cap: int) -> int:
+    # C(n+c, c) rows by as many columns; the same cap bounds the --verify modules' (c+1)^n basis vectors.
+    if _binomial_exceeds(args.n, args.c, math.isqrt(max(cap, 0))):
         raise CapExceededError(f"the character table at (n={args.n}, c={args.c}) has more than {cap} cells")
     payload = character_table_csv(args.n, args.c)
     if args.verify:
-        outcome = verify_character_table(args.n, args.c, _diagram_cap(args.cap))
+        outcome = verify_character_table(args.n, args.c, cap)
         if not outcome:
             for failure in outcome.witnesses:
                 print(failure, file=sys.stderr)
@@ -216,27 +206,22 @@ def _cmd_chartable(args) -> int:
     return 0
 
 
-def _cmd_bratteli(args) -> int:
-    bratteli.require_tower_cap(args.c, args.n, _diagram_cap())
+def _cmd_bratteli(args, cap: int) -> int:
+    bratteli.require_tower_cap(args.c, args.n, cap)
     graph = bratteli.build(args.c, args.n)
     payload = getattr(bratteli, f"emit_{args.format}")(graph)  # read at call time, so a patched emitter is used
     _write_bytes(args.out, payload)
     return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, cap: int) -> int:
     config = VerifyConfig(
         n_cap=args.n_cap if args.n_cap is not None else _env_int(ENV_N_CAP, VerifyConfig.n_cap),
         c_cap=args.c_cap if args.c_cap is not None else _env_int(ENV_C_CAP, VerifyConfig.c_cap),
-        diagram_cap=_diagram_cap(args.cap),
+        diagram_cap=cap,
         samples=args.samples,
         seed=args.seed,
     )
-    if config.n_cap < 0 or config.c_cap < 1 or config.samples < 0:
-        print("verify needs n-cap >= 0, c-cap >= 1 and --samples >= 0", file=sys.stderr)
-        return 2
-    if config.samples > config.diagram_cap:  # each sampled check's work is linear in the draws
-        raise CapExceededError(f"--samples {config.samples} exceeds the cap of {config.diagram_cap} draws")
     results = run_verification(config)
     report = {
         "config": dataclasses.asdict(config),
@@ -281,13 +266,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if hasattr(args, "n") and (args.n < 0 or args.c < 1):  # the commands with -n
-        print(f"{args.command} needs n >= 0 and c >= 1", file=sys.stderr)
-        return 2
     try:
-        if hasattr(args, "n"):
-            require_color_cap(args.c, _diagram_cap())  # the width rule, before any command builds a composition
-        return _COMMANDS[args.command](args)
+        cap = _env_int(ENV_DIAGRAM_CAP, DEFAULT_DIAGRAM_CAP)  # the one diagram cap every command's bounds read
+        if hasattr(args, "n"):  # the commands with -n
+            if args.n < 0 or args.c < 1:
+                raise ValueError(f"{args.command} needs n >= 0 and c >= 1")
+            require_color_cap(args.c, cap)  # the width rule, before any command builds a composition
+        return _COMMANDS[args.command](args, cap)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -40,6 +40,7 @@ from .diagrams import (
     from_profiles,
     multinomial,
     profiles_with_sizes,
+    require_color_cap,
     require_shape,
     vertical_color_counts,
     vertical_diagram,
@@ -449,6 +450,7 @@ def character_table_csv(n: int, c: int) -> bytes:
 @tallied("modules.character-table")
 def verify_character_table(n: int, c: int, cap: int = DEFAULT_DIAGRAM_CAP) -> CheckResult:
     """Recompute every table entry as the fixed points of ``diagram_action`` on a representative module."""
+    require_color_cap(c, cap)  # each label has c + 1 parts, also at n = 0, where the basis bound is 1
     if (total := _clipped_power(c + 1, n, cap)) > cap:  # the label modules' multinomial dimensions sum to (c + 1)^n
         raise CapExceededError(f"at least {total} module basis vectors at (n={n}, c={c}) exceed the cap of {cap}")
     rows, labels, values = character_table(n, c)

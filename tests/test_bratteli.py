@@ -170,6 +170,20 @@ def test_graph_from_json_refuses_a_payload_that_is_not_the_tower(edit):
         graph_from_json(_edited_payload(edit))
 
 
+@pytest.mark.parametrize("raw", [
+    pytest.param(b"[]", id="list"),
+    pytest.param(b"{}", id="no-fields"),
+    pytest.param(_edited_payload(lambda payload: payload.update(c="2")), id="text-c"),
+    pytest.param(_edited_payload(lambda payload: payload.update(n_max=2.0)), id="float-n-max"),
+    pytest.param(_edited_payload(lambda payload: payload.update(levels=[5])), id="number-level"),
+    pytest.param(b"[" * 100000, id="nested-too-deep"),
+])
+def test_graph_from_json_refuses_a_malformed_payload_with_value_error(raw):
+    # Each of these once escaped as a TypeError, KeyError or RecursionError from reading the payload.
+    with pytest.raises(ValueError, match=r"^the payload is not a tower record: [A-Za-z]+Error: "):
+        graph_from_json(raw)
+
+
 @pytest.mark.parametrize("c, n_max", [(2, 10**6), (10**9, 2)])
 def test_graph_from_json_checks_the_payload_size_before_building(monkeypatch, c, n_max):
     # A small payload that names a huge tower is refused before any vertex is built.

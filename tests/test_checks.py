@@ -3,6 +3,7 @@ import functools
 import inspect
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import permutations
 
@@ -60,13 +61,31 @@ def test_zero_cap_is_vacuously_green():
 
 
 def test_tiny_diagram_cap_raises_distinct_error():
-    with pytest.raises(CapExceededError):
-        run_verification(VerifyConfig(diagram_cap=3, samples=10))
+    with pytest.raises(CapExceededError, match="exceeds the cap of 3$"):  # the monoid's cap; 3 samples fit it
+        run_verification(VerifyConfig(diagram_cap=3, samples=3))
+
+
+@pytest.mark.parametrize("config, error, message", [
+    (VerifyConfig(samples=-1), ValueError, "verify needs n-cap >= 0, c-cap >= 1 and --samples >= 0"),
+    (VerifyConfig(n_cap=-1), ValueError, "verify needs n-cap >= 0, c-cap >= 1 and --samples >= 0"),
+    (VerifyConfig(c_cap=0), ValueError, "verify needs n-cap >= 0, c-cap >= 1 and --samples >= 0"),
+    # The sampled checks' work is linear in the samples, so more than the diagram cap is refused.
+    (VerifyConfig(n_cap=1, c_cap=1, diagram_cap=10, samples=11), CapExceededError,
+     "--samples 11 exceeds the cap of 10 draws"),
+])
+def test_verification_refuses_its_arguments_before_any_check(monkeypatch, config, error, message):
+    monkeypatch.setattr(checks, "_rows", lambda: pytest.fail("read the table of checks"))
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as refused:
+        run_verification(config)
+    assert type(refused.value) is error
+    monkeypatch.undo()
+    assert all(r.ok for r in run_verification(dataclasses.replace(config, n_cap=1, c_cap=1, samples=10)))
 
 
 @pytest.mark.parametrize("n_cap, c_cap, largest", [(3, 2, 93), (2, 2, 15)])
 def test_verification_refuses_its_cap_before_building(monkeypatch, n_cap, c_cap, largest):
     # |P| at the largest swept shape, the enumeration row's (5, 3) clipped to the caps, bounds the whole run.
+    # The samples stay under both caps, so that the refusal is the monoid's, not the samples rule's.
     real = diagrams._enumerate_planar
     built = []
 
@@ -76,7 +95,7 @@ def test_verification_refuses_its_cap_before_building(monkeypatch, n_cap, c_cap,
             yield d
 
     monkeypatch.setattr(diagrams, "_enumerate_planar", counting)
-    config = VerifyConfig(n_cap=n_cap, c_cap=c_cap, diagram_cap=largest - 1, samples=20)
+    config = VerifyConfig(n_cap=n_cap, c_cap=c_cap, diagram_cap=largest - 1, samples=10)
     with pytest.raises(CapExceededError, match=rf"\|P_\{{{n_cap},{c_cap}\}}\| = {largest} exceeds"):
         run_verification(config)
     assert built == []

@@ -61,7 +61,7 @@ def test_count_breakdown(capsys):
 def test_count_invalid_flags(capsys):
     code, _, err = run(capsys, "count", "-n", "-1", "-c", "1")
     assert code == 2
-    assert "n >= 0" in err
+    assert err == "error: count needs n >= 0 and c >= 1\n"  # main prints every usage refusal
 
 
 def test_count_obeys_the_cap(capsys, monkeypatch):
@@ -130,11 +130,41 @@ def test_enumerate(capsys):
     assert lines[0] == "n=2 c=1 []"
 
 
-def test_enumerate_cap(capsys):
-    code, out, err = run(capsys, "enumerate", "-n", "4", "-c", "3", "--cap", "10")
+def test_enumerate_cap(capsys, monkeypatch):
+    monkeypatch.setenv("PLANAR_ROOK_CAP", "10")
+    code, out, err = run(capsys, "enumerate", "-n", "4", "-c", "3")
     assert code == 2
     assert out == ""
-    assert "cap" in err
+    assert err == "resource cap exceeded: |P_{4,3}| >= 256 exceeds the cap of 10\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["enumerate", "-n", "1", "-c", "1"],
+    ["chartable", "-n", "1", "-c", "1", "--verify"],
+    ["verify", "--n-cap", "0"],
+])
+def test_no_command_takes_a_cap_option(capsys, command):
+    # PLANAR_ROOK_CAP is the one diagram cap: a --cap is an unknown argument, refused before any work.
+    code, out, err = run(capsys, *command, "--cap", "10")
+    assert (code, out) == (2, "")
+    assert err == "planar-rook: error: unrecognized arguments: --cap 10\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "-n", "1", "-c", "1"],
+    ["enumerate", "-n", "1", "-c", "1"],
+    ["mul", "n=1 c=1 []", "n=1 c=1 []"],
+    ["xbasis", "n=1 c=1 []"],
+    ["chartable", "-n", "1", "-c", "1"],
+    ["bratteli", "-c", "1", "-n", "1"],
+    ["verify", "--n-cap", "0"],
+])
+def test_every_command_reads_the_cap_variable(capsys, monkeypatch, argv):
+    # main reads PLANAR_ROOK_CAP once, for every command, also those whose bounds this argv never reaches.
+    monkeypatch.setenv("PLANAR_ROOK_CAP", "x")
+    assert run(capsys, *argv) == (2, "", "error: environment variable PLANAR_ROOK_CAP='x' is not an integer\n")
+    monkeypatch.setenv("PLANAR_ROOK_CAP", "1000")
+    assert run(capsys, *argv)[0] == 0
 
 
 @pytest.mark.parametrize("c", [1, 2, 3])
@@ -263,15 +293,15 @@ def test_verify_samples_obey_the_cap(capsys, monkeypatch):
     # The sampled checks' work is linear in --samples: past the cap it is refused before any check runs, as
     # --spot-check's triples are.
     monkeypatch.delenv("PLANAR_ROOK_CAP", raising=False)
-    real = cli.run_verification
-    monkeypatch.setattr(cli, "run_verification", lambda config: pytest.fail("verified past the cap"))
+    monkeypatch.setattr(checks, "_rows", lambda: pytest.fail("read the table of checks past the cap"))
     code, out, err = run(capsys, "verify", "--samples", "100000000")
     assert (code, out) == (2, "")
     assert err == "resource cap exceeded: --samples 100000000 exceeds the cap of 1000000 draws\n"
-    monkeypatch.setattr(cli, "run_verification", real)
-    argv = ["verify", "--n-cap", "1", "--c-cap", "1", "--cap", "10", "--samples"]
+    monkeypatch.undo()
+    monkeypatch.setenv("PLANAR_ROOK_CAP", "10")
+    argv = ["verify", "--n-cap", "1", "--c-cap", "1", "--samples"]
     assert run(capsys, *argv, "10")[0] == 0  # |P_{1,1}| = 2, so only the samples meet the cap
-    assert run(capsys, *argv, "11")[:2] == (2, "")
+    assert run(capsys, *argv, "11") == (2, "", "resource cap exceeded: --samples 11 exceeds the cap of 10 draws\n")
 
 
 @pytest.mark.parametrize("argv, option", [
@@ -282,7 +312,7 @@ def test_negative_counts_are_usage_errors(capsys, argv, option):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert option in err
+    assert err.startswith("error: ") and option in err and err.count("\n") == 1
     argv[-1] = "0"  # zero stays allowed
     assert run(capsys, *argv)[0] == 0
 
@@ -464,16 +494,19 @@ def test_chartable_verify_failure_exits_one_with_the_witnesses(capsys, monkeypat
     )
 
 
-def test_chartable_verify_cap_bounds_the_module_basis(capsys):
-    # The label modules at (4, 3) have 4^4 = 256 basis vectors; the monoid
-    # (|P_{4,3}| = 2716) is never built, so it does not count against the cap.
-    code, out, _ = run(capsys, "chartable", "-n", "4", "-c", "3", "--verify", "--cap", "300")
+def test_chartable_verify_cap_bounds_the_module_basis(capsys, monkeypatch):
+    # At (6, 1) the table has 7^2 = 49 cells and the label modules 2^6 = 64 basis vectors, so one cap between
+    # them passes the table and refuses the modules; the monoid (|P_{6,1}| = 924) is never built.
+    monkeypatch.setenv("PLANAR_ROOK_CAP", "64")
+    code, out, _ = run(capsys, "chartable", "-n", "6", "-c", "1", "--verify")
     assert code == 0
     assert out.startswith("verticals,")
-    code, out, err = run(capsys, "chartable", "-n", "4", "-c", "3", "--verify", "--cap", "255")
+    monkeypatch.setenv("PLANAR_ROOK_CAP", "63")
+    code, out, err = run(capsys, "chartable", "-n", "6", "-c", "1", "--verify")
     assert code == 2
-    assert "256" in err
+    assert err == "resource cap exceeded: at least 64 module basis vectors at (n=6, c=1) exceed the cap of 63\n"
     assert out == ""
+    assert run(capsys, "chartable", "-n", "6", "-c", "1")[0] == 0  # without --verify the 49 cells fit
 
 
 @pytest.mark.parametrize("extra", [[], ["--verify"]])
@@ -592,10 +625,11 @@ def test_default_verify_json_report_is_byte_stable(capsys, monkeypatch):
     assert json.loads(out)["config"] == dataclasses.asdict(VerifyConfig())  # the CLI restates no default
 
 
-def test_verify_cap_exceeded_is_usage_error(capsys):
-    code, _, err = run(capsys, "verify", "--n-cap", "3", "--c-cap", "2", "--cap", "5")
+def test_verify_cap_exceeded_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("PLANAR_ROOK_CAP", "5")
+    code, _, err = run(capsys, "verify", "--n-cap", "3", "--c-cap", "2", "--samples", "5")
     assert code == 2
-    assert "cap" in err
+    assert err == "resource cap exceeded: |P_{3,2}| >= 27 exceeds the cap of 5\n"
 
 
 def test_verify_caps_from_environment(capsys, monkeypatch):

@@ -327,6 +327,20 @@ def test_profiles_of_five_vertex_example():
     assert bottom_profile(FIVE_VERTEX).parts == ((4,), (1, 5), (2, 3))
 
 
+def test_the_bottom_profile_memo_is_bounded():
+    # A default verify fills 141 entries and verify --n-cap 5 --c-cap 3 850: both fit, and a longer session evicts.
+    maxsize = bottom_profile.cache_info().maxsize
+    assert maxsize is not None and maxsize >= 850
+    seen = list(pool(4, 3))  # 2716 distinct diagrams
+    assert len(seen) > maxsize
+    bottom_profile.cache_clear()
+    for d in seen:
+        assert bottom_profile(d) == diagrams._profile(d, 1)
+    info = bottom_profile.cache_info()
+    assert info.misses == len(seen) and info.currsize == maxsize
+    bottom_profile.cache_clear()
+
+
 def test_profiles_of_empty_diagram():
     assert top_profile(Diagram(3, 2, [])).parts == ((1, 2, 3), (), ())
 

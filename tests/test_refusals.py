@@ -11,6 +11,7 @@ import pytest
 from planar_rook import bratteli, diagrams
 from planar_rook.algebra import AlgebraElement, from_diagram, left_action_x, right_action_x, x_of
 from planar_rook.diagrams import (
+    CapExceededError,
     Diagram,
     MismatchError,
     NonPlanarError,
@@ -33,6 +34,7 @@ from planar_rook.representations import (
     diagram_action,
     label_module,
     module_space,
+    verify_character_table,
 )
 
 CROSSED = Diagram(2, 1, ((1, 2, 1), (2, 1, 1)))  # two color-1 edges that cross
@@ -77,10 +79,15 @@ def _wide(c):
     pytest.param(lambda: from_matrix(1, [[0, 1], [0]]), ValueError, "matrix must be square", id="from-matrix-square"),
     pytest.param(lambda: bratteli.vertex_count(-1, 2), ValueError, "need n >= 0 and c >= 0", id="vertex-count-n"),
     pytest.param(lambda: bratteli.vertex_count(2, -1), ValueError, "need n >= 0 and c >= 0", id="vertex-count-c"),
-    pytest.param(lambda: bratteli.adjacency_count(0, 2, 1), ValueError, "need n >= 1 and x >= 1",
+    pytest.param(lambda: bratteli.adjacency_count(0, 2, 1), ValueError, "need n >= 1, c >= 0 and x >= 1",
                  id="adjacency-count-n"),
-    pytest.param(lambda: bratteli.adjacency_count(2, 2, 0), ValueError, "need n >= 1 and x >= 1",
+    pytest.param(lambda: bratteli.adjacency_count(2, 2, 0), ValueError, "need n >= 1, c >= 0 and x >= 1",
                  id="adjacency-count-x"),
+    # A negative c once counted 0 vertices (c = -1) or raised math.comb's message (c = -5), as vertex_count never did.
+    pytest.param(lambda: bratteli.adjacency_count(2, -1, 1), ValueError, "need n >= 1, c >= 0 and x >= 1",
+                 id="adjacency-count-c"),
+    pytest.param(lambda: bratteli.adjacency_count(2, -5, 1), ValueError, "need n >= 1, c >= 0 and x >= 1",
+                 id="adjacency-count-c-below-comb"),
     pytest.param(lambda: bratteli.vertex_count(True, 1), ValueError, "need n >= 0 and c >= 0",
                  id="vertex-count-bool-n"),
     pytest.param(lambda: bratteli.vertex_count(2.0, 1), ValueError, "need n >= 0 and c >= 0",
@@ -89,17 +96,17 @@ def _wide(c):
                  id="vertex-count-bool-c"),
     pytest.param(lambda: bratteli.vertex_count(2, 1.0), ValueError, "need n >= 0 and c >= 0",
                  id="vertex-count-float-c"),
-    pytest.param(lambda: bratteli.adjacency_count(True, 1, 1), ValueError, "need n >= 1 and x >= 1",
+    pytest.param(lambda: bratteli.adjacency_count(True, 1, 1), ValueError, "need n >= 1, c >= 0 and x >= 1",
                  id="adjacency-count-bool-n"),
-    pytest.param(lambda: bratteli.adjacency_count(2.0, 1, 1), ValueError, "need n >= 1 and x >= 1",
+    pytest.param(lambda: bratteli.adjacency_count(2.0, 1, 1), ValueError, "need n >= 1, c >= 0 and x >= 1",
                  id="adjacency-count-float-n"),
-    pytest.param(lambda: bratteli.adjacency_count(2, True, 1), ValueError, "need n >= 1 and x >= 1",
+    pytest.param(lambda: bratteli.adjacency_count(2, True, 1), ValueError, "need n >= 1, c >= 0 and x >= 1",
                  id="adjacency-count-bool-c"),
-    pytest.param(lambda: bratteli.adjacency_count(2, 1.0, 1), ValueError, "need n >= 1 and x >= 1",
+    pytest.param(lambda: bratteli.adjacency_count(2, 1.0, 1), ValueError, "need n >= 1, c >= 0 and x >= 1",
                  id="adjacency-count-float-c"),
-    pytest.param(lambda: bratteli.adjacency_count(2, 1, True), ValueError, "need n >= 1 and x >= 1",
+    pytest.param(lambda: bratteli.adjacency_count(2, 1, True), ValueError, "need n >= 1, c >= 0 and x >= 1",
                  id="adjacency-count-bool-x"),
-    pytest.param(lambda: bratteli.adjacency_count(2, 1, 1.0), ValueError, "need n >= 1 and x >= 1",
+    pytest.param(lambda: bratteli.adjacency_count(2, 1, 1.0), ValueError, "need n >= 1, c >= 0 and x >= 1",
                  id="adjacency-count-float-x"),
     # A composition is a tuple of c + 1 ints, so a width of sys.maxsize or more is refused before any is built;
     # the character table builds its labels before its rows (compositions into c parts), so its refusal names c.
@@ -111,6 +118,10 @@ def _wide(c):
                  id="character-table-width"),
     pytest.param(lambda: all_labels(0, 10**20), ValueError, _wide(10**20), id="all-labels-width"),
     pytest.param(lambda: bratteli.build(10**20, 0), ValueError, _wide(10**20), id="bratteli-build-width"),
+    # The library's character-table verifier applies the CLI's width rule: at n = 0 its basis bound is 1.
+    pytest.param(lambda: verify_character_table(0, 2 * 10**6, cap=10), CapExceededError,
+                 "c=2000000 gives each row profile 2000001 parts, more than the cap of 10",
+                 id="verify-character-table-width"),
 ])
 def test_a_bad_argument_is_refused_with_its_message(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$") as refused:

@@ -103,6 +103,15 @@ def test_character_table_cap_refuses_without_the_full_power():
         verify_character_table(10**5, 3, cap=10)
 
 
+def test_character_table_verifier_refuses_a_width_over_its_cap_before_building(monkeypatch):
+    # At n = 0 the (c+1)^n basis bound is 1, so only the width rule stops labels of 2,000,001 parts.
+    monkeypatch.setattr(representations, "character_table", lambda n, c: pytest.fail("built the table"))
+    with pytest.raises(CapExceededError, match=r"^c=2000000 gives each row profile 2000001 parts, more than"):
+        verify_character_table(0, 2 * 10**6, cap=10)
+    monkeypatch.undo()
+    assert verify_character_table(0, 9, cap=10)  # 10 parts fit the cap
+
+
 def test_label_children_drop_empty_parts():
     assert [child.sizes for child in IrrepLabel((1, 0, 0)).children()] == [(0, 0, 0)]
 

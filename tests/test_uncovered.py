@@ -19,7 +19,7 @@ def test_uncovered_lists_the_statements_a_test_file_never_runs(tmp_path):
     # The tower tests run every statement of bratteli.py but the two count refusals, which test_refusals.py reaches.
     assert [source for where, source in listed if where.startswith("src/planar_rook/bratteli.py:")] == [
         'raise ValueError("need n >= 0 and c >= 0")',
-        'raise ValueError("need n >= 1 and x >= 1")',
+        'raise ValueError("need n >= 1, c >= 0 and x >= 1")',
     ]
     assert result.stdout.splitlines()[-1].endswith(" statements in src/planar_rook never ran")
 
