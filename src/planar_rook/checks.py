@@ -34,6 +34,7 @@ from .diagrams import (
     CapExceededError,
     Diagram,
     Profile,
+    _require_counts,
     bottom_profile,
     cardinality,
     enumerate_planar,
@@ -740,6 +741,7 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> list[CheckResult]
     """Run every check of the table, its scopes clipped to the configured caps, each in a guard against faults."""
     if config.n_cap < 0 or config.c_cap < 1 or config.samples < 0:
         raise ValueError("verify needs n-cap >= 0, c-cap >= 1 and --samples >= 0")
+    _require_counts(config.diagram_cap)
     if config.samples > config.diagram_cap:  # each sampled check's work is linear in the draws
         raise CapExceededError(f"--samples {config.samples} exceeds the cap of {config.diagram_cap} draws")
     runs = [(row, [(min(n, config.n_cap), min(c, config.c_cap)) for n, c in row.scopes]) for row in _rows()]

@@ -39,8 +39,6 @@ from .diagrams import (
 from .representations import character_table_csv, verify_character_table
 
 ENV_DIAGRAM_CAP = "PLANAR_ROOK_CAP"
-ENV_N_CAP = "PLANAR_ROOK_N_CAP"
-ENV_C_CAP = "PLANAR_ROOK_C_CAP"
 
 
 def integer(text: str) -> int:
@@ -48,14 +46,6 @@ def integer(text: str) -> int:
     if not re.fullmatch("-?[0-9]+", text):
         raise ValueError(f"{text!r} is not an integer")
     return int(text)
-
-
-def _env_int(name: str, fallback: int) -> int:
-    value = os.environ.get(name, str(fallback))
-    try:
-        return integer(value)
-    except ValueError:
-        raise ValueError(f"environment variable {name}={value!r} is not an integer")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,15 +59,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations in the colored planar rook monoid and its algebra.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shape = argparse.ArgumentParser(add_help=False)  # the -n and -c of count, enumerate and chartable
+    shape.add_argument("-n", type=integer, required=True)
+    shape.add_argument("-c", type=integer, required=True)
 
-    p = sub.add_parser("count", help="number of planar diagrams")
-    p.add_argument("-n", type=integer, required=True)
-    p.add_argument("-c", type=integer, required=True)
+    p = sub.add_parser("count", parents=[shape], help="number of planar diagrams")
     p.add_argument("--breakdown", action="store_true", help="also print one line per composition")
+    p.set_defaults(run=_cmd_count)
 
-    p = sub.add_parser("enumerate", help="list all planar diagrams in canonical order")
-    p.add_argument("-n", type=integer, required=True)
-    p.add_argument("-c", type=integer, required=True)
+    p = sub.add_parser("enumerate", parents=[shape], help="list all planar diagrams in canonical order")
+    p.set_defaults(run=_cmd_enumerate)
 
     p = sub.add_parser("mul", help="multiply two diagram literals")
     p.add_argument("left")
@@ -85,32 +76,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--as-matrix", action="store_true", help="print the product in matrix form")
     p.add_argument("--spot-check", type=integer, default=0, metavar="K",
                    help="also test associativity on K random triples of the same shape")
-    p.add_argument("--seed", type=integer, default=12345)
+    p.add_argument("--seed", type=integer, default=VerifyConfig.seed)
+    p.set_defaults(run=_cmd_mul)
 
     p = sub.add_parser("xbasis", help="expand a diagram's x-basis vector")
     p.add_argument("diagram")
     p.add_argument("--invert", action="store_true",
                    help="print the diagram's x-basis coordinates instead")
+    p.set_defaults(run=_cmd_xbasis)
 
-    p = sub.add_parser("chartable", help="write the character table as CSV")
-    p.add_argument("-n", type=integer, required=True)
-    p.add_argument("-c", type=integer, required=True)
+    p = sub.add_parser("chartable", parents=[shape], help="write the character table as CSV")
     p.add_argument("--out", default=None)
     p.add_argument("--verify", action="store_true", help="recompute every entry as a trace")
+    p.set_defaults(run=_cmd_chartable)
 
     p = sub.add_parser("bratteli", help="emit the restriction tower")
     p.add_argument("-c", type=integer, required=True)
     p.add_argument("-n", type=integer, required=True, help="largest level to build")
     p.add_argument("--format", default="dot", choices=["dot", "json"])
     p.add_argument("--out", default=None)
+    p.set_defaults(run=_cmd_bratteli)
 
     p = sub.add_parser("verify", help="run the full verification suite")
-    p.add_argument("--n-cap", type=integer, default=None)
-    p.add_argument("--c-cap", type=integer, default=None)
+    p.add_argument("--n-cap", type=integer, default=VerifyConfig.n_cap)
+    p.add_argument("--c-cap", type=integer, default=VerifyConfig.c_cap)
     p.add_argument("--samples", type=integer, default=VerifyConfig.samples)
     p.add_argument("--seed", type=integer, default=VerifyConfig.seed)
     p.add_argument("--json", action="store_true", help="print the JSON report to stdout")
     p.add_argument("--out", default=None, help="write the JSON report to a file")
+    p.set_defaults(run=_cmd_verify)
 
     return parser
 
@@ -193,7 +187,7 @@ def _cmd_xbasis(args, cap: int) -> int:
 
 def _cmd_chartable(args, cap: int) -> int:
     # C(n+c, c) rows by as many columns; the same cap bounds the --verify modules' (c+1)^n basis vectors.
-    if _binomial_exceeds(args.n, args.c, math.isqrt(max(cap, 0))):
+    if _binomial_exceeds(args.n, args.c, math.isqrt(cap)):
         raise CapExceededError(f"the character table at (n={args.n}, c={args.c}) has more than {cap} cells")
     payload = character_table_csv(args.n, args.c)
     if args.verify:
@@ -215,13 +209,7 @@ def _cmd_bratteli(args, cap: int) -> int:
 
 
 def _cmd_verify(args, cap: int) -> int:
-    config = VerifyConfig(
-        n_cap=args.n_cap if args.n_cap is not None else _env_int(ENV_N_CAP, VerifyConfig.n_cap),
-        c_cap=args.c_cap if args.c_cap is not None else _env_int(ENV_C_CAP, VerifyConfig.c_cap),
-        diagram_cap=cap,
-        samples=args.samples,
-        seed=args.seed,
-    )
+    config = VerifyConfig(n_cap=args.n_cap, c_cap=args.c_cap, diagram_cap=cap, samples=args.samples, seed=args.seed)
     results = run_verification(config)
     report = {
         "config": dataclasses.asdict(config),
@@ -249,17 +237,6 @@ def _cmd_verify(args, cap: int) -> int:
     return 3 if faults else 0 if report["ok"] else 1
 
 
-_COMMANDS = {
-    "count": _cmd_count,
-    "enumerate": _cmd_enumerate,
-    "mul": _cmd_mul,
-    "xbasis": _cmd_xbasis,
-    "chartable": _cmd_chartable,
-    "bratteli": _cmd_bratteli,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -267,12 +244,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        cap = _env_int(ENV_DIAGRAM_CAP, DEFAULT_DIAGRAM_CAP)  # the one diagram cap every command's bounds read
+        value = os.environ.get(ENV_DIAGRAM_CAP, str(DEFAULT_DIAGRAM_CAP))  # the one cap every command's bounds read
+        try:
+            if not re.fullmatch("[0-9]+", value):  # int alone also takes "-1", "٣", " 7", "+7" and "1_0"
+                raise ValueError
+            cap = int(value)  # raises past int's digit limit too
+        except ValueError:
+            raise ValueError(f"environment variable {ENV_DIAGRAM_CAP}={value!r} is not an integer >= 0") from None
         if hasattr(args, "n"):  # the commands with -n
             if args.n < 0 or args.c < 1:
                 raise ValueError(f"{args.command} needs n >= 0 and c >= 1")
             require_color_cap(args.c, cap)  # the width rule, before any command builds a composition
-        return _COMMANDS[args.command](args, cap)
+        return args.run(args, cap)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -442,6 +442,7 @@ def _clipped_power(base: int, exp: int, cap: int) -> int:
 
 def require_color_cap(c: int, cap: int) -> None:
     """Raise :class:`CapExceededError` if c + 1 > cap: at any n, each row profile and label has c + 1 parts."""
+    _require_counts(cap)  # a cap is an int >= 0, as every bound that reads it assumes
     if c + 1 > cap:
         raise CapExceededError(f"c={c} gives each row profile {c + 1} parts, more than the cap of {cap}")
 

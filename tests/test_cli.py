@@ -159,10 +159,12 @@ def test_no_command_takes_a_cap_option(capsys, command):
     ["bratteli", "-c", "1", "-n", "1"],
     ["verify", "--n-cap", "0"],
 ])
-def test_every_command_reads_the_cap_variable(capsys, monkeypatch, argv):
+@pytest.mark.parametrize("value", ["x", "-1", "1" * 5000], ids=["letter", "negative", "past-int-digit-limit"])
+def test_every_command_reads_the_cap_variable(capsys, monkeypatch, argv, value):
     # main reads PLANAR_ROOK_CAP once, for every command, also those whose bounds this argv never reaches.
-    monkeypatch.setenv("PLANAR_ROOK_CAP", "x")
-    assert run(capsys, *argv) == (2, "", "error: environment variable PLANAR_ROOK_CAP='x' is not an integer\n")
+    monkeypatch.setenv("PLANAR_ROOK_CAP", value)
+    message = f"error: environment variable PLANAR_ROOK_CAP={value!r} is not an integer >= 0\n"
+    assert run(capsys, *argv) == (2, "", message)
     monkeypatch.setenv("PLANAR_ROOK_CAP", "1000")
     assert run(capsys, *argv)[0] == 0
 
@@ -318,11 +320,11 @@ def test_negative_counts_are_usage_errors(capsys, argv, option):
 
 
 def test_environment_integers_take_ascii_digits_only(capsys, monkeypatch):
-    monkeypatch.setenv("PLANAR_ROOK_N_CAP", "\u0661")  # ARABIC-INDIC DIGIT ONE
+    monkeypatch.setenv("PLANAR_ROOK_CAP", "\u0661")  # ARABIC-INDIC DIGIT ONE
     code, out, err = run(capsys, "verify", "--c-cap", "1")
     assert code == 2
     assert out == ""
-    assert "PLANAR_ROOK_N_CAP" in err
+    assert "PLANAR_ROOK_CAP" in err
 
 
 def test_enumerate_env_cap(capsys, monkeypatch):
@@ -616,8 +618,7 @@ def test_verify_json_report_is_byte_stable(capsys):
 
 
 def test_default_verify_json_report_is_byte_stable(capsys, monkeypatch):
-    for name in ("PLANAR_ROOK_CAP", "PLANAR_ROOK_N_CAP", "PLANAR_ROOK_C_CAP"):
-        monkeypatch.delenv(name, raising=False)
+    monkeypatch.delenv("PLANAR_ROOK_CAP", raising=False)
     code, out, _ = run(capsys, "verify", "--json")
     assert code == 0
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
@@ -632,12 +633,14 @@ def test_verify_cap_exceeded_is_usage_error(capsys, monkeypatch):
     assert err == "resource cap exceeded: |P_{3,2}| >= 27 exceeds the cap of 5\n"
 
 
-def test_verify_caps_from_environment(capsys, monkeypatch):
+def test_verify_scope_comes_from_its_options_alone(capsys, monkeypatch):
+    # The scope has one source: --n-cap and --c-cap, which default to VerifyConfig's; no variable sets it.
     monkeypatch.setenv("PLANAR_ROOK_N_CAP", "1")
     monkeypatch.setenv("PLANAR_ROOK_C_CAP", "1")
-    code, out, _ = run(capsys, "verify", "--samples", "10")
+    code, out, _ = run(capsys, "verify", "--json", "--samples", "10")
     assert code == 0
-    assert "PASS" in out
+    config = json.loads(out)["config"]
+    assert (config["n_cap"], config["c_cap"]) == (3, 2) == (VerifyConfig.n_cap, VerifyConfig.c_cap)
 
 
 def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):

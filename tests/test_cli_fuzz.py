@@ -6,7 +6,9 @@ and diagram literals built from them, some mutated.  Half of the argv then
 take one corruption: a value replaced by a malformed or non-ASCII number, a
 token dropped, or a stray option inserted.  Each runs in-process under a
 diagram cap of 2000, from ``PLANAR_ROOK_CAP``, the one cap of every command;
-no command takes a ``--cap``, so that one is drawn only as a stray option.  A
+no command takes a ``--cap``, so that one is drawn only as a stray option.
+``verify``'s scope comes from ``--n-cap`` and ``--c-cap`` alone, so an argv
+that loses ``--n-cap`` runs the default (3, 2) suite, inside the budget.  A
 usage or cap error (exit 2) is one stderr line, with no traceback.  Each case runs under a ``SIGALRM`` budget whose exception
 derives from ``BaseException``, so no ``except Exception`` in the engine can
 swallow it.  One argv of each fault class found so far runs first, as an
@@ -131,7 +133,7 @@ def _run(argv):
 def test_every_drawn_argv_exits_0_1_or_2_in_time(tmp_path, monkeypatch, command):
     out_dir = tmp_path
     monkeypatch.chdir(tmp_path)  # a corrupted --out value names a file in the working directory
-    env = {"PLANAR_ROOK_CAP": "2000", "PLANAR_ROOK_N_CAP": "1", "PLANAR_ROOK_C_CAP": "2"}  # verify's fallbacks too
+    env = {"PLANAR_ROOK_CAP": "2000"}
 
     def case(argv):
         with mock.patch.dict(os.environ, env):

@@ -10,6 +10,7 @@ import pytest
 
 from planar_rook import bratteli, diagrams
 from planar_rook.algebra import AlgebraElement, from_diagram, left_action_x, right_action_x, x_of
+from planar_rook.checks import VerifyConfig, run_verification
 from planar_rook.diagrams import (
     CapExceededError,
     Diagram,
@@ -122,6 +123,18 @@ def _wide(c):
     pytest.param(lambda: verify_character_table(0, 2 * 10**6, cap=10), CapExceededError,
                  "c=2000000 gives each row profile 2000001 parts, more than the cap of 10",
                  id="verify-character-table-width"),
+    # A cap is an int >= 0, refused by the width rule that every capped entry applies first (bools too), and by
+    # run_verification before its samples rule: a float once raised AttributeError, -1 and True were named as caps.
+    pytest.param(lambda: diagrams.enumerate_planar(1, 1, cap=2.5), ValueError,
+                 "expected a non-negative int, got 2.5", id="enumerate-planar-float-cap"),
+    pytest.param(lambda: verify_character_table(1, 1, cap=2.5), ValueError,
+                 "expected a non-negative int, got 2.5", id="verify-character-table-float-cap"),
+    pytest.param(lambda: bratteli.require_tower_cap(1, 0, 2.5), ValueError,
+                 "expected a non-negative int, got 2.5", id="tower-float-cap"),
+    pytest.param(lambda: diagrams.enumerate_planar(1, 1, cap=True), ValueError,
+                 "expected a non-negative int, got True", id="enumerate-planar-bool-cap"),
+    pytest.param(lambda: run_verification(VerifyConfig(diagram_cap=-1, samples=0)), ValueError,
+                 "expected a non-negative int, got -1", id="run-verification-negative-cap"),
 ])
 def test_a_bad_argument_is_refused_with_its_message(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$") as refused:
