@@ -9,12 +9,12 @@ runs at the call into its :class:`CheckResult`.  All arithmetic is exact, so
 a check either passes identically or names a counterexample.
 
 Each check's scopes are written once, in its row of :func:`_rows`.  No check
-takes a diagram cap: :func:`run_verification` refuses a negative n-cap or
-sample count, a c-cap under 1 and more samples than its cap, clips the rows'
-scopes, compares its cap with |P| at the componentwise largest monoid scope
-and with the Pascal-triangle tower once, before any check runs, and runs each
-check in a guard, so a check that raises is reported as a failed result with
-its error.
+takes a diagram cap: :func:`run_verification` refuses an n-cap or sample count
+that is not an int >= 0, a c-cap that is not an int >= 1 and more samples than
+its cap, clips the rows' scopes, compares its cap with |P| at the componentwise
+largest monoid scope and with the Pascal-triangle tower once, before any check
+runs, and runs each check in a guard, so a check that raises is reported as a
+failed result with its error.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .representations import (
     all_bottom_profiles,
     all_labels,
     are_isomorphic,
-    compose_column_maps,
+    column_lookup,
     diagram_action,
     fixed_points,
     label_module,
@@ -116,6 +116,12 @@ def _actions(n: int, c: int) -> dict[tuple[int, ...], tuple[ModuleSpace, dict[Di
     pool = _all_planar(n, c)
     spaces = (label_module(label) for label in all_labels(n, c))
     return {space.bottom.sizes: (space, {d: diagram_action(d, space) for d in pool}) for space in spaces}
+
+
+@_per_run
+def _x_elements(n: int, c: int) -> dict[Diagram, algebra.AlgebraElement]:
+    """The x-basis element of every monoid diagram, expanded once: subdiagrams and products stay in the pool."""
+    return {d: algebra.x_of(d) for d in _all_planar(n, c)}
 
 
 def _draws(pool, samples: int, seed: int, k: int) -> list[tuple[Diagram, ...]]:
@@ -225,28 +231,30 @@ def check_profile_roundtrip(scope: Scope) -> CheckResult:
                 yield f"{format_diagram(d)}: profile round trip failed"
 
 
-def _bitmask_matrix(d: Diagram) -> list[list[int]]:
-    return [[0 if k == 0 else 1 << (k - 1) for k in row] for row in to_matrix(d)]
+def _packed_matrix(d: Diagram) -> tuple[list[int], list[list[int]]]:
+    """to_matrix(d) packed: one int per row, entry j at bits c * j, and each entry times a row of ones."""
+    # Color k is the bit 1 << (k - 1) and no edge 0: the color ring's product is AND and its sum XOR, bitwise.
+    bits = [[0 if k == 0 else 1 << (k - 1) for k in row] for row in to_matrix(d)]
+    ones = sum(1 << (d.c * j) for j in range(d.n))
+    return [sum(e << (d.c * j) for j, e in enumerate(row)) for row in bits], [[e * ones for e in row] for row in bits]
 
 
-def _bitmask_product(m1: list[list[int]], m2: list[list[int]]) -> list[list[int]]:
-    # Entry ring: componentwise product is AND, componentwise sum is XOR.
-    size = len(m1)
-    out = [[0] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(size):
-            acc = 0
-            for m in range(size):
-                acc ^= m1[i][m] & m2[m][j]
-            out[i][j] = acc
+def _packed_product(spreads: list[list[int]], rows: list[int]) -> list[int]:
+    """Packed rows of a b from a's spread entries and b's packed rows: row i is the XOR over m of a_im & row m."""
+    out = []
+    for spread_row in spreads:
+        acc = 0
+        for spread, row in zip(spread_row, rows):
+            acc ^= spread & row
+        out.append(acc)
     return out
 
 
 @tallied("diagram.matrix-semantics")
 def check_matrix_semantics(scope: Scope) -> CheckResult:
-    """Diagram composition agrees with matrix multiplication over the color ring."""
-    mask = lru_cache(maxsize=None)(_bitmask_matrix)  # once per diagram, for this call only
-    yield from _product_sweep(scope, lambda a, b, p: _bitmask_product(mask(a), mask(b)) != mask(p))
+    """Diagram composition agrees with matrix multiplication over the color ring, read off to_matrix alone."""
+    packed = lru_cache(maxsize=None)(_packed_matrix)  # once per diagram, for this call only
+    yield from _product_sweep(scope, lambda a, b, p: _packed_product(packed(a)[1], packed(b)[0]) != packed(p)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -267,16 +275,16 @@ def check_identity_unit(scope: Scope) -> CheckResult:
 def check_x_inversion(scope: Scope, samples: int, seed: int) -> CheckResult:
     """The alternating-sum basis change inverts exactly, and linearly."""
     for n, c in _shapes(scope):
-        pool = _all_planar(n, c)
-        for d in pool:
+        x = _x_elements(n, c)
+        for d in _all_planar(n, c):
             yield 1
             total: dict[Diagram, int] = {}  # the x-elements' terms, summed as ints: each is +-1
             for sub in algebra.subdiagrams(d):
-                for term, q in algebra.x_of(sub).terms.items():
+                for term, q in x[sub].terms.items():
                     total[term] = total.get(term, 0) + q
             if {term: q for term, q in total.items() if q} != algebra.from_diagram(d).terms:
                 yield f"sum of x over subdiagrams of {format_diagram(d)} is not d"
-            if algebra.to_x_coordinates(algebra.x_of(d)) != {d: Fraction(1)}:
+            if algebra.to_x_coordinates(x[d]) != {d: Fraction(1)}:
                 yield f"x-coordinates of x_d differ from a unit vector at {format_diagram(d)}"
             expected = {sub: Fraction(1) for sub in algebra.subdiagrams(d)}
             if algebra.to_x_coordinates(algebra.from_diagram(d)) != expected:
@@ -307,14 +315,16 @@ def check_x_inversion(scope: Scope, samples: int, seed: int) -> CheckResult:
 def _action_check(
     exhaustive: Scope, sampled: Scope, samples: int, seed: int, act, witness: str
 ) -> Iterator[int | str]:
-    """Compare ``act(d, a)``, an (expansion, fast image) pair, on exhaustive then sampled pairs."""
-    pairs = [("", d, a) for n, c in _shapes(exhaustive) for d, a in product(_all_planar(n, c), repeat=2)]
-    pairs += [("sampled ", d, a) for d, a in _draws(_all_planar(*sampled), samples, seed, 2)]
-    for prefix, d, a in pairs:
-        yield 1
-        expansion, fast = act(d, a)
-        if expansion != (algebra.zero(d.n, d.c) if fast is None else algebra.x_of(fast)):
-            yield prefix + witness.format(d=format_diagram(d), a=format_diagram(a))
+    """Compare ``act(d, a, x_a)``, an (expansion, fast image) pair, on exhaustive then sampled pairs, shape by shape."""
+    runs = [("", (n, c), product(_all_planar(n, c), repeat=2)) for n, c in _shapes(exhaustive)]
+    runs.append(("sampled ", sampled, _draws(_all_planar(*sampled), samples, seed, 2)))
+    for prefix, shape, pairs in runs:
+        x, zero = _x_elements(*shape), algebra.zero(*shape)  # once per shape: outside a run, each call builds afresh
+        for d, a in pairs:
+            yield 1
+            expansion, fast = act(d, a, x[a])
+            if expansion != (zero if fast is None else x[fast]):
+                yield prefix + witness.format(d=format_diagram(d), a=format_diagram(a))
 
 
 @tallied("algebra.x-action-left")
@@ -322,7 +332,7 @@ def check_left_action(exhaustive: Scope, sampled: Scope, samples: int, seed: int
     """The containment fast path reproduces the full bilinear expansion."""
     yield from _action_check(
         exhaustive, sampled, samples, seed,
-        lambda d, a: (algebra.from_diagram(d) * algebra.x_of(a), algebra.left_action_x(d, a)),
+        lambda d, a, x_a: (algebra.from_diagram(d) * x_a, algebra.left_action_x(d, a)),
         "d={d}, a={a}",
     )
 
@@ -331,7 +341,7 @@ def check_left_action(exhaustive: Scope, sampled: Scope, samples: int, seed: int
 def check_right_action(exhaustive: Scope, sampled: Scope, samples: int, seed: int) -> CheckResult:
     yield from _action_check(
         exhaustive, sampled, samples, seed,
-        lambda d, a: (algebra.x_of(a) * algebra.from_diagram(d), algebra.right_action_x(a, d)),
+        lambda d, a, x_a: (x_a * algebra.from_diagram(d), algebra.right_action_x(a, d)),
         "a={a}, d={d}",
     )
 
@@ -395,9 +405,10 @@ def check_rho_homomorphism(scope: Scope) -> CheckResult:
         triples = [(index[d1], index[d2], index[d12]) for (d1, d2), d12 in _products(n, c).items()]
         for space, by_diagram in actions.values():  # one per class, in label order
             maps = [by_diagram[d] for d in pool]
+            lookups = [column_lookup(m) for m in maps]  # compose_column_maps, each outer map's lookup built once
             yield len(triples)
             for i, j, k in triples:
-                if compose_column_maps(maps[i], maps[j]) != maps[k]:
+                if tuple(map(lookups[i], maps[j])) != maps[k]:
                     yield (
                         f"action of product differs from composed actions: "
                         f"{format_diagram(pool[i])}, {format_diagram(pool[j])} on {space.label().encode()}"
@@ -524,15 +535,15 @@ def check_matrix_algebra(scope: Scope) -> CheckResult:
     check_x_inversion proves.  Each ordered pair of a pool is tested once, under the class of its first factor.
     """
     for n, c in _shapes(scope):
-        zero = algebra.zero(n, c)
-        pool = [(a, top_profile(a), bottom_profile(a), algebra.x_of(a)) for a in _all_planar(n, c)]
+        zero, x = algebra.zero(n, c), _x_elements(n, c)
+        pool = [(a, top_profile(a), bottom_profile(a), x[a]) for a in _all_planar(n, c)]
         first: dict[tuple[int, ...], str] = {}  # each failing class's first failing pair, by part sizes
         for a, top_a, bottom_a, x_a in pool:
             for b, top_b, bottom_b, x_b in pool:
                 if bottom_a.sizes in first:
                     break
                 meet = bottom_a == top_b
-                if x_a * x_b != (algebra.x_of(from_profiles(top_a, bottom_b)) if meet else zero):
+                if x_a * x_b != (x[from_profiles(top_a, bottom_b)] if meet else zero):
                     first[bottom_a.sizes] = (
                         f"x_a * x_b is not {'x_ab' if meet else 0} at a = {format_diagram(a)}, b = {format_diagram(b)}"
                     )
@@ -739,7 +750,7 @@ def _rows() -> tuple[_Row, ...]:
 
 def run_verification(config: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
     """Run every check of the table, its scopes clipped to the configured caps, each in a guard against faults."""
-    if config.n_cap < 0 or config.c_cap < 1 or config.samples < 0:
+    if not all(type(v) is int and v >= low for v, low in ((config.n_cap, 0), (config.c_cap, 1), (config.samples, 0))):
         raise ValueError("verify needs n-cap >= 0, c-cap >= 1 and --samples >= 0")
     _require_counts(config.diagram_cap)
     if config.samples > config.diagram_cap:  # each sampled check's work is linear in the draws
@@ -760,7 +771,7 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> list[CheckResult]
                 results.append(check(*scopes, *((config.samples, config.seed) if sampling else ())))
             except Exception as exc:  # an engine fault: the check's failed result, with the error
                 results.append(CheckResult(check.name, 0, [], f"{type(exc).__name__}: {exc}"))
-    finally:  # the pools, the product table and the action table live for one run only
+    finally:  # the pools and the product, action and x-basis tables live for one run only
         _tables = None
     results.sort(key=lambda r: r.name)
     return results

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, wraps
 from itertools import accumulate
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .algebra import Rational, left_action_x
 from .diagrams import (
@@ -239,7 +239,10 @@ def all_bottom_profiles(n: int, c: int) -> Iterator[Profile]:
 # ---------------------------------------------------------------------------
 # Actions.
 
-def diagram_action(d: Diagram, space: ModuleSpace) -> tuple[Optional[int], ...]:
+ColumnMap = tuple[Optional[int], ...]  # per basis index, its image index or None
+
+
+def diagram_action(d: Diagram, space: ModuleSpace) -> ColumnMap:
     """Column map of a diagram action: basis index -> image index or None.
 
     Column j is None unless, color by color, the top profile S_j lies inside
@@ -279,16 +282,17 @@ def _require_acting(d: Diagram, space: ModuleSpace) -> None:
         raise NonPlanarError(f"{format_diagram(d)} is not planar")
 
 
-def compose_column_maps(
-    outer: tuple[Optional[int], ...], inner: tuple[Optional[int], ...]
-) -> tuple[Optional[int], ...]:
-    """Column map of `outer after inner` (apply inner first)."""
-    return tuple(None if j is None else outer[j] for j in inner)
+def column_lookup(outer: ColumnMap) -> Callable[[Optional[int]], Optional[int]]:
+    """``outer`` as a function of a column: j to outer[j] and None to None; an index outside ``outer`` raises."""
+    return {**dict(enumerate(outer)), None: None}.__getitem__
 
 
-def weighted_columns(
-    weighted: Iterable[tuple[Rational, tuple[Optional[int], ...]]], dimension: int
-) -> list[dict[int, Rational]]:
+def compose_column_maps(outer: ColumnMap, inner: ColumnMap) -> ColumnMap:
+    """Column map of `outer after inner` (apply inner first): each image of inner through outer's lookup."""
+    return tuple(map(column_lookup(outer), inner))
+
+
+def weighted_columns(weighted: Iterable[tuple[Rational, ColumnMap]], dimension: int) -> list[dict[int, Rational]]:
     """Sparse columns of the sum of coefficient * column map over ``(coefficient, column map)`` pairs."""
     cols: list[dict[int, Rational]] = [dict() for _ in range(dimension)]
     for coeff, column in weighted:
@@ -319,7 +323,7 @@ def _falls_short(edges: Iterable[Edge], sizes: tuple[int, ...]) -> bool:
     return False
 
 
-def fixed_points(column: tuple[Optional[int], ...]) -> int:
+def fixed_points(column: ColumnMap) -> int:
     """The number of basis vectors a column map fixes: the trace of the action it describes."""
     return sum(1 for j, i in enumerate(column) if i == j)
 

@@ -2,8 +2,10 @@ import dataclasses
 import functools
 import inspect
 import math
+import operator
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
@@ -72,6 +74,9 @@ def test_tiny_diagram_cap_raises_distinct_error():
     # The sampled checks' work is linear in the samples, so more than the diagram cap is refused.
     (VerifyConfig(n_cap=1, c_cap=1, diagram_cap=10, samples=11), CapExceededError,
      "--samples 11 exceeds the cap of 10 draws"),
+    # A setting that is not an int is refused by the first rule, before the samples rule would read it.
+    (VerifyConfig(n_cap=1, c_cap=1, diagram_cap=10, samples=11.0), ValueError,
+     "verify needs n-cap >= 0, c-cap >= 1 and --samples >= 0"),
 ])
 def test_verification_refuses_its_arguments_before_any_check(monkeypatch, config, error, message):
     monkeypatch.setattr(checks, "_rows", lambda: pytest.fail("read the table of checks"))
@@ -342,6 +347,40 @@ def test_a_default_run_enumerates_each_shape_once(monkeypatch):
     assert len(shapes) <= 8
 
 
+def _counting_x_of(monkeypatch) -> Counter:
+    real, calls = algebra.x_of, Counter()
+    monkeypatch.setattr(algebra, "x_of", lambda d: calls.update([d]) or real(d))
+    return calls
+
+
+def test_a_default_run_expands_each_x_basis_element_once(monkeypatch):
+    # The x-inversion, x-action and matrix-block checks read one x-basis table per shape, and every subdiagram,
+    # product and fast image is a pool diagram: one x_of per diagram of the shapes n <= 3, c <= 2, 141.
+    calls = _counting_x_of(monkeypatch)
+    assert all(r.ok for r in run_verification(VerifyConfig(samples=10)))
+    shapes = [(n, c) for c in (1, 2) for n in range(4)]
+    assert calls == Counter(d for n, c in shapes for d in diagrams.enumerate_planar(n, c))
+    assert calls.total() == DEFAULT_CHECKED["algebra.identity-unit"] == 141
+
+
+@pytest.mark.parametrize("check", [checks.check_left_action, checks.check_right_action])
+def test_a_lone_action_check_expands_each_x_basis_element_once_per_shape(monkeypatch, check):
+    # Outside a run a table is built afresh at each call, so the check fetches it once per shape, not per pair.
+    calls = _counting_x_of(monkeypatch)
+    assert check((2, 2), (3, 2), 50, 1).ok
+    shapes = [(n, c) for c in (1, 2) for n in range(3)] + [(3, 2)]
+    assert calls == Counter(d for n, c in shapes for d in diagrams.enumerate_planar(n, c))
+
+
+@pytest.mark.parametrize("x_of", [algebra.from_diagram, _sign_flipped_x_of])
+@pytest.mark.parametrize("check, count", [(checks.check_left_action, 344), (checks.check_right_action, 347)])
+def test_action_checks_count_the_pairs_a_wrong_x_basis_breaks(monkeypatch, x_of, check, count):
+    # Plain diagrams as x-elements, or the x-basis without its signs: the table is built from the x_of in force.
+    monkeypatch.setattr(algebra, "x_of", x_of)
+    outcome = check((2, 2), (3, 2), 200, 12345)
+    assert (outcome.checked, len(outcome.witnesses), outcome.error) == (476, count, None)
+
+
 def test_a_default_run_builds_each_column_map_once(monkeypatch):
     # One column map per class and diagram of the shapes n <= 3, c <= 2, read by the rho, column
     # structure, character and classification checks: as many as column_structure checks, 1,133.
@@ -501,6 +540,40 @@ def test_product_sweeps_catch_stacking_mutant(monkeypatch, check):
     assert outcome.witnesses
 
 
+def _swapped_factors(real):
+    return lambda a, b: real(b, a)
+
+
+def _first_edge_dropped(real):
+    def product(a, b):
+        p = real(a, b)
+        return Diagram._trusted(p.n, p.c, p.edges[1:])
+    return product
+
+
+def test_packed_rows_multiply_as_the_entry_loop_over_the_color_ring():
+    # The reference the packed rows replaced: entry by entry, AND for the ring's product and XOR for its sum.
+    for n, c in [(n, c) for c in (1, 2) for n in range(4)] + [(2, 3)]:
+        pool = tuple(diagrams.enumerate_planar(n, c))
+        bits = {d: [[0 if k == 0 else 1 << (k - 1) for k in row] for row in diagrams.to_matrix(d)] for d in pool}
+        packed = {d: checks._packed_matrix(d) for d in pool}
+        for a in pool:
+            for b in pool:
+                m1, m2 = bits[a], bits[b]
+                expected = [[functools.reduce(operator.xor, (m1[i][m] & m2[m][j] for m in range(n)), 0)
+                             for j in range(n)] for i in range(n)]
+                rows = checks._packed_product(packed[a][1], packed[b][0])
+                assert [[row >> (c * j) & (1 << c) - 1 for j in range(n)] for row in rows] == expected
+
+
+@pytest.mark.parametrize("fault, count", [(_swapped_factors, 5346), (_first_edge_dropped, 5027)])
+def test_matrix_semantics_counts_the_products_a_wrong_multiply_breaks(monkeypatch, fault, count):
+    # The packed-row oracle reads to_matrix alone, so a wrong product fails it on as many pairs as the entry loop.
+    monkeypatch.setattr(checks, "multiply", fault(checks.multiply))
+    outcome = checks.check_matrix_semantics((3, 2))
+    assert (outcome.checked, len(outcome.witnesses)) == (DEFAULT_CHECKED["diagram.matrix-semantics"], count)
+
+
 def test_rho_unit_check_reads_the_action_table(monkeypatch):
     def recomputed(d, space):
         raise AssertionError(f"recomputed the action of {d}")
@@ -538,6 +611,38 @@ def test_rho_product_check_names_each_pair_a_wrong_map_breaks(monkeypatch):
         f"action of product differs from composed actions: n=2 c=1 [{d1}], n=2 c=1 [{d2}] on 1|1"
         for d1, d2 in (("2-1:1", "1-2:1"), ("1-2:1", "2-2:1"), ("1-2:1", "2-1:1"), ("1-2:1", "1-2:1"), ("1-2:1", "1-1:1"))
     ]
+
+
+def test_rho_check_counts_the_pairs_one_nulled_entry_breaks(monkeypatch):
+    # Entry 0 of the map of 3-3:1, a term of the unit, on class 2|1|0: 3 unit witnesses and 212 product witnesses.
+    real = checks.diagram_action
+    planted = Diagram(3, 2, [(3, 3, 1)])
+
+    def nulled(d, space):
+        columns = real(d, space)
+        return (None, *columns[1:]) if d == planted and space.bottom.sizes == (2, 1, 0) else columns
+
+    monkeypatch.setattr(checks, "diagram_action", nulled)
+    outcome = checks.check_rho_homomorphism((3, 2))
+    assert (outcome.checked, len(outcome.witnesses)) == (DEFAULT_CHECKED["modules.rho-homomorphism"], 215)
+    assert sum(w.startswith("unit does not act as identity") for w in outcome.witnesses) == 3
+
+
+def test_rho_check_raises_on_an_index_outside_the_outer_map(monkeypatch):
+    # An image past the basis is no column: composing through it raises, and a run reports the check's error.
+    real = checks.diagram_action
+    planted = Diagram(2, 1, [(1, 2, 1)])
+
+    def overshooting(d, space):
+        columns = real(d, space)
+        return tuple(None if i is None else i + space.dimension for i in columns) if d == planted else columns
+
+    monkeypatch.setattr(checks, "diagram_action", overshooting)
+    with pytest.raises(LookupError):
+        checks.check_rho_homomorphism((2, 1))
+    rho = {r.name: r for r in run_verification(VerifyConfig(n_cap=2, c_cap=1, samples=10))}["modules.rho-homomorphism"]
+    assert (rho.ok, rho.checked, rho.witnesses) == (False, 0, [])
+    assert rho.error.startswith("KeyError: ")
 
 
 def test_character_check_reads_the_vertical_drop_off_the_action(monkeypatch):

@@ -46,6 +46,9 @@ def _wide(c):
     return f"c={c} makes compositions of {c + 1} parts, more than a tuple holds"
 
 
+def _verify(**setting):
+    return run_verification(VerifyConfig(**{"n_cap": 2, "c_cap": 1, "samples": 3, **setting}))
+
 
 @pytest.mark.parametrize("call, error, message", [
     pytest.param(lambda: character(Diagram(3, 1, ()), IrrepLabel((1, 1))), MismatchError,
@@ -135,6 +138,12 @@ def _wide(c):
                  "expected a non-negative int, got True", id="enumerate-planar-bool-cap"),
     pytest.param(lambda: run_verification(VerifyConfig(diagram_cap=-1, samples=0)), ValueError,
                  "expected a non-negative int, got -1", id="run-verification-negative-cap"),
+    # The n-cap, c-cap and sample count are ints, bools refused, by the first rule: a float sample count once faulted
+    # the four sampled checks, True ran them, and a float or bool cap was refused by the shape rule as n or c.
+    *(pytest.param(lambda name=name, value=value: _verify(**{name: value}), ValueError,
+                   "verify needs n-cap >= 0, c-cap >= 1 and --samples >= 0", id=f"run-verification-{name}-{value}")
+      for name, value in [("samples", True), ("samples", 2.0), ("n_cap", 1.5), ("n_cap", True), ("c_cap", True),
+                          ("c_cap", 2.0)]),
 ])
 def test_a_bad_argument_is_refused_with_its_message(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$") as refused:

@@ -168,6 +168,13 @@ def test_action_is_multiplicative_exhaustive_small():
                 assert compose_column_maps(m1, diagram_action(d2, space)) == diagram_action(multiply(d1, d2), space)
 
 
+def test_composition_sends_zero_to_zero_and_refuses_an_index_outside_the_outer_map():
+    assert compose_column_maps((1, None), (None, 0, 1, 0)) == (None, 1, None, 1)
+    # Read as zero, an index past the outer map could let a wrong map pass: it raises, as outer[j] did.
+    with pytest.raises(KeyError):
+        compose_column_maps((0, 1), (2,))
+
+
 def test_action_rejects_nonplanar():
     space = module_space(2, 1, Profile(2, 1, ((1, 2), ())))
     with pytest.raises(NonPlanarError):
