@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .diagrams import CapExceededError, _binomial_exceeds, require_color_cap, require_shape
-from .representations import IrrepLabel, all_labels
+from .representations import IrrepLabel, _decremented, all_labels
 
 #: An edge joins (level, index) of a parent to (level - 1, index) of a child.
 IndexPath = tuple[int, int]
@@ -49,12 +49,12 @@ def build(c: int, n_max: int) -> BratteliGraph:
     """Build the tower up to level ``n_max``; levels in colex order."""
     require_shape(n_max, c)
     levels = tuple(all_labels(n, c) for n in range(n_max + 1))
-    index_at = [{label: i for i, label in enumerate(level)} for level in levels]
-    edges = []
-    for n in range(1, n_max + 1):
-        for parent_idx, label in enumerate(levels[n]):
-            for child in label.children():
-                edges.append(((n, parent_idx), (n - 1, index_at[n - 1][child])))
+    edges, below = [], {}  # below: level n - 1's part sizes to their index
+    for n, level in enumerate(levels):
+        for i, label in enumerate(level):
+            sizes = label.sizes
+            edges.extend(((n, i), (n - 1, below[_decremented(sizes, j)])) for j, s in enumerate(sizes) if s)
+        below = {label.sizes: i for i, label in enumerate(level)}
     edges.sort()
     return BratteliGraph(c, n_max, levels, tuple(edges))
 
@@ -113,14 +113,23 @@ def emit_dot(graph: BratteliGraph) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def _int_list_template(width: int, indent: int) -> str:
+    """A %-template of ``width`` ints laid out as by ``json.dumps(indent=2)``, its brackets at ``indent`` spaces."""
+    pad = " " * indent
+    return f"{pad}[\n" + ",\n".join([f"{pad}  %d"] * width) + f"\n{pad}]"
+
+
 def emit_json(graph: BratteliGraph) -> bytes:
-    payload = {
-        "c": graph.c,
-        "n_max": graph.n_max,
-        "levels": [[list(label.sizes) for label in level] for level in graph.levels],
-        "edges": [[list(parent), list(child)] for parent, child in graph.edges],
-    }
-    return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+    """The bytes of ``json.dumps(indent=2)`` on {c, n_max, levels, edges}, one %-template per vertex and per edge."""
+    label_template, path = _int_list_template(graph.c + 1, 6), _int_list_template(2, 6)
+    edge_template = f"    [\n{path},\n{path}\n    ]"
+    levels = ",\n".join(
+        "    [\n" + ",\n".join([label_template % label.sizes for label in level]) + "\n    ]" for level in graph.levels
+    )
+    edges = ",\n".join([edge_template % (*parent, *child) for parent, child in graph.edges])
+    edges = f"[\n{edges}\n  ]" if edges else "[]"
+    head = f'{{\n  "c": {graph.c},\n  "n_max": {graph.n_max},\n  "levels": [\n'
+    return f'{head}{levels}\n  ],\n  "edges": {edges}\n}}\n'.encode("utf-8")
 
 
 def graph_from_json(raw: bytes) -> BratteliGraph:
@@ -128,6 +137,8 @@ def graph_from_json(raw: bytes) -> BratteliGraph:
     try:  # the size is checked first, so build is no larger than the payload; c + 1 parts per vertex
         payload = json.loads(raw.decode("utf-8"))
         c, n_max, levels = payload["c"], payload["n_max"], payload["levels"]
+        if type(c) is not int or type(n_max) is not int:  # bools and floats too
+            raise TypeError(f"c and n_max must be ints, got {c!r} and {n_max!r}")
         parts = sum(len(sizes) for level in levels for sizes in level)
         sized = len(levels) == n_max + 1 and parts == (c + 1) * math.comb(n_max + c + 1, c + 1)
     except (TypeError, KeyError, RecursionError) as exc:  # a payload of the wrong shape or types, or nested too deep
@@ -135,6 +146,7 @@ def graph_from_json(raw: bytes) -> BratteliGraph:
     if not sized:
         raise ValueError(f"the payload's levels do not have the size of the tower to level {n_max} at c={c}")
     graph = build(c, n_max)
-    if json.loads(emit_json(graph)) != payload:
+    tower = json.loads(emit_json(graph))
+    if json.dumps(payload, sort_keys=True) != json.dumps(tower, sort_keys=True):  # as text, true and 1.0 are not 1
         raise ValueError(f"the payload's levels or edges differ from the tower to level {n_max} at c={c}")
     return graph

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, wraps
-from itertools import accumulate
+from itertools import accumulate, product
 from typing import Callable, Iterable, Iterator, Optional
 
 from .algebra import Rational, left_action_x
@@ -122,10 +122,15 @@ class IrrepLabel:
         """The class one level down with part j decremented; the constructor refuses a part that falls below 0."""
         if type(j) is not int or not 0 <= j < len(self.sizes):
             raise ValueError(f"no part {j!r} in composition {self.sizes}")
-        return IrrepLabel(self.sizes[:j] + (self.sizes[j] - 1,) + self.sizes[j + 1:])
+        return IrrepLabel(_decremented(self.sizes, j))
 
     def encode(self) -> str:
         return "|".join(str(s) for s in self.sizes)
+
+
+def _decremented(sizes: tuple[int, ...], j: int) -> tuple[int, ...]:
+    """The part sizes one level down the tower: ``sizes`` with part j decremented, unchecked."""
+    return sizes[:j] + (sizes[j] - 1,) + sizes[j + 1:]
 
 
 def all_labels(n: int, c: int) -> tuple[IrrepLabel, ...]:
@@ -431,14 +436,21 @@ def character_table(n: int, c: int) -> tuple[list[tuple[int, ...]], list[IrrepLa
     """Rows (vertical-count vectors, ordered by total then colex), columns (labels), and values.
 
     A row is the vertical color counts of its vertical diagram, so every cell
-    is the closed form :func:`character` uses, and no diagram is built.
+    is the closed form :func:`character` uses, and no diagram is built.  C(l_i, n_i)
+    is 0 once some n_i exceeds l_i, so a row starts as zeros and the closed form
+    fills only the cells with every colored part size n_i <= l_i.
     """
     require_shape(n, c)
     labels = list(all_labels(n, c))  # before the rows, whose c - 1 a width refusal would name
-    rows = []
-    for total in range(n + 1):
-        rows.extend(compositions(total, c - 1))
-    values = [[_character(row, label.sizes) for label in labels] for row in rows]
+    column = {label.sizes[1:]: j for j, label in enumerate(labels)}
+    rows = [row for total in range(n + 1) for row in compositions(total, c - 1)]
+    values = []
+    for row in rows:
+        row_values = [0] * len(labels)
+        for colored in product(*(range(l + 1) for l in row)):  # sum(colored) <= n, so a label has these parts
+            j = column[colored]
+            row_values[j] = _character(row, labels[j].sizes)
+        values.append(row_values)
     return rows, labels, values
 
 
@@ -447,7 +459,7 @@ def character_table_csv(n: int, c: int) -> bytes:
     rows, labels, values = character_table(n, c)
     lines = ["verticals," + ",".join(label.encode() for label in labels)]
     for row, row_values in zip(rows, values):
-        lines.append("|".join(str(v) for v in row) + "," + ",".join(str(v) for v in row_values))
+        lines.append("|".join(map(str, row)) + "," + ",".join(map(str, row_values)))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -133,10 +134,24 @@ def test_emit_dot_counts():
 
 
 def test_emit_json_trivial():
-    import json
-
     payload = json.loads(emit_json(build(2, 0)))
     assert payload == {"c": 2, "n_max": 0, "levels": [[[0, 0, 0]]], "edges": []}
+
+
+def _payload(graph: BratteliGraph) -> dict:
+    return {
+        "c": graph.c,
+        "n_max": graph.n_max,
+        "levels": [[list(label.sizes) for label in level] for level in graph.levels],
+        "edges": [[list(parent), list(child)] for parent, child in graph.edges],
+    }
+
+
+@pytest.mark.parametrize("c, n_max", [(c, n) for c in range(1, 5) for n in range(7)] + [(1100, 1)])
+def test_emit_json_writes_the_bytes_of_json_dumps(c, n_max):
+    # The templates against the standard encoder; n_max = 0 has no edges, and c = 1100 has wide vertices.
+    graph = build(c, n_max)
+    assert emit_json(graph) == (json.dumps(_payload(graph), indent=2) + "\n").encode()
 
 
 def test_emit_deterministic_and_roundtrips():
@@ -154,8 +169,6 @@ def test_rebuild_from_parsed_parameters():
 
 
 def _edited_payload(edit):
-    import json
-
     payload = json.loads(emit_json(build(2, 2)))
     edit(payload)
     return json.dumps(payload).encode("utf-8")
@@ -164,6 +177,9 @@ def _edited_payload(edit):
 @pytest.mark.parametrize("edit", [
     pytest.param(lambda payload: payload["edges"].append([[2, 0], [1, 99]]), id="edge-to-no-vertex"),
     pytest.param(lambda payload: payload["levels"][1].__setitem__(0, [5, 0, 0]), id="relabelled-vertex"),
+    # json.loads reads true as True == 1 and 1.0 == 1; emit_json writes ints only.
+    pytest.param(lambda payload: payload["levels"][1].__setitem__(0, [True, False, False]), id="bool-parts"),
+    pytest.param(lambda payload: payload["edges"][0].__setitem__(0, [1.0, 0]), id="float-edge-path"),
 ])
 def test_graph_from_json_refuses_a_payload_that_is_not_the_tower(edit):
     with pytest.raises(ValueError, match=r"^the payload's levels or edges differ from the tower to level 2 at c=2$"):
@@ -175,6 +191,8 @@ def test_graph_from_json_refuses_a_payload_that_is_not_the_tower(edit):
     pytest.param(b"{}", id="no-fields"),
     pytest.param(_edited_payload(lambda payload: payload.update(c="2")), id="text-c"),
     pytest.param(_edited_payload(lambda payload: payload.update(n_max=2.0)), id="float-n-max"),
+    pytest.param(_edited_payload(lambda payload: payload.update(c=True)), id="bool-c"),
+    pytest.param(_edited_payload(lambda payload: payload.update(n_max=True)), id="bool-n-max"),
     pytest.param(_edited_payload(lambda payload: payload.update(levels=[5])), id="number-level"),
     pytest.param(b"[" * 100000, id="nested-too-deep"),
 ])

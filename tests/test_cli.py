@@ -15,7 +15,7 @@ from planar_rook import algebra, checks, cli, diagrams, representations
 from planar_rook.checks import VerifyConfig
 from planar_rook.diagrams import enumerate_literals
 from planar_rook.cli import main
-from planar_rook.representations import tallied
+from planar_rook.representations import IrrepLabel, tallied
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -487,13 +487,25 @@ def test_chartable_verify_and_file(tmp_path, capsys):
 
 
 def test_chartable_verify_failure_exits_one_with_the_witnesses(capsys, monkeypatch):
-    # Fault: every closed-form entry reads 7, which no trace of a width-1 module is; no table is written.
+    # Fault: every closed-form entry reads 7, which no trace of a width-1 module is; no table is written.  The
+    # closed form fills three cells; ((0,), 0|1) is C(0, 1) = 0 and stays a zero that it never evaluates.
     monkeypatch.setattr(representations, "_character", lambda verticals, sizes: 7)
     code, out, err = run(capsys, "chartable", "-n", "1", "-c", "1", "--verify")
     assert (code, out) == (1, "")
     assert err == "".join(
-        f"entry ({row}, {label}) differs from the trace\n" for row in ("(0,)", "(1,)") for label in ("1|0", "0|1")
+        f"entry ({row}, {label}) differs from the trace\n"
+        for row, label in (("(0,)", "1|0"), ("(1,)", "1|0"), ("(1,)", "0|1"))
     )
+
+
+def test_chartable_verify_checks_the_cells_the_closed_form_leaves_zero(capsys, monkeypatch):
+    # Fault: the structural zero ((0,), 0|1) of the (1, 1) table reads 1; the verifier still traces that cell.
+    table = ([(0,), (1,)], [IrrepLabel((1, 0)), IrrepLabel((0, 1))], [[1, 1], [1, 1]])
+    assert representations.character_table(1, 1) == (table[0], table[1], [[1, 0], [1, 1]])
+    monkeypatch.setattr(representations, "character_table", lambda n, c: table)
+    code, out, err = run(capsys, "chartable", "-n", "1", "-c", "1", "--verify")
+    assert (code, out) == (1, "")
+    assert err == "entry ((0,), 0|1) differs from the trace\n"
 
 
 def test_chartable_verify_cap_bounds_the_module_basis(capsys, monkeypatch):

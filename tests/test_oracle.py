@@ -6,14 +6,24 @@ and to ``perfbench/oracle.py`` separately, and compares the results.
 
 import importlib.util
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from planar_rook.algebra import AlgebraElement, embed
+from planar_rook.bratteli import build
 from planar_rook.diagrams import Diagram, format_diagram, multiply, parse_diagram
-from planar_rook.representations import IrrepLabel, action_trace, character, label_module, restriction_decomposition
+from planar_rook.representations import (
+    IrrepLabel,
+    action_trace,
+    character,
+    character_table,
+    label_module,
+    restriction_decomposition,
+)
 
 ORACLE = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
 
@@ -113,3 +123,25 @@ def test_characters_and_restrictions_match_the_closed_forms(data):
     space = label_module(label)
     assert character(d, label) == action_trace(d, space) == oracle.character(c, edges, sizes)
     assert [child.sizes for child in restriction_decomposition(space)] == oracle.restriction(sizes)
+
+
+@pytest.mark.parametrize("n, c", [(n, c) for n in range(7) for c in range(1, 4)] + [(7, 3)])
+def test_character_table_matches_the_closed_form_cell_by_cell(n, c):
+    # Every cell, the zeros the table never evaluates included, against the oracle on the row's vertical edges.
+    rows, labels, values = character_table(n, c)
+    assert sorted(rows) == sorted(row for total in range(n + 1) for row in oracle.compositions(total, c))
+    assert sorted(label.sizes for label in labels) == sorted(oracle.compositions(n, c + 1))
+    for row, row_values in zip(rows, values):
+        ends = (0, *accumulate(row))  # color k's vertical edges on consecutive vertices
+        edges = tuple((v, v, k) for k, (a, b) in enumerate(zip(ends, ends[1:]), 1) for v in range(a + 1, b + 1))
+        assert row_values == [oracle.character(c, edges, label.sizes) for label in labels]
+
+
+@pytest.mark.parametrize("c", range(1, 5))
+def test_tower_edges_match_the_restriction_rule(c):
+    graph = build(c, 6)
+    assert list(graph.edges) == sorted(graph.edges)
+    for n in range(1, 7):
+        for i, label in enumerate(graph.levels[n]):
+            children = [graph.levels[n - 1][j].sizes for j in graph.children_of(n, i)]
+            assert sorted(children) == sorted(oracle.restriction(label.sizes))
