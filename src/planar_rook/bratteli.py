@@ -134,11 +134,13 @@ def emit_json(graph: BratteliGraph) -> bytes:
 
 def graph_from_json(raw: bytes) -> BratteliGraph:
     """Rebuild a graph from its JSON byte stream (inverse of emit_json); refuse a payload that is not the tower."""
+    if not isinstance(raw, (bytes, bytearray)):
+        raise TypeError(f"graph_from_json reads bytes, not {type(raw).__name__}")
     try:  # the size is checked first, so build is no larger than the payload; c + 1 parts per vertex
         payload = json.loads(raw.decode("utf-8"))
         c, n_max, levels = payload["c"], payload["n_max"], payload["levels"]
-        if type(c) is not int or type(n_max) is not int:  # bools and floats too
-            raise TypeError(f"c and n_max must be ints, got {c!r} and {n_max!r}")
+        if type(c) is not int or type(n_max) is not int or c < 1 or n_max < 0:  # bools and floats too
+            raise TypeError(f"c must be an int >= 1 and n_max an int >= 0, got {c!r} and {n_max!r}")
         parts = sum(len(sizes) for level in levels for sizes in level)
         sized = len(levels) == n_max + 1 and parts == (c + 1) * math.comb(n_max + c + 1, c + 1)
     except (TypeError, KeyError, RecursionError) as exc:  # a payload of the wrong shape or types, or nested too deep

@@ -148,13 +148,17 @@ _DRAWN = {(p, q): p // q if p % q == 0 else Fraction(p, q) for p in range(-5, 6)
 
 
 def _random_element(rng: random.Random, pool, n: int, c: int) -> algebra.AlgebraElement:
-    """One to three terms, each a drawn coefficient ``Fraction(randint(-5, 5), randint(1, 3))`` and ``choice(pool)``."""
+    """One to three terms, each a drawn coefficient ``Fraction(randint(-5, 5), randint(1, 3))`` and ``choice(pool)``.
+
+    ``randrange(b - a + 1) + a`` makes randint(a, b)'s one call ``_randbelow(b - a + 1)``: the same draws and state.
+    Pool diagrams are planar, so the terms go to the trusted constructor in storage form.
+    """
     terms = {}
-    for _ in range(rng.randint(1, 3)):
-        coeff = _DRAWN[rng.randint(-5, 5), rng.randint(1, 3)]
+    for _ in range(rng.randrange(3) + 1):
+        coeff = _DRAWN[rng.randrange(11) - 5, rng.randrange(3) + 1]
         d = rng.choice(pool)
-        terms[d] = terms[d] + coeff if d in terms else coeff
-    return algebra.AlgebraElement(n, c, terms)
+        terms[d] = algebra._coeff(terms[d] + coeff) if d in terms else coeff
+    return algebra.AlgebraElement._trusted(n, c, {d: q for d, q in terms.items() if q})
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +181,15 @@ def check_enumeration_count(scope: Scope) -> CheckResult:
 @tallied("diagram.associativity")
 def check_associativity(exhaustive: Scope, sampled: Scope, samples: int, seed: int) -> CheckResult:
     for n, c in _shapes(exhaustive):
-        pool = _all_planar(n, c)
-        table = _products(n, c)
+        pool, table = _all_planar(n, c), _products(n, c)
+
+        def times(x: Diagram, y: Diagram) -> Diagram:  # a Diagram is a 3-tuple, never false: multiply off the table
+            return table.get((x, y)) or multiply(x, y)
+
         for (a, b), ab in table.items():
             for d in pool:
                 yield 1
-                if multiply(ab, d) != multiply(a, table[b, d]):
+                if times(ab, d) != times(a, table[b, d]):
                     yield f"({format_diagram(a)}) * ({format_diagram(b)}) * ({format_diagram(d)})"
     for a, b, d in _draws(_all_planar(*sampled), samples, seed, 3):
         yield 1
@@ -405,10 +412,16 @@ def check_rho_homomorphism(scope: Scope) -> CheckResult:
         triples = [(index[d1], index[d2], index[d12]) for (d1, d2), d12 in _products(n, c).items()]
         for space, by_diagram in actions.values():  # one per class, in label order
             maps = [by_diagram[d] for d in pool]
-            lookups = [column_lookup(m) for m in maps]  # compose_column_maps, each outer map's lookup built once
+            ids: dict[tuple, int] = {}
+            of = [ids.setdefault(m, len(ids)) for m in maps]  # each diagram's map id, the distinct maps in pool order
+            lookups = [column_lookup(m) for m in ids]  # compose_column_maps, each distinct map's lookup built once
+            composed: list[list] = [[None] * len(ids) for _ in ids]  # [x][y]: the id of map x after map y, or -1
+            rows = [composed[x] for x in of]  # each diagram's row, as the outer map
             yield len(triples)
             for i, j, k in triples:
-                if tuple(map(lookups[i], maps[j])) != maps[k]:
+                if (xy := rows[i][of[j]]) is None:  # each pair at its first triple: a fault raises there
+                    xy = rows[i][of[j]] = ids.get(tuple(map(lookups[of[i]], maps[j])), -1)
+                if xy != of[k]:
                     yield (
                         f"action of product differs from composed actions: "
                         f"{format_diagram(pool[i])}, {format_diagram(pool[j])} on {space.label().encode()}"

@@ -195,11 +195,26 @@ def test_graph_from_json_refuses_a_payload_that_is_not_the_tower(edit):
     pytest.param(_edited_payload(lambda payload: payload.update(n_max=True)), id="bool-n-max"),
     pytest.param(_edited_payload(lambda payload: payload.update(levels=[5])), id="number-level"),
     pytest.param(b"[" * 100000, id="nested-too-deep"),
+    # Sized as a tower of that shape, so only build's own refusal of the shape stopped these two.
+    pytest.param(b'{"c": 0, "n_max": 1, "levels": [[[0]], [[1]]], "edges": []}', id="no-colors"),
+    pytest.param(b'{"c": 2, "n_max": -1, "levels": [], "edges": []}', id="negative-n-max"),
 ])
 def test_graph_from_json_refuses_a_malformed_payload_with_value_error(raw):
-    # Each of these once escaped as a TypeError, KeyError or RecursionError from reading the payload.
+    # Each of these once escaped as a TypeError, KeyError, RecursionError or InvalidDiagramError from reading it.
     with pytest.raises(ValueError, match=r"^the payload is not a tower record: [A-Za-z]+Error: "):
         graph_from_json(raw)
+
+
+@pytest.mark.parametrize("raw", [emit_json(build(1, 2)).decode("utf-8"), None, 5])
+def test_graph_from_json_refuses_anything_but_bytes(raw):
+    # A str once escaped as an AttributeError from raw.decode.
+    with pytest.raises(TypeError, match=r"^graph_from_json reads bytes, not [a-zA-Z]+$"):
+        graph_from_json(raw)
+
+
+def test_graph_from_json_reads_a_bytearray():
+    raw = emit_json(build(2, 2))
+    assert emit_json(graph_from_json(bytearray(raw))) == raw
 
 
 @pytest.mark.parametrize("c, n_max", [(2, 10**6), (10**9, 2)])

@@ -217,25 +217,59 @@ def test_suite_catches_action_mutant(monkeypatch):
     assert outcome.witnesses
 
 
+def _frozen_draws(rng, pool):
+    # The sampler's rule pinned in full: each term a coefficient, a Fraction of two randint draws, and a diagram.
+    return [(Fraction(rng.randint(-5, 5), rng.randint(1, 3)), rng.choice(pool)) for _ in range(rng.randint(1, 3))]
+
+
 def _frozen_random_element(rng, pool, n, c):
-    # The sampler's rule pinned in full: each coefficient a Fraction built from two draws, repeats summed.
+    # Repeats summed, through the validating constructor.
     terms = {}
-    for _ in range(rng.randint(1, 3)):
-        coeff = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-        d = rng.choice(pool)
+    for coeff, d in _frozen_draws(rng, pool):
         terms[d] = terms.get(d, Fraction(0)) + coeff
     return AlgebraElement(n, c, terms)
 
 
-@pytest.mark.parametrize("n, c", [(3, 2), (2, 2)])
-def test_sampler_draws_the_frozen_rule_elements_from_the_same_stream(n, c):
+def _assert_sampler_follows_the_frozen_rule(n, c, seed):
     pool = tuple(diagrams.enumerate_planar(n, c))
-    rng, frozen = random.Random(12345), random.Random(12345)
+    rng, frozen = random.Random(seed), random.Random(seed)
     for _ in range(200):
         g, expected = checks._random_element(rng, pool, n, c), _frozen_random_element(frozen, pool, n, c)
         assert g == expected
         assert [(d, type(q)) for d, q in g.terms.items()] == [(d, type(q)) for d, q in expected.terms.items()]
     assert rng.getstate() == frozen.getstate()
+
+
+@pytest.mark.parametrize("n, c", [(3, 2), (2, 2)])
+def test_sampler_draws_the_frozen_rule_elements_from_the_same_stream(n, c):
+    _assert_sampler_follows_the_frozen_rule(n, c, 12345)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 9301])
+@pytest.mark.parametrize("n, c", [(3, 2), (2, 2), (1, 1), (0, 1)])
+def test_sampler_draws_as_randint_on_every_seed_and_shape(n, c, seed):
+    # randrange(b - a + 1) + a makes randint(a, b)'s one draw, so elements and the stream's state match the rule.
+    _assert_sampler_follows_the_frozen_rule(n, c, seed)
+
+
+def test_sampler_stores_cancelled_and_integral_sums_as_the_validating_constructor_does():
+    # On the one-diagram pool of (0, 1) every term repeats: sums of non-integral draws cancel to 0 (the term drops)
+    # or come to a nonzero integral Fraction (stored as its int), and the sampler stores both as the constructor does.
+    pool, rng = tuple(diagrams.enumerate_planar(0, 1)), random.Random(2)
+    kinds = set()
+    for _ in range(300):
+        state = rng.getstate()
+        g = checks._random_element(rng, pool, 0, 1)
+        frozen, replay = random.Random(), random.Random()
+        frozen.setstate(state)
+        replay.setstate(state)
+        expected = _frozen_random_element(frozen, pool, 0, 1)
+        assert (g, [type(q) for q in g.terms.values()]) == (expected, [type(q) for q in expected.terms.values()])
+        assert rng.getstate() == frozen.getstate()
+        coeffs = [q for q, _ in _frozen_draws(replay, pool)]
+        if len(coeffs) > 1 and all(q.denominator > 1 for q in coeffs) and sum(coeffs).denominator == 1:
+            kinds.add("zero" if sum(coeffs) == 0 else "integral")
+    assert kinds == {"zero", "integral"}
 
 
 def test_report_dicts_are_json_ready():
@@ -643,6 +677,128 @@ def test_rho_check_raises_on_an_index_outside_the_outer_map(monkeypatch):
     rho = {r.name: r for r in run_verification(VerifyConfig(n_cap=2, c_cap=1, samples=10))}["modules.rho-homomorphism"]
     assert (rho.ok, rho.checked, rho.witnesses) == (False, 0, [])
     assert rho.error.startswith("KeyError: ")
+
+
+def _rho_reference(scope):
+    """The product half of the rho check as a per-triple loop: each triple's own composition, compared as maps."""
+    for n, c in checks._shapes(scope):
+        pool = tuple(diagrams.enumerate_planar(n, c))
+        for label in all_labels(n, c):
+            space = label_module(label)
+            maps = {d: checks.diagram_action(d, space) for d in pool}
+            for a in pool:
+                for b in pool:
+                    if representations.compose_column_maps(maps[a], maps[b]) != maps[diagrams.multiply(a, b)]:
+                        yield (
+                            f"action of product differs from composed actions: "
+                            f"{diagrams.format_diagram(a)}, {diagrams.format_diagram(b)} on {label.encode()}"
+                        )
+
+
+def _witnesses_until_error(stream):
+    """The witnesses of a check's raw stream, and the error that ends it as run_verification reports one, if any."""
+    witnesses = []
+    try:
+        witnesses.extend(item for item in stream if type(item) is str)
+    except Exception as exc:
+        return witnesses, f"{type(exc).__name__}: {exc}"
+    return witnesses, None
+
+
+def test_rho_check_composes_each_distinct_pair_of_maps_once(monkeypatch):
+    # The 89,585 triples of the shapes n <= 3, c <= 2 meet only 4,965 distinct (outer, inner) pairs of a class's maps.
+    # Each distinct map's lookup is built once, and each composition reads its outer lookup once per column.
+    tables = [maps for n, c in checks._shapes((3, 2)) for _, maps in checks._actions(n, c).values()]
+    distinct_maps = sum(len(set(maps.values())) for maps in tables)
+    distinct_pairs = sum(len({(maps[a], maps[b]) for a in maps for b in maps}) for maps in tables)
+    real, built, reads = checks.column_lookup, [], Counter()
+
+    def counting(outer):
+        built.append(outer)
+        lookup = real(outer)
+        return lambda j: reads.update([len(outer)]) or lookup(j)
+
+    monkeypatch.setattr(checks, "column_lookup", counting)
+    rho = {r.name: r for r in run_verification(VerifyConfig(samples=10))}["modules.rho-homomorphism"]
+    assert rho.ok and rho.checked == DEFAULT_CHECKED["modules.rho-homomorphism"]
+    assert len(built) == distinct_maps
+    assert all(count % dimension == 0 for dimension, count in reads.items())
+    assert sum(count // dimension for dimension, count in reads.items()) == distinct_pairs == 4965
+
+
+# A class and a diagram, not a term of the unit, whose map on the class has one image, so reversing it changes it.
+_PLANTED_MAPS = [
+    ((2, 1, 0), Diagram(3, 2, [(3, 1, 1)])),
+    ((1, 2, 0), Diagram(3, 2, [(2, 1, 1), (3, 2, 1)])),
+    ((1, 1, 1), Diagram(3, 2, [(2, 3, 1), (3, 2, 2)])),
+]
+
+
+@pytest.mark.parametrize("sizes, planted", _PLANTED_MAPS)
+def test_rho_check_names_the_pairs_of_the_per_triple_loop(monkeypatch, sizes, planted):
+    # One diagram's map on one class reversed: every triple that breaks is named, in the per-triple loop's order.
+    real = checks.diagram_action
+
+    def reversed_once(d, space):
+        columns = real(d, space)
+        return columns[::-1] if d == planted and space.bottom.sizes == sizes else columns
+
+    monkeypatch.setattr(checks, "diagram_action", reversed_once)
+    expected = list(_rho_reference((3, 2)))
+    outcome = checks.check_rho_homomorphism((3, 2))
+    assert expected and outcome.witnesses == expected
+    assert outcome.checked == DEFAULT_CHECKED["modules.rho-homomorphism"]
+
+
+@pytest.mark.parametrize("sizes, planted", _PLANTED_MAPS)
+def test_rho_check_raises_where_the_per_triple_loop_raises(monkeypatch, sizes, planted):
+    # A map past its module, on one class: the same witnesses come first, then the same KeyError at the same triple.
+    real = checks.diagram_action
+
+    def overshooting(d, space):
+        columns = real(d, space)
+        if d == planted and space.bottom.sizes == sizes:
+            return tuple(None if i is None else i + j + space.dimension for j, i in enumerate(columns))
+        return columns
+
+    monkeypatch.setattr(checks, "diagram_action", overshooting)
+    witnesses, error = _witnesses_until_error(checks.check_rho_homomorphism.__wrapped__((3, 2)))
+    assert error is not None and error.startswith("KeyError: ")
+    assert (witnesses, error) == _witnesses_until_error(_rho_reference((3, 2)))
+    rho = {r.name: r for r in run_verification(VerifyConfig(samples=10))}["modules.rho-homomorphism"]
+    assert (rho.ok, rho.checked, rho.witnesses, rho.error) == (False, 0, [], error)
+
+
+def test_associativity_reads_the_run_product_table(monkeypatch):
+    # Inside a run the exhaustive sweep reads every product off _products: no multiply beyond the table's own.
+    monkeypatch.setattr(checks, "_tables", {})
+    shapes = list(checks._shapes((2, 2)))
+    for n, c in shapes:
+        checks._products(n, c)
+    real, calls = checks.multiply, []
+    monkeypatch.setattr(checks, "multiply", lambda a, b: calls.append((a, b)) or real(a, b))
+    outcome = checks.check_associativity((2, 2), (0, 1), 0, 1)
+    assert outcome.ok and outcome.checked == sum(len(checks._all_planar(n, c)) ** 3 for n, c in shapes) == 3628
+    assert calls == []
+
+
+def test_associativity_multiplies_a_product_that_leaves_the_pool(monkeypatch):
+    # Identity times identity made a crossing: the table holds it, so each product through it is computed as it stands.
+    real = checks.multiply
+    identity, crossing = Diagram(2, 1, [(1, 1, 1), (2, 2, 1)]), Diagram(2, 1, [(1, 2, 1), (2, 1, 1)])
+
+    def crossed(a, b):
+        return crossing if (a, b) == (identity, identity) else real(a, b)
+
+    monkeypatch.setattr(checks, "multiply", crossed)
+    pool = tuple(diagrams.enumerate_planar(2, 1))
+    expected = [
+        f"({diagrams.format_diagram(a)}) * ({diagrams.format_diagram(b)}) * ({diagrams.format_diagram(d)})"
+        for a in pool for b in pool for d in pool if crossed(crossed(a, b), d) != crossed(a, crossed(b, d))
+    ]
+    outcome = checks.check_associativity((2, 1), (0, 1), 0, 1)
+    assert outcome.error is None and outcome.checked == 1 + 2 ** 3 + 6 ** 3
+    assert expected and outcome.witnesses == expected
 
 
 def test_character_check_reads_the_vertical_drop_off_the_action(monkeypatch):
