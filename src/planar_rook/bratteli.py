@@ -10,7 +10,6 @@ C(n+c, n) vertices.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -131,24 +130,3 @@ def emit_json(graph: BratteliGraph) -> bytes:
     head = f'{{\n  "c": {graph.c},\n  "n_max": {graph.n_max},\n  "levels": [\n'
     return f'{head}{levels}\n  ],\n  "edges": {edges}\n}}\n'.encode("utf-8")
 
-
-def graph_from_json(raw: bytes) -> BratteliGraph:
-    """Rebuild a graph from its JSON byte stream (inverse of emit_json); refuse a payload that is not the tower."""
-    if not isinstance(raw, (bytes, bytearray)):
-        raise TypeError(f"graph_from_json reads bytes, not {type(raw).__name__}")
-    try:  # the size is checked first, so build is no larger than the payload; c + 1 parts per vertex
-        payload = json.loads(raw.decode("utf-8"))
-        c, n_max, levels = payload["c"], payload["n_max"], payload["levels"]
-        if type(c) is not int or type(n_max) is not int or c < 1 or n_max < 0:  # bools and floats too
-            raise TypeError(f"c must be an int >= 1 and n_max an int >= 0, got {c!r} and {n_max!r}")
-        parts = sum(len(sizes) for level in levels for sizes in level)
-        sized = len(levels) == n_max + 1 and parts == (c + 1) * math.comb(n_max + c + 1, c + 1)
-    except (TypeError, KeyError, RecursionError) as exc:  # a payload of the wrong shape or types, or nested too deep
-        raise ValueError(f"the payload is not a tower record: {type(exc).__name__}: {exc}") from None
-    if not sized:
-        raise ValueError(f"the payload's levels do not have the size of the tower to level {n_max} at c={c}")
-    graph = build(c, n_max)
-    tower = json.loads(emit_json(graph))
-    if json.dumps(payload, sort_keys=True) != json.dumps(tower, sort_keys=True):  # as text, true and 1.0 are not 1
-        raise ValueError(f"the payload's levels or edges differ from the tower to level {n_max} at c={c}")
-    return graph

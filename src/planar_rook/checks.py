@@ -105,7 +105,7 @@ def _all_planar(n: int, c: int) -> tuple[Diagram, ...]:
 
 @_per_run
 def _products(n: int, c: int) -> dict[tuple[Diagram, Diagram], Diagram]:
-    """Every product ``a * b`` in the monoid, ``a`` outer and ``b`` inner, for the |P|^2 sweeps."""
+    """Every product ``a * b`` in the monoid, ``a`` outer and ``b`` inner, row-major in pool order: the |P|^2 sweeps."""
     pool = _all_planar(n, c)
     return {(a, b): multiply(a, b) for a in pool for b in pool}
 
@@ -409,23 +409,25 @@ def check_rho_homomorphism(scope: Scope) -> CheckResult:
                     yield f"unit does not act as identity on bottom {profile.parts}"
         pool = _all_planar(n, c)
         index = {d: i for i, d in enumerate(pool)}
-        triples = [(index[d1], index[d2], index[d12]) for (d1, d2), d12 in _products(n, c).items()]
+        products = [index[ab] for ab in _products(n, c).values()]  # row-major: pool[i] * pool[j] at i * |P| + j
+        table = [products[i:i + len(pool)] for i in range(0, len(products), len(pool))]
         for space, by_diagram in actions.values():  # one per class, in label order
             maps = [by_diagram[d] for d in pool]
             ids: dict[tuple, int] = {}
             of = [ids.setdefault(m, len(ids)) for m in maps]  # each diagram's map id, the distinct maps in pool order
             lookups = [column_lookup(m) for m in ids]  # compose_column_maps, each distinct map's lookup built once
             composed: list[list] = [[None] * len(ids) for _ in ids]  # [x][y]: the id of map x after map y, or -1
-            rows = [composed[x] for x in of]  # each diagram's row, as the outer map
-            yield len(triples)
-            for i, j, k in triples:
-                if (xy := rows[i][of[j]]) is None:  # each pair at its first triple: a fault raises there
-                    xy = rows[i][of[j]] = ids.get(tuple(map(lookups[of[i]], maps[j])), -1)
-                if xy != of[k]:
-                    yield (
-                        f"action of product differs from composed actions: "
-                        f"{format_diagram(pool[i])}, {format_diagram(pool[j])} on {space.label().encode()}"
-                    )
+            yield len(pool) ** 2
+            for i, row in enumerate(table):
+                outer, lookup = composed[of[i]], lookups[of[i]]
+                for j, k in enumerate(row):
+                    if (xy := outer[of[j]]) is None:  # each pair at its first product: a fault raises there
+                        xy = outer[of[j]] = ids.get(tuple(map(lookup, maps[j])), -1)
+                    if xy != of[k]:
+                        yield (
+                            f"action of product differs from composed actions: "
+                            f"{format_diagram(pool[i])}, {format_diagram(pool[j])} on {space.label().encode()}"
+                        )
 
 
 @tallied("modules.column-structure")

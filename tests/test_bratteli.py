@@ -1,9 +1,9 @@
 import json
 import math
+import re
 
 import pytest
 
-from planar_rook import bratteli
 from planar_rook.bratteli import (
     BratteliGraph,
     adjacency_count,
@@ -11,12 +11,11 @@ from planar_rook.bratteli import (
     down_degree_histogram,
     emit_dot,
     emit_json,
-    graph_from_json,
     require_tower_cap,
     vertex_count,
 )
 from planar_rook.checks import check_tower_recursion
-from planar_rook.diagrams import CapExceededError
+from planar_rook.diagrams import CapExceededError, InvalidDiagramError
 from planar_rook.representations import IrrepLabel
 
 # The two-color tower up to level 2: 1 + 3 + 6 vertices and 12 edges.
@@ -154,76 +153,31 @@ def test_emit_json_writes_the_bytes_of_json_dumps(c, n_max):
     assert emit_json(graph) == (json.dumps(_payload(graph), indent=2) + "\n").encode()
 
 
-def test_emit_deterministic_and_roundtrips():
-    first = emit_json(build(2, 3))
-    second = emit_json(build(2, 3))
-    assert first == second
-    assert emit_json(graph_from_json(first)) == first
-    assert emit_dot(build(2, 3)) == emit_dot(build(2, 3))
+@pytest.mark.parametrize("c, n_max", [(2, 3), (3, 2), (1, 0)])
+def test_emit_deterministic_and_rebuilt_from_its_parameters(c, n_max):
+    # A saved tower is build of its own c and n_max: emit_json of that graph is its exact bytes.
+    raw = emit_json(build(c, n_max))
+    assert emit_json(build(c, n_max)) == raw
+    payload = json.loads(raw)
+    assert emit_json(build(payload["c"], payload["n_max"])) == raw
+    assert emit_dot(build(c, n_max)) == emit_dot(build(c, n_max))
 
 
-def test_rebuild_from_parsed_parameters():
-    raw = emit_json(build(3, 2))
-    parsed = graph_from_json(raw)
-    assert emit_json(build(parsed.c, parsed.n_max)) == raw
-
-
-def _edited_payload(edit):
+@pytest.mark.parametrize("edit, same_values", [
+    pytest.param(lambda payload: payload["edges"].append([[2, 0], [1, 99]]), False, id="edge-to-no-vertex"),
+    pytest.param(lambda payload: payload["levels"][1].__setitem__(0, [5, 0, 0]), False, id="relabelled-vertex"),
+    # json.loads reads true as True == 1 and 1.0 == 1: only the bytes tell these from the tower.
+    pytest.param(lambda payload: payload["levels"][1].__setitem__(0, [True, False, False]), True, id="bool-parts"),
+    pytest.param(lambda payload: payload["edges"][0].__setitem__(0, [1.0, 0]), True, id="float-edge-path"),
+])
+def test_an_edited_tower_is_not_the_bytes_of_its_rebuild(edit, same_values):
+    # Laid out as emit_json lays it out, an edited payload still differs from the rebuild of its c and n_max.
     payload = json.loads(emit_json(build(2, 2)))
     edit(payload)
-    return json.dumps(payload).encode("utf-8")
-
-
-@pytest.mark.parametrize("edit", [
-    pytest.param(lambda payload: payload["edges"].append([[2, 0], [1, 99]]), id="edge-to-no-vertex"),
-    pytest.param(lambda payload: payload["levels"][1].__setitem__(0, [5, 0, 0]), id="relabelled-vertex"),
-    # json.loads reads true as True == 1 and 1.0 == 1; emit_json writes ints only.
-    pytest.param(lambda payload: payload["levels"][1].__setitem__(0, [True, False, False]), id="bool-parts"),
-    pytest.param(lambda payload: payload["edges"][0].__setitem__(0, [1.0, 0]), id="float-edge-path"),
-])
-def test_graph_from_json_refuses_a_payload_that_is_not_the_tower(edit):
-    with pytest.raises(ValueError, match=r"^the payload's levels or edges differ from the tower to level 2 at c=2$"):
-        graph_from_json(_edited_payload(edit))
-
-
-@pytest.mark.parametrize("raw", [
-    pytest.param(b"[]", id="list"),
-    pytest.param(b"{}", id="no-fields"),
-    pytest.param(_edited_payload(lambda payload: payload.update(c="2")), id="text-c"),
-    pytest.param(_edited_payload(lambda payload: payload.update(n_max=2.0)), id="float-n-max"),
-    pytest.param(_edited_payload(lambda payload: payload.update(c=True)), id="bool-c"),
-    pytest.param(_edited_payload(lambda payload: payload.update(n_max=True)), id="bool-n-max"),
-    pytest.param(_edited_payload(lambda payload: payload.update(levels=[5])), id="number-level"),
-    pytest.param(b"[" * 100000, id="nested-too-deep"),
-    # Sized as a tower of that shape, so only build's own refusal of the shape stopped these two.
-    pytest.param(b'{"c": 0, "n_max": 1, "levels": [[[0]], [[1]]], "edges": []}', id="no-colors"),
-    pytest.param(b'{"c": 2, "n_max": -1, "levels": [], "edges": []}', id="negative-n-max"),
-])
-def test_graph_from_json_refuses_a_malformed_payload_with_value_error(raw):
-    # Each of these once escaped as a TypeError, KeyError, RecursionError or InvalidDiagramError from reading it.
-    with pytest.raises(ValueError, match=r"^the payload is not a tower record: [A-Za-z]+Error: "):
-        graph_from_json(raw)
-
-
-@pytest.mark.parametrize("raw", [emit_json(build(1, 2)).decode("utf-8"), None, 5])
-def test_graph_from_json_refuses_anything_but_bytes(raw):
-    # A str once escaped as an AttributeError from raw.decode.
-    with pytest.raises(TypeError, match=r"^graph_from_json reads bytes, not [a-zA-Z]+$"):
-        graph_from_json(raw)
-
-
-def test_graph_from_json_reads_a_bytearray():
-    raw = emit_json(build(2, 2))
-    assert emit_json(graph_from_json(bytearray(raw))) == raw
-
-
-@pytest.mark.parametrize("c, n_max", [(2, 10**6), (10**9, 2)])
-def test_graph_from_json_checks_the_payload_size_before_building(monkeypatch, c, n_max):
-    # A small payload that names a huge tower is refused before any vertex is built.
-    monkeypatch.setattr(bratteli, "build", lambda *args: pytest.fail("built a tower"))
-    raw = _edited_payload(lambda payload: payload.update(c=c, n_max=n_max))
-    with pytest.raises(ValueError, match=rf"^the payload's levels do not have the size of the tower to level {n_max} at c={c}$"):
-        graph_from_json(raw)
+    raw = (json.dumps(payload, indent=2) + "\n").encode()
+    rebuilt = emit_json(build(payload["c"], payload["n_max"]))
+    assert raw != rebuilt
+    assert (json.loads(raw) == json.loads(rebuilt)) is same_values
 
 
 @pytest.mark.parametrize("c, n_max", [(True, 2), (2, False), (0, 2), (2, -1), (2.0, 2)])
@@ -232,8 +186,30 @@ def test_build_refuses_a_bad_shape(c, n_max):
         build(c, n_max)
 
 
+@pytest.mark.parametrize("c, n_max, message", [
+    pytest.param("2", 2, "c must be a positive int, got '2'", id="text-c"),
+    pytest.param(2, "2", "n must be a non-negative int, got '2'", id="text-n-max"),
+    pytest.param(2, 2.0, "n must be a non-negative int, got 2.0", id="float-n-max"),
+    pytest.param(None, 2, "c must be a positive int, got None", id="no-c"),
+    pytest.param(-1, 2, "c must be a positive int, got -1", id="negative-c"),
+])
+def test_build_names_the_bad_part_of_a_shape(c, n_max, message):
+    with pytest.raises(InvalidDiagramError, match=f"^{re.escape(message)}$"):
+        build(c, n_max)
+
+
 def test_vertex_count_takes_zero_colors():
     assert [vertex_count(n, 0) for n in range(4)] == [1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("c, n_max", [(1, 1), (2, 2), (3, 4), (4, 1), (2, 10), (1100, 1)])
+def test_tower_cap_is_the_vertex_count_of_the_built_tower(c, n_max):
+    # The cap reads C(n_max+c+1, c+1) without building: exactly the vertices build makes, so a cap of one fewer refuses.
+    vertices = sum(len(level) for level in build(c, n_max).levels)
+    assert vertices == sum(vertex_count(n, c) for n in range(n_max + 1)) == math.comb(n_max + c + 1, c + 1)
+    require_tower_cap(c, n_max, vertices)
+    with pytest.raises(CapExceededError, match=f"^the tower to level {n_max} at c={c} has more than {vertices - 1} vertices$"):
+        require_tower_cap(c, n_max, vertices - 1)
 
 
 def test_tower_cap_counts_every_vertex_to_the_top_level():

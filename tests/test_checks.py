@@ -769,6 +769,13 @@ def test_rho_check_raises_where_the_per_triple_loop_raises(monkeypatch, sizes, p
     assert (rho.ok, rho.checked, rho.witnesses, rho.error) == (False, 0, [], error)
 
 
+@pytest.mark.parametrize("n, c", [(2, 2), (3, 2)])
+def test_products_are_row_major_in_pool_order(n, c):
+    # The rho check reads the table by position: row i, column j is pool[i] * pool[j].
+    pool = checks._all_planar(n, c)
+    assert list(checks._products(n, c)) == [(a, b) for a in pool for b in pool]
+
+
 def test_associativity_reads_the_run_product_table(monkeypatch):
     # Inside a run the exhaustive sweep reads every product off _products: no multiply beyond the table's own.
     monkeypatch.setattr(checks, "_tables", {})

@@ -571,6 +571,18 @@ def test_bratteli_obeys_the_cap(capsys, monkeypatch):
     assert "n >= 0" in err
 
 
+@pytest.mark.parametrize("c, n, reason", [
+    pytest.param(2, 10**6, "the tower to level 1000000 at c=2 has more than 1000000 vertices", id="huge-level"),
+    pytest.param(10**9, 2, "c=1000000000 gives each row profile 1000000001 parts, more than the cap of 1000000",
+                 id="huge-c"),
+])
+def test_bratteli_refuses_a_tower_over_the_cap_before_building(capsys, monkeypatch, c, n, reason):
+    # A small command line that names a huge tower is refused before any vertex is built.
+    monkeypatch.delenv("PLANAR_ROOK_CAP", raising=False)  # the default cap of 10^6
+    monkeypatch.setattr(checks.bratteli, "build", lambda *args: pytest.fail("built a tower"))
+    assert run(capsys, "bratteli", "-c", str(c), "-n", str(n)) == (2, "", f"resource cap exceeded: {reason}\n")
+
+
 # Compositions and profiles are generated without recursion: no call depth grows with c.
 def test_count_many_colors(capsys):
     assert run(capsys, "count", "-n", "0", "-c", "1100") == (0, "1\n", "")
