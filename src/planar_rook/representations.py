@@ -114,16 +114,6 @@ class IrrepLabel:
         ends = (0, *accumulate(self.sizes))  # c + 1 sorted blocks that partition 1..n: no validation needed
         return Profile._trusted(self.n, self.c, tuple(tuple(range(a + 1, b + 1)) for a, b in zip(ends, ends[1:])))
 
-    def children(self) -> tuple["IrrepLabel", ...]:
-        """Restriction summands one level down: decrement each nonzero part."""
-        return tuple(self.child(j) for j, s in enumerate(self.sizes) if s > 0)
-
-    def child(self, j: int) -> "IrrepLabel":
-        """The class one level down with part j decremented; the constructor refuses a part that falls below 0."""
-        if type(j) is not int or not 0 <= j < len(self.sizes):
-            raise ValueError(f"no part {j!r} in composition {self.sizes}")
-        return IrrepLabel(_decremented(self.sizes, j))
-
     def encode(self) -> str:
         return "|".join(str(s) for s in self.sizes)
 
@@ -212,11 +202,10 @@ def _class_record(n: int, c: int, sizes: tuple[int, ...]) -> tuple:
     for idx, top in enumerate(tops if n else ()):
         grouped.setdefault(part_of[top & last], []).append(idx)
     groups = tuple((j, tuple(g)) for j, g in sorted(grouped.items()))
-    label = IrrepLabel(sizes)
-    children = tuple(label.child(j) for j, _ in groups)
+    children = tuple(IrrepLabel(_decremented(sizes, j)) for j, _ in groups)
     if any(len(g) != child.dimension() for (_, g), child in zip(groups, children)):
         raise AssertionError("a restriction group must span its child class")
-    return tops, {top: j for j, top in enumerate(tops)}, groups, children, label.representative()
+    return tops, {top: j for j, top in enumerate(tops)}, groups, children, IrrepLabel(sizes).representative()
 
 
 def module_space(n: int, c: int, bottom: Profile) -> ModuleSpace:
@@ -258,7 +247,7 @@ def diagram_action(d: Diagram, space: ModuleSpace) -> ColumnMap:
     otherwise choosing n_k color-k bottom ends per color gives a column that
     is not, so only then are the tops scanned.
     """
-    _require_acting(d, space)
+    _require_acting(d, space.n, space.c)
     if _falls_short(d.edges, space._sizes):
         return (None,) * space.dimension
     n, slot = d.n, space._slot
@@ -279,10 +268,10 @@ def diagram_action(d: Diagram, space: ModuleSpace) -> ColumnMap:
     return tuple([None if top & outside else image_slot(top) for top in space.tops])
 
 
-def _require_acting(d: Diagram, space: ModuleSpace) -> None:
-    """Refuse a diagram of another (n, c) than the module's, or a non-planar one."""
-    if d.n != space.n or d.c != space.c:
-        raise MismatchError("diagram does not match the module's (n, c)")
+def _require_acting(d: Diagram, n: int, c: int) -> None:
+    """Refuse a diagram of another shape than the module's (n, c), or a non-planar one."""
+    if d.n != n or d.c != c:
+        raise MismatchError(f"diagram of (n={d.n}, c={d.c}) does not act on a module of (n={n}, c={c})")
     if not _proven_planar(d):
         raise NonPlanarError(f"{format_diagram(d)} is not planar")
 
@@ -315,7 +304,7 @@ def action_trace(d: Diagram, space: ModuleSpace) -> int:
     checks compare that form with the fixed points of :func:`diagram_action`.
     Shape and planarity are refused as in :func:`diagram_action`.
     """
-    _require_acting(d, space)
+    _require_acting(d, space.n, space.c)
     return _character(vertical_color_counts(d), space._sizes)
 
 
@@ -420,10 +409,7 @@ def character(d: Diagram, label: IrrepLabel) -> int:
     value is the product over colors of C(l_i, n_i) (zero as soon as some
     n_i exceeds l_i).
     """
-    if (d.n, d.c) != (label.n, label.c):
-        raise MismatchError(f"diagram shape does not match label {label.sizes}")
-    if not _proven_planar(d):
-        raise NonPlanarError(f"{format_diagram(d)} is not planar")
+    _require_acting(d, label.n, label.c)
     return _character(vertical_color_counts(d), label.sizes)
 
 

@@ -125,6 +125,14 @@ def test_characters_and_restrictions_match_the_closed_forms(data):
     assert [child.sizes for child in restriction_decomposition(space)] == oracle.restriction(sizes)
 
 
+@pytest.mark.parametrize("n, c", [(n, c) for n in range(1, 6) for c in range(1, 4)])
+def test_every_restriction_matches_the_closed_form(n, c):
+    # Every class of the shape, beside the sampled test above: the class record's grouping against the oracle's rule.
+    for sizes in oracle.compositions(n, c + 1):
+        children = restriction_decomposition(label_module(IrrepLabel(sizes)))
+        assert [child.sizes for child in children] == oracle.restriction(sizes)
+
+
 @pytest.mark.parametrize("n, c", [(n, c) for n in range(7) for c in range(1, 4)] + [(7, 3)])
 def test_character_table_matches_the_closed_form_cell_by_cell(n, c):
     # Every cell, the zeros the table never evaluates included, against the oracle on the row's vertical edges.

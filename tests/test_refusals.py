@@ -51,10 +51,21 @@ def _verify(**setting):
 
 
 @pytest.mark.parametrize("call, error, message", [
+    # The three queries of a diagram on a class share one refusal, which names both shapes.
     pytest.param(lambda: character(Diagram(3, 1, ()), IrrepLabel((1, 1))), MismatchError,
-                 "diagram shape does not match label (1, 1)", id="character-shape"),
+                 "diagram of (n=3, c=1) does not act on a module of (n=2, c=1)", id="character-shape"),
+    pytest.param(lambda: diagram_action(Diagram(3, 1, ()), label_module(IrrepLabel((1, 1)))), MismatchError,
+                 "diagram of (n=3, c=1) does not act on a module of (n=2, c=1)", id="diagram-action-n"),
+    pytest.param(lambda: diagram_action(Diagram(2, 2, ()), label_module(IrrepLabel((1, 1)))), MismatchError,
+                 "diagram of (n=2, c=2) does not act on a module of (n=2, c=1)", id="diagram-action-c"),
+    pytest.param(lambda: action_trace(Diagram(2, 1, ()), label_module(IrrepLabel((1, 0, 1)))), MismatchError,
+                 "diagram of (n=2, c=1) does not act on a module of (n=2, c=2)", id="action-trace-c"),
+    pytest.param(lambda: action_trace(Diagram(3, 2, ()), label_module(IrrepLabel((1, 0, 1)))), MismatchError,
+                 "diagram of (n=3, c=2) does not act on a module of (n=2, c=2)", id="action-trace-n"),
     pytest.param(lambda: character(CROSSED, IrrepLabel((1, 1))), NonPlanarError,
                  "n=2 c=1 [1-2:1, 2-1:1] is not planar", id="character-planarity"),
+    pytest.param(lambda: IrrepLabel((2, -1, 1)), ValueError, "invalid composition (2, -1, 1)",
+                 id="label-negative-part"),
     pytest.param(lambda: module_space(3, 1, Profile(2, 1, ((1,), (2,)))), MismatchError,
                  "profile does not match (n, c)", id="module-space-shape"),
     pytest.param(lambda: are_isomorphic(label_module(IrrepLabel((1, 1))), label_module(IrrepLabel((1, 0, 1)))),

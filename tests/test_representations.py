@@ -66,7 +66,6 @@ def test_label_basics():
     assert label.dimension() == 3
     assert label.encode() == "1|2|0"
     assert label.representative().parts == ((1,), (2, 3), ())
-    assert [child.sizes for child in label.children()] == [(0, 2, 0), (1, 1, 0)]
 
 
 def test_label_takes_any_iterable_of_sizes():
@@ -78,23 +77,6 @@ def test_label_rejects_non_int_sizes():
     for sizes in ((1.5, 1), (True, 1), (1, 1.0)):
         with pytest.raises(ValueError):
             IrrepLabel(sizes)
-
-
-def test_label_child_decrements_one_part():
-    assert IrrepLabel((2, 0, 1)).child(2) == IrrepLabel((2, 0, 0))
-    assert IrrepLabel((2, 0, 1)).children() == (IrrepLabel((1, 0, 1)), IrrepLabel((2, 0, 0)))
-
-
-def test_label_child_refuses_a_missing_or_empty_part():
-    label = IrrepLabel((2, 0, 1))
-    with pytest.raises(ValueError, match=r"^invalid composition \(2, -1, 1\)$"):
-        label.child(1)
-    for j in (3, -1, 1.0, True):
-        with pytest.raises(ValueError, match="no part"):
-            label.child(j)
-    child = label.child(0)
-    assert child == IrrepLabel((1, 0, 1)) and hash(child) == hash(IrrepLabel((1, 0, 1)))
-    assert type(child.sizes) is tuple
 
 
 def test_character_table_cap_refuses_without_the_full_power():
@@ -110,10 +92,6 @@ def test_character_table_verifier_refuses_a_width_over_its_cap_before_building(m
         verify_character_table(0, 2 * 10**6, cap=10)
     monkeypatch.undo()
     assert verify_character_table(0, 9, cap=10)  # 10 parts fit the cap
-
-
-def test_label_children_drop_empty_parts():
-    assert [child.sizes for child in IrrepLabel((1, 0, 0)).children()] == [(0, 0, 0)]
 
 
 def test_module_space_dimension_one():
